@@ -9,15 +9,15 @@ check the method's recovery guarantees empirically.
 """
 
 from .data import LabeledDataset, ParseError, PcaBasis, eigen_spectrum, load_libsvm, parse_libsvm, pca_fit, serialize_libsvm
-from .evaluate import EvalReport, evaluate_metric, knn_accuracy, map_score
+from .evaluate import EvalReport, evaluate_metric, knn_accuracy
 from .experiments import METHODS, RunConfig, run_method, train_trial
-from .gram import GramView, KappaStats, dense_gram, gram_entry, gram_oracle, gram_vector_product, gram_view, kappa
+from .gram import GramView, KappaStats, dense_gram, gram_view, kappa
 from .harness import HarnessConfig, verify_theorem1, verify_theorem2
-from .metric import assemble_subspace_metric, load_metric, metric_distance, psd_project, recover_metric, save_metric
-from .projection import ProjectionMatrix, gaussian_matrix, identity_matrix, pca_matrix, project_points
+from .metric import assemble_subspace_metric, load_metric, psd_project, recover_metric, save_metric
+from .projection import ProjectionMatrix, gaussian_matrix, identity_matrix, pca_matrix
 from .reference import pga_solve
 from .solver import DualSolution, LossModel, SolverState, csdca_solve, dual_objective, duality_gap, sdca_update, sgd_epoch
-from .synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs, rank_r_blobs
+from .synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from .triplets import TripletCache, TripletSet, build_cache, project_cache, sample_active_triplets
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, spectrum, verify-t1, verify-t2, sample-triplets.
 Options may come from a ``--config`` file of flat ``key=value`` lines
-(``#`` starts a comment); explicit command-line flags win over the file.
+(``#`` starts a comment) whose keys are the long flag names with ``-``
+turned into ``_``; explicit command-line flags win over the file.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -10,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -50,146 +52,123 @@ def read_config_file(path):
     return values
 
 
-_CONFIG_COERCERS = {
-    "method": str,
-    "m": int,
-    "triplets": int,
-    "epochs": int,
-    "lambda": float,
-    "loss": str,
-    "gamma": float,
-    "k": int,
-    "seed": int,
-    "trials": int,
-    "train_file": str,
-    "test_file": str,
-    "out": str,
-    "d": int,
-    "r": int,
-    "n": int,
-    "delta": float,
-    "eta": float,
-    "m_sweep": str,
-    "seeds": str,
-    "save_metric": str,
-    "trace_out": str,
-    "metric_file": str,
-}
-
-
-def _merge_config(args, parser_defaults):
-    """Fill argparse's None slots from the config file, then from defaults."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, raw in file_values.items():
-        if key not in _CONFIG_COERCERS:
-            raise ConfigError(f"unknown config key {key!r}")
-        dest = "lam" if key == "lambda" else ("n_triplets" if key == "triplets" else key)
-        if not hasattr(args, dest):
-            continue  # keys for other subcommands are tolerated
-        if getattr(args, dest) is None:
-            try:
-                setattr(args, dest, _CONFIG_COERCERS[key](raw))
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-    for dest, default in parser_defaults.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, default)
-    return args
-
-
 def _int_list(text):
     try:
         return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"expected a list of integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a list of integers, got {text!r}") from None
 
 
 def build_parser():
+    """The one table of options, flags and types.
+
+    A flag without ``default=`` stays ``None`` when unset, and the command
+    then uses the default of the config dataclass it builds.
+    """
     parser = _Parser(prog="durp", description="Metric learning by dual random projection")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def add_common(p):
+    def command(name, run, summary):
+        # no prefix matching: --seed must not reach --seeds
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(_run=run)
+        return p
 
-    p_train = sub.add_parser("train", help="train a metric and evaluate it")
-    add_common(p_train)
-    p_train.add_argument("--method", choices=METHODS, default=None)
-    p_train.add_argument("--m", type=int, default=None)
-    p_train.add_argument("--triplets", dest="n_triplets", type=int, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_train.add_argument("--loss", choices=("hinge", "smoothed_hinge"), default=None)
-    p_train.add_argument("--gamma", type=float, default=None)
-    p_train.add_argument("--k", type=int, default=None)
-    p_train.add_argument("--trials", type=int, default=None)
-    p_train.add_argument("--train-file", dest="train_file", default=None)
-    p_train.add_argument("--test-file", dest="test_file", default=None)
-    p_train.add_argument("--save-metric", dest="save_metric", default=None,
+    p_train = command("train", cmd_train, "train a metric and evaluate it")
+    p_train.add_argument("--method", choices=METHODS)
+    p_train.add_argument("--m", type=int)
+    p_train.add_argument("--triplets", dest="n_triplets", type=int)
+    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--lambda", dest="lam", type=float)
+    p_train.add_argument("--loss", choices=("hinge", "smoothed_hinge"))
+    p_train.add_argument("--gamma", type=float)
+    p_train.add_argument("--k", type=int)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--trials", type=int)
+    p_train.add_argument("--train-file")
+    p_train.add_argument("--test-file")
+    p_train.add_argument("--save-metric",
                          help="write per-trial metric binaries to PATH[.trialT].bin")
-    p_train.add_argument("--trace-out", dest="trace_out", default=None,
-                         help="write per-trial solver trace CSVs")
-    _TRAIN_DEFAULTS = {
-        "method": "durp", "m": 10, "n_triplets": 100000, "epochs": 3, "lam": None,
-        "loss": "hinge", "gamma": 1.0, "k": 5, "seed": 0, "trials": 5,
-    }
-    p_train.set_defaults(_defaults=_TRAIN_DEFAULTS, _run=cmd_train)
+    p_train.add_argument("--trace-out", help="write per-trial solver trace CSVs")
 
-    p_eval = sub.add_parser("eval", help="evaluate a stored metric")
-    add_common(p_eval)
-    p_eval.add_argument("--metric-file", dest="metric_file", default=None)
-    p_eval.add_argument("--train-file", dest="train_file", default=None)
-    p_eval.add_argument("--test-file", dest="test_file", default=None)
-    p_eval.add_argument("--k", type=int, default=None)
-    p_eval.set_defaults(_defaults={"k": 5, "seed": 0}, _run=cmd_eval)
+    p_eval = command("eval", cmd_eval, "evaluate a stored metric")
+    p_eval.add_argument("--metric-file")
+    p_eval.add_argument("--train-file")
+    p_eval.add_argument("--test-file")
+    p_eval.add_argument("--k", type=int, default=5)
 
-    p_spec = sub.add_parser("spectrum", help="normalized covariance spectrum CSV")
-    add_common(p_spec)
-    p_spec.add_argument("--train-file", dest="train_file", default=None)
-    p_spec.set_defaults(_defaults={"seed": 0}, _run=cmd_spectrum)
+    p_spec = command("spectrum", cmd_spectrum, "normalized covariance spectrum CSV")
+    p_spec.add_argument("--train-file")
 
-    p_t1 = sub.add_parser("verify-t1", help="low-rank recovery trend harness")
-    add_common(p_t1)
-    p_t1.add_argument("--d", type=int, default=None)
-    p_t1.add_argument("--r", type=int, default=None)
-    p_t1.add_argument("--n", type=int, default=None)
-    p_t1.add_argument("--triplets", dest="n_triplets", type=int, default=None)
-    p_t1.add_argument("--m-sweep", dest="m_sweep", default=None,
-                      help="comma-separated list of m values")
-    p_t1.add_argument("--delta", type=float, default=None)
-    p_t1.add_argument("--seeds", default=None, help="comma-separated seed list")
-    p_t1.set_defaults(
-        _defaults={"d": 400, "r": 3, "n": 300, "n_triplets": 500,
-                   "m_sweep": "5,10,20,50,100,400", "delta": 0.1,
-                   "seeds": "0,1,2,3,4,5,6,7,8,9", "seed": 0},
-        _run=cmd_verify_t1,
-    )
+    p_t1 = command("verify-t1", cmd_verify_t1, "low-rank recovery trend harness")
+    p_t1.add_argument("--d", type=int)
+    p_t1.add_argument("--r", type=int)
+    p_t1.add_argument("--n", type=int)
+    p_t1.add_argument("--triplets", dest="n_triplets", type=int)
+    p_t1.add_argument("--m-sweep", type=_int_list, help="comma-separated list of m values")
+    p_t1.add_argument("--delta", type=float)
+    p_t1.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
 
-    p_t2 = sub.add_parser("verify-t2", help="smooth-loss dual recovery harness")
-    add_common(p_t2)
-    p_t2.add_argument("--d", type=int, default=None)
-    p_t2.add_argument("--n", type=int, default=None)
-    p_t2.add_argument("--triplets", dest="n_triplets", type=int, default=None)
-    p_t2.add_argument("--m", type=int, default=None,
+    p_t2 = command("verify-t2", cmd_verify_t2, "smooth-loss dual recovery harness")
+    p_t2.add_argument("--d", type=int, default=500)
+    p_t2.add_argument("--n", type=int, default=250)
+    p_t2.add_argument("--triplets", dest="n_triplets", type=int, default=200)
+    p_t2.add_argument("--m", type=int,
                       help="projection width (default: smallest m passing the sampling condition)")
-    p_t2.add_argument("--delta", type=float, default=None)
-    p_t2.add_argument("--eta", type=float, default=None)
-    p_t2.add_argument("--gamma", type=float, default=None)
-    p_t2.add_argument("--seeds", default=None, help="comma-separated seed list")
-    p_t2.set_defaults(
-        _defaults={"d": 500, "n": 250, "n_triplets": 200, "m": None, "delta": 0.1,
-                   "eta": 1e-6, "gamma": 1.0, "seeds": "0,1,2,3,4,5,6,7,8,9", "seed": 0},
-        _run=cmd_verify_t2,
-    )
+    p_t2.add_argument("--delta", type=float)
+    p_t2.add_argument("--eta", type=float)
+    p_t2.add_argument("--gamma", type=float)
+    p_t2.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
 
-    p_samp = sub.add_parser("sample-triplets", help="sample active triplets to CSV")
-    add_common(p_samp)
-    p_samp.add_argument("--train-file", dest="train_file", default=None)
-    p_samp.add_argument("--triplets", dest="n_triplets", type=int, default=None)
-    p_samp.set_defaults(_defaults={"n_triplets": 100000, "seed": 0}, _run=cmd_sample)
+    p_samp = command("sample-triplets", cmd_sample, "sample active triplets to CSV")
+    p_samp.add_argument("--train-file")
+    p_samp.add_argument("--triplets", dest="n_triplets", type=int, default=100000)
+    p_samp.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+def config_keys(command_parser):
+    """Config key -> argparse action: every long flag of a subcommand, '-' -> '_'."""
+    return {
+        action.option_strings[-1][2:].replace("-", "_"): action
+        for action in command_parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+
+
+def parse_args(argv=None):
+    """Parse the command line, filling the flags it leaves unset from ``--config``.
+
+    File values become the parser's defaults for a second parse, so flags
+    win over the file and the file wins over built-in defaults.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    known = {key for p in parser.commands.values() for key in config_keys(p)}
+    table = config_keys(parser.commands[args.command])
+    for key, raw in read_config_file(args.config).items():
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}")
+        action = table.get(key)
+        if action is None:
+            continue  # keys for other subcommands are tolerated
+        try:
+            action.default = action.type(raw) if action.type else raw
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
+    return parser.parse_args(argv)
+
+
+def _fields(args, cls):
+    """The options that name a field of dataclass ``cls`` and are set."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
 def _require(args, *names):
@@ -208,24 +187,16 @@ def _write_out(args, text):
 
 
 def cmd_train(args):
-    _require(args, "train_file", "test_file", "method")
-    config = RunConfig(
-        method=args.method, train_file=args.train_file, test_file=args.test_file,
-        m=args.m, n_triplets=args.n_triplets, epochs=args.epochs, lam=args.lam,
-        loss=args.loss, gamma=args.gamma, k=args.k, seed=args.seed, trials=args.trials,
-    )
+    _require(args, "train_file", "test_file")
+    config = RunConfig(**_fields(args, RunConfig))
     report, results = run_method(config)
-    if getattr(args, "save_metric", None):
-        for i, res in enumerate(results):
-            path = args.save_metric if config.trials == 1 else f"{args.save_metric}.trial{i}"
-            save_metric(path, res.metric)
-    if getattr(args, "trace_out", None):
-        for i, res in enumerate(results):
-            path = args.trace_out if config.trials == 1 else f"{args.trace_out}.trial{i}"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("epoch,dual_objective,duality_gap,seconds\n")
-                for epoch, obj, gap, sec in res.solver_trace:
-                    fh.write("%d,%.17g,%.17g,%.6f\n" % (epoch, obj, gap, sec))
+    for i, res in enumerate(results):
+        suffix = "" if config.trials == 1 else f".trial{i}"
+        if args.save_metric:
+            save_metric(args.save_metric + suffix, res.metric)
+        if args.trace_out:
+            with open(args.trace_out + suffix, "w", encoding="utf-8") as fh:
+                fh.write(trace_csv(res.solver_trace))
     _write_out(args, json.dumps(report, indent=2) + "\n")
 
 
@@ -244,20 +215,14 @@ def cmd_spectrum(args):
 
 
 def cmd_verify_t1(args):
-    config = harness_mod.HarnessConfig(
-        d=args.d, r=args.r, n=args.n, n_triplets=args.n_triplets,
-        m_sweep=_int_list(args.m_sweep), delta=args.delta, seeds=_int_list(args.seeds),
-    )
+    config = harness_mod.HarnessConfig(**_fields(args, harness_mod.HarnessConfig))
     result = harness_mod.verify_theorem1(config)
     _write_out(args, harness_mod.theorem1_csv(result))
 
 
 def cmd_verify_t2(args):
-    config = harness_mod.HarnessConfig(
-        d=args.d, r=1, n=args.n, n_triplets=args.n_triplets,
-        m_sweep=(1,), delta=args.delta, eta=args.eta, gamma=args.gamma,
-        seeds=_int_list(args.seeds),
-    )
+    config = harness_mod.HarnessConfig(r=1, m_sweep=(1,),
+                                       **_fields(args, harness_mod.HarnessConfig))
     result = harness_mod.verify_theorem2(config, m=args.m)
     _write_out(args, harness_mod.theorem2_csv(result))
 
@@ -272,10 +237,8 @@ def cmd_sample(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _merge_config(args, args._defaults)
+        args = parse_args(argv)
         # config values validated by the dataclasses / functions they feed
         try:
             args._run(args)

@@ -39,17 +39,6 @@ class EvalReport:
             indent=2,
         )
 
-    @staticmethod
-    def from_json(text):
-        obj = json.loads(text)
-        return EvalReport(
-            map_score=obj["map"],
-            knn_accuracy=obj["knn_accuracy"],
-            k=obj["k"],
-            n_queries=obj["n_queries"],
-            excluded_queries=obj["excluded_queries"],
-        )
-
 
 def ranking_map(M, test):
     """Mean average precision plus query bookkeeping.
@@ -85,12 +74,6 @@ def ranking_map(M, test):
     return total / included, included, excluded
 
 
-def map_score(M, test):
-    """Mean average precision of metric M on the test split (see module docs)."""
-    score, _, _ = ranking_map(M, test)
-    return score
-
-
 def knn_accuracy(M, train, test, k):
     """Majority-vote k-NN accuracy of metric M.
 
@@ -114,6 +97,10 @@ def knn_accuracy(M, train, test, k):
 
 def evaluate_metric(M, train, test, k):
     """Bundle retrieval and k-NN results into an :class:`EvalReport`."""
+    if M.shape != (train.d, train.d):
+        raise ValueError(
+            f"metric is {M.shape[0]} x {M.shape[1]} but the data have {train.d} features"
+        )
     score, included, excluded = ranking_map(M, test)
     acc = knn_accuracy(M, train, test, k)
     return EvalReport(

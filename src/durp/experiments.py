@@ -6,8 +6,9 @@ durp  : project triplets to m dimensions with a Gaussian map, solve the
         projected dual, rebuild the metric from the *original* difference
         vectors, PSD-project once.
 duori : solve in the original space directly (no projection).
-srp   : solve the projected dual, keep the subspace metric M_s from the
-        solver accumulator, push it back as R M_s R^T, PSD-project.
+srp   : solve the projected dual, recover the subspace metric M_s from
+        the *projected* difference vectors, push it back as R M_s R^T,
+        PSD-project.
 spca  : srp with the projection replaced by the top-m PCA basis.
 
 Trial t runs with seed ``seed + t`` throughout (triplets, projection,
@@ -35,7 +36,7 @@ METHODS = ("durp", "duori", "srp", "spca")
 class RunConfig:
     """Everything one ``train`` invocation depends on."""
 
-    method: str
+    method: str = "durp"
     train_file: str = ""
     test_file: str = ""
     m: int = 10
@@ -86,8 +87,7 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
     started = time.perf_counter()
     triplets = sample_active_triplets(train, config.n_triplets, trial_seed)
     cache = build_cache(train, triplets)
-    n = cache.n
-    lam = (1.0 / n) if config.lam is None else config.lam
+    lam = (1.0 / cache.n) if config.lam is None else config.lam
     loss = LossModel(kind=config.loss, gamma=config.gamma)
     method = config.method
 
@@ -107,7 +107,7 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
             # recovery uses the original-space difference vectors
             metric = psd_project(recover_metric(solution.alpha, cache, lam))
         else:  # srp / spca stay in the subspace
-            m_s = -solution.s_matrix / (lam * n)
+            m_s = recover_metric(solution.alpha, projected, lam)
             metric = psd_project(assemble_subspace_metric(m_s, projection))
 
     report = evaluate_metric(metric, train, test, config.k)

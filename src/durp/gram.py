@@ -6,7 +6,7 @@ dot products:
     G[a, b] = (u_a.u_b)^2 + (v_a.v_b)^2 - (u_a.v_b)^2 - (v_a.u_b)^2
 
 so no p x p outer products are ever formed.  The full N x N matrix is only
-materialized by :func:`dense_gram` for small-instance oracles.
+materialized by :func:`dense_gram` for the small dense reference solver.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KRON_DIM_LIMIT = 256
 DENSE_LIMIT = 4000
 
 
@@ -38,45 +37,12 @@ def gram_view(cache):
     return GramView(cache=cache, diag=diag)
 
 
-def gram_entry(view, a, b):
-    """G[a, b] via the four-term decomposition, O(p)."""
-    U, V = view.cache.U, view.cache.V
-    ua, va = U[:, a], V[:, a]
-    ub, vb = U[:, b], V[:, b]
-    return float((ua @ ub) ** 2 + (va @ vb) ** 2 - (ua @ vb) ** 2 - (va @ ub) ** 2)
-
-
-def gram_oracle(view, a, b):
-    """G[a, b] through the p^2-dimensional Kronecker embedding.
-
-    z_t = u_t (x) u_t - v_t (x) v_t satisfies G[a, b] = <z_a, z_b>, which
-    also certifies that G is positive semidefinite.  Quadratic memory, so
-    guarded to small dimensions.
-    """
-    p = view.cache.space_dim
-    if p > KRON_DIM_LIMIT:
-        raise ValueError(f"Kronecker oracle limited to dimension {KRON_DIM_LIMIT}, got {p}")
-    U, V = view.cache.U, view.cache.V
-    za = np.kron(U[:, a], U[:, a]) - np.kron(V[:, a], V[:, a])
-    zb = np.kron(U[:, b], U[:, b]) - np.kron(V[:, b], V[:, b])
-    return float(za @ zb)
-
-
 def accumulator(cache, alpha):
     """S = sum_t alpha_t (u_t u_t^T - v_t v_t^T), built in O(N p^2)."""
     if alpha.shape != (cache.n,):
         raise ValueError("alpha must have one entry per triplet")
     S = (cache.U * alpha) @ cache.U.T - (cache.V * alpha) @ cache.V.T
     return 0.5 * (S + S.T)
-
-
-def gram_vector_product(view, alpha):
-    """(G alpha)_t = u_t^T S u_t - v_t^T S v_t with S the alpha-weighted accumulator."""
-    cache = view.cache
-    S = accumulator(cache, alpha)
-    SU = S @ cache.U
-    SV = S @ cache.V
-    return np.einsum("pt,pt->t", cache.U, SU) - np.einsum("pt,pt->t", cache.V, SV)
 
 
 def dense_gram(view, limit=DENSE_LIMIT):

@@ -1,4 +1,4 @@
-"""Metric recovery, PSD projection, distances, and on-disk formats.
+"""Metric recovery, PSD projection, pairwise distances, and on-disk formats.
 
 Recovery rebuilds the full-dimension metric from dual variables and the
 *original* difference vectors, so only one PSD projection is ever needed
@@ -10,6 +10,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+
+from .gram import accumulator
 
 SYMMETRY_TOL = 1e-8
 
@@ -28,14 +30,10 @@ def require_symmetric(M, tol=SYMMETRY_TOL):
 
 
 def recover_metric(alpha, cache, lam):
-    """M = -(1/(lam N)) sum_t alpha_t (u_t u_t^T - v_t v_t^T) over the cache's space."""
-    n = cache.n
-    if alpha.shape != (n,):
-        raise ValueError("alpha must have one entry per triplet")
-    if n == 0:
+    """M = -S / (lam N) with S = sum_t alpha_t (u_t u_t^T - v_t v_t^T) over the cache's space."""
+    if cache.n == 0:
         raise ValueError("cannot recover a metric from an empty triplet cache")
-    S = (cache.U * alpha) @ cache.U.T - (cache.V * alpha) @ cache.V.T
-    return symmetrize(-S / (lam * n))
+    return -accumulator(cache, alpha) / (lam * cache.n)
 
 
 def assemble_subspace_metric(M_s, projection):
@@ -59,12 +57,6 @@ def psd_project(M):
     eigvals, eigvecs = np.linalg.eigh(sym)
     clipped = np.maximum(eigvals, 0.0)
     return symmetrize((eigvecs * clipped) @ eigvecs.T)
-
-
-def metric_distance(M, x, y):
-    """Squared metric distance (x - y)^T M (x - y)."""
-    delta = x - y
-    return float(delta @ (M @ delta))
 
 
 def pairwise_sq_distances(M, X, Y=None):
@@ -133,6 +125,10 @@ def load_metric_eigen(path):
         if len(header) != 16:
             raise ValueError("truncated factored-metric file")
         q, r = struct.unpack("<QQ", header)
-        w = np.frombuffer(fh.read(r * 8), dtype="<f8").astype(np.float64)
-        B = np.frombuffer(fh.read(q * r * 8), dtype="<f8").reshape(q, r).astype(np.float64)
+        payload = fh.read()
+    expected = (r + q * r) * 8
+    if len(payload) != expected:
+        raise ValueError(f"factored-metric payload has {len(payload)} bytes, expected {expected}")
+    w = np.frombuffer(payload, dtype="<f8", count=r).astype(np.float64)
+    B = np.frombuffer(payload, dtype="<f8", offset=r * 8).reshape(q, r).astype(np.float64)
     return symmetrize((B * w) @ B.T)

@@ -58,11 +58,3 @@ def pca_matrix(basis):
     """Wrap a fitted PCA basis as a projection (columns already orthonormal)."""
     return ProjectionMatrix(entries=basis.basis, kind="pca", seed=None)
 
-
-def project_points(X, projection):
-    """Apply x -> R^T x column-wise: (d, n) -> (m, n)."""
-    if X.shape[0] != projection.d:
-        raise ValueError(
-            f"points have dimension {X.shape[0]} but projection expects {projection.d}"
-        )
-    return projection.entries.T @ X

@@ -3,16 +3,20 @@
 An independent optimization path used to certify the coordinate-ascent
 solver and to compute near-exact optima inside the verification
 harnesses.  Materializes G (guarded to small N), steps with 1/L where L
-comes from power iteration, and optionally adds Nesterov momentum with
-objective restarts (same fixed point, faster tail).
+comes from power iteration, and adds Nesterov momentum with objective
+restarts (same fixed point as plain projected gradient, faster tail).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gram import accumulator, dense_gram, gram_view
-from .solver import DualSolution, dual_objective_from_alpha, primal_objective
+from .gram import dense_gram, gram_view
+from .metric import recover_metric
+from .solver import DualSolution, primal_objective
+
+MAX_ITERS = 200000
+CHECK_EVERY = 50
 
 
 def power_iteration_norm(A, iters=200, seed=0):
@@ -37,19 +41,17 @@ def _clip_box(alpha):
     return np.clip(alpha, -1.0, 0.0)
 
 
-def pga_solve(cache, loss, lam, gap_tol=1e-8, max_iters=200000, accelerated=True,
-              check_every=50):
+def pga_solve(cache, loss, lam, gap_tol=1e-8):
     """Maximize the boxed dual on a dense Gram matrix.
 
-    Stops when the mean-loss-scale duality gap drops below ``gap_tol``.
-    Raises if the budget runs out first.
+    Stops when the mean-loss-scale duality gap, checked every
+    ``CHECK_EVERY`` steps, drops below ``gap_tol``.  Raises if ``MAX_ITERS``
+    steps run out first.
     """
-    view = gram_view(cache)
     n = cache.n
     if n == 0:
-        return DualSolution(alpha=np.zeros(0), objective=0.0, gap=0.0, trace=[],
-                            s_matrix=np.zeros((cache.space_dim, cache.space_dim)))
-    G = dense_gram(view)
+        return DualSolution(alpha=np.zeros(0), objective=0.0, gap=0.0, trace=[])
+    G = dense_gram(gram_view(cache))
     lam_n = lam * n
     lipschitz = power_iteration_norm(G) / lam_n
     if loss.kind == "smoothed_hinge":
@@ -66,47 +68,31 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8, max_iters=200000, accelerated=True
         return float(-np.sum(loss.conjugate(a)) - (a @ (G @ a)) / (2.0 * lam_n))
 
     def normalized_gap(a):
-        M = -accumulator(cache, a) / lam_n
-        return primal_objective(cache, M, loss, lam) - objective(a) / n
+        return primal_objective(cache, recover_metric(a, cache, lam), loss, lam) - objective(a) / n
 
     alpha = np.zeros(n)
     momentum = alpha.copy()
     t_accel = 1.0
     best_obj = -np.inf
     gap = normalized_gap(alpha)
-    if gap <= gap_tol:
-        iters_done = 0
-    else:
-        iters_done = max_iters
-        for it in range(1, max_iters + 1):
-            base = momentum if accelerated else alpha
-            new = _clip_box(base + step * grad(base))
-            if accelerated:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_accel * t_accel))
-                momentum = new + ((t_accel - 1.0) / t_next) * (new - alpha)
-                momentum = _clip_box(momentum)
-                t_accel = t_next
-            alpha = new
-            if it % check_every == 0:
-                obj = objective(alpha)
-                if accelerated and obj < best_obj:
-                    # objective went backwards under momentum: restart it
-                    momentum = alpha.copy()
-                    t_accel = 1.0
-                best_obj = max(best_obj, obj)
-                gap = normalized_gap(alpha)
-                if gap <= gap_tol:
-                    iters_done = it
-                    break
-        else:
+    iters_done = 0
+    while gap > gap_tol and iters_done < MAX_ITERS:
+        iters_done += 1
+        new = _clip_box(momentum + step * grad(momentum))
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_accel * t_accel))
+        momentum = _clip_box(new + ((t_accel - 1.0) / t_next) * (new - alpha))
+        t_accel = t_next
+        alpha = new
+        if iters_done % CHECK_EVERY == 0:
+            obj = objective(alpha)
+            if obj < best_obj:
+                # objective went backwards under momentum: restart it
+                momentum = alpha.copy()
+                t_accel = 1.0
+            best_obj = max(best_obj, obj)
             gap = normalized_gap(alpha)
     if gap > gap_tol:
         raise ValueError(f"reference solve stalled at gap {gap:.3e} > {gap_tol:.1e}")
-    S = accumulator(cache, alpha)
-    return DualSolution(
-        alpha=alpha,
-        objective=dual_objective_from_alpha(view, alpha, loss, lam),
-        gap=float(gap),
-        trace=[(iters_done, objective(alpha), float(gap), 0.0)],
-        s_matrix=S,
-    )
+    obj = objective(alpha)
+    return DualSolution(alpha=alpha, objective=obj, gap=float(gap),
+                        trace=[(iters_done, obj, float(gap), 0.0)])

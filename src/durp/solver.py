@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import accumulator, gram_vector_product, gram_view
+from .gram import accumulator, gram_view
 
 FEASIBILITY_TOL = 1e-12
 DRIFT_TOL = 1e-6
@@ -97,7 +97,6 @@ class DualSolution:
     objective: float
     gap: float
     trace: list = field(default_factory=list)
-    s_matrix: np.ndarray | None = None
 
 
 def init_state(cache, lam, seed):
@@ -126,16 +125,6 @@ def dual_objective(state, view, loss):
         return 0.0
     quad = float(np.sum(state.S * state.S))
     return float(-np.sum(loss.conjugate(state.alpha)) - quad / (2.0 * state.lam * n))
-
-
-def dual_objective_from_alpha(view, alpha, loss, lam):
-    """Same objective evaluated matrix-free from alpha alone."""
-    _check_feasible(alpha)
-    n = view.n
-    if n == 0:
-        return 0.0
-    quad = float(alpha @ gram_vector_product(view, alpha))
-    return float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam * n))
 
 
 def _margins(cache, M):
@@ -251,8 +240,7 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     state = init_state(cache, lam, seed)
     n = cache.n
     if n == 0:
-        return DualSolution(alpha=state.alpha, objective=0.0, gap=0.0, trace=[],
-                            s_matrix=state.S)
+        return DualSolution(alpha=state.alpha, objective=0.0, gap=0.0, trace=[])
     trace = []
     start = time.perf_counter()
 
@@ -283,14 +271,11 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
         objective=dual_objective(state, view, loss),
         gap=gap,
         trace=trace,
-        s_matrix=state.S,
     )
 
 
-def trace_csv(solution):
-    """Render the per-epoch trace as ``epoch,dual_objective,duality_gap,seconds``."""
+def trace_csv(trace):
+    """Render per-epoch trace rows as ``epoch,dual_objective,duality_gap,seconds``."""
     lines = ["epoch,dual_objective,duality_gap,seconds"]
-    lines.extend(
-        "%d,%.17g,%.17g,%.6f" % (epoch, obj, gap, sec) for epoch, obj, gap, sec in solution.trace
-    )
+    lines.extend("%d,%.17g,%.17g,%.6f" % (epoch, obj, gap, sec) for epoch, obj, gap, sec in trace)
     return "\n".join(lines) + "\n"

@@ -6,6 +6,11 @@ import numpy as np
 
 from .data import LabeledDataset
 
+# margin_gapped_blobs geometry
+GAP_SCALE = 0.15  # simplex radius: close-pair margins ~ 0.6
+GAP_EDGE_MULT = 4.0  # far-class offset along an edge: its margins >= 1.9
+GAP_JITTER = 0.02  # within-class spread relative to GAP_SCALE
+
 
 def _round_robin_labels(n, n_classes):
     return np.arange(n, dtype=np.int64) % n_classes
@@ -26,22 +31,6 @@ def gaussian_blobs(d, n, n_classes, seed, mean_gap=3.0, noise=1.0):
     return LabeledDataset(points, labels)
 
 
-def rank_r_blobs(d, r, n, n_classes, seed, mean_gap=3.0, noise=1.0):
-    """Blobs supported on an exactly rank-r subspace of R^d.
-
-    Latent r-dimensional blobs are embedded through a random orthonormal
-    d x r basis, so the point matrix has rank exactly r (a.s.).
-    """
-    if not 1 <= r <= d:
-        raise ValueError("need 1 <= r <= d")
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.normal(size=(d, r)))
-    means = rng.normal(0.0, mean_gap * noise / np.sqrt(2 * r), size=(r, n_classes))
-    labels = _round_robin_labels(n, n_classes)
-    latent = means[:, labels] + rng.normal(0.0, noise, size=(r, n))
-    return LabeledDataset(basis @ latent, labels)
-
-
 def _simplex_vertices(k):
     """k unit vectors in R^(k-1) with equal pairwise angles (a centered simplex)."""
     pts = np.eye(k) - 1.0 / k
@@ -50,10 +39,10 @@ def _simplex_vertices(k):
     return (verts / np.linalg.norm(verts, axis=1, keepdims=True)).T
 
 
-def margin_gapped_blobs(d, r, n, seed, scale=0.15, edge_mult=4.0, jitter=0.02):
+def margin_gapped_blobs(d, r, n, seed):
     """Rank-r blobs whose learned-metric margins avoid the unit threshold.
 
-    Three tight classes sit on a centered simplex of radius ``scale`` inside
+    Three tight classes sit on a centered simplex of radius ``GAP_SCALE`` inside
     a random rank-r subspace; a fourth class sits further out along one edge
     direction of that simplex.  At the dual optimum the close-pair triplets
     are all strongly violated and the far-class triplets are all strongly
@@ -61,28 +50,21 @@ def margin_gapped_blobs(d, r, n, seed, scale=0.15, edge_mult=4.0, jitter=0.02):
     distortion of the triplet geometry leaves the optimal dual point (and
     hence the recovered metric) unchanged.  The recovery-trend harness
     relies on this to expose sketch-size effects instead of data noise.
-
-    ``scale`` sets how violated the close pairs are (margins ~ 0.6 at the
-    default), ``edge_mult`` how satisfied the far class is (margins >= 1.9
-    at the default), and ``jitter`` the within-class spread relative to
-    ``scale``.
     """
     if not 2 <= r <= d:
         raise ValueError("need 2 <= r <= d")
     if n < 8:
         raise ValueError("need at least two points per class")
-    if scale <= 0 or edge_mult <= 0 or jitter <= 0:
-        raise ValueError("scale, edge_mult and jitter must be positive")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.normal(size=(d, r)))
     tri = _simplex_vertices(3)
     verts = np.zeros((r, 4))
     verts[:2, :3] = tri
     edge = tri[:, 0] - tri[:, 1]
-    verts[:2, 3] = edge_mult * edge / np.linalg.norm(edge)
-    means = scale * verts
+    verts[:2, 3] = GAP_EDGE_MULT * edge / np.linalg.norm(edge)
+    means = GAP_SCALE * verts
     labels = _round_robin_labels(n, 4)
-    latent = means[:, labels] + rng.normal(0.0, scale * jitter, size=(r, n))
+    latent = means[:, labels] + rng.normal(0.0, GAP_SCALE * GAP_JITTER, size=(r, n))
     return LabeledDataset(basis @ latent, labels)
 
 

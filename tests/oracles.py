@@ -2,10 +2,16 @@
 
 Everything here is written for clarity over speed: explicit loops,
 explicit d x d matrices, textbook formulas.  Unit and acceptance tests
-compare the fast production paths against these.
+compare the fast production paths against these.  Independent routes the
+package itself does not need (single Gram entries, the Kronecker
+embedding, the matrix-free Gram product and dual objective, kappa by power
+iteration) live here too.
 """
 
 import numpy as np
+
+from durp.gram import accumulator
+from durp.reference import power_iteration_norm
 
 
 def triplet_matrix(u, v):
@@ -116,3 +122,55 @@ def naive_knn(M, train_points, train_labels, test_points, test_labels, k):
         if predicted == int(test_labels[q]):
             correct += 1
     return correct / n_test
+
+
+KRON_DIM_LIMIT = 256
+
+
+def gram_entry(view, a, b):
+    """G[a, b] via the four-term decomposition, O(p)."""
+    U, V = view.cache.U, view.cache.V
+    ua, va = U[:, a], V[:, a]
+    ub, vb = U[:, b], V[:, b]
+    return float((ua @ ub) ** 2 + (va @ vb) ** 2 - (ua @ vb) ** 2 - (va @ ub) ** 2)
+
+
+def gram_oracle(view, a, b):
+    """G[a, b] through the p^2-dimensional Kronecker embedding.
+
+    z_t = u_t (x) u_t - v_t (x) v_t satisfies G[a, b] = <z_a, z_b>, which
+    also certifies that G is positive semidefinite.  Quadratic memory, so
+    guarded to small dimensions.
+    """
+    p = view.cache.space_dim
+    if p > KRON_DIM_LIMIT:
+        raise ValueError(f"Kronecker oracle limited to dimension {KRON_DIM_LIMIT}, got {p}")
+    U, V = view.cache.U, view.cache.V
+    za = np.kron(U[:, a], U[:, a]) - np.kron(V[:, a], V[:, a])
+    zb = np.kron(U[:, b], U[:, b]) - np.kron(V[:, b], V[:, b])
+    return float(za @ zb)
+
+
+def gram_vector_product(view, alpha):
+    """(G alpha)_t = u_t^T S u_t - v_t^T S v_t, matrix-free through the accumulator S."""
+    cache = view.cache
+    S = accumulator(cache, alpha)
+    return np.einsum("pt,pt->t", cache.U, S @ cache.U) - np.einsum("pt,pt->t", cache.V, S @ cache.V)
+
+
+def dual_objective_from_alpha(view, alpha, loss, lam):
+    """D(alpha) evaluated matrix-free from alpha alone (no solver state)."""
+    quad = float(alpha @ gram_vector_product(view, alpha))
+    return float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam * view.n))
+
+
+def kappa_power_check(cache, seed=0):
+    """Spectral norms of the four dense norm-product matrices by power iteration.
+
+    Independent of the closed form in :func:`durp.gram.kappa`.  Quadratic
+    in N, so desk scale only.
+    """
+    p = cache.uu_norms
+    q = cache.vv_norms
+    dense = (np.outer(p, p), np.outer(q, q), np.outer(p, q), np.outer(q, p))
+    return tuple(power_iteration_norm(A, seed=seed) for A in dense)

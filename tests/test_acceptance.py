@@ -20,8 +20,8 @@ import numpy as np
 from durp.data import LabeledDataset, load_libsvm
 from durp.evaluate import knn_accuracy, ranking_map
 from durp.experiments import RunConfig, run_method, train_trial
-from durp.gram import dense_gram, gram_entry, gram_oracle, gram_view, kappa
-from durp.harness import HarnessConfig, kappa_power_check, verify_theorem1, verify_theorem2
+from durp.gram import dense_gram, gram_view, kappa
+from durp.harness import HarnessConfig, verify_theorem1, verify_theorem2
 from durp.metric import psd_project
 from durp.projection import identity_matrix
 from durp.reference import pga_solve
@@ -29,7 +29,8 @@ from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs, isotropic_cloud
 from durp.triplets import build_cache, sample_active_triplets
 
-from oracles import dense_trace_gram, naive_knn, naive_map
+from oracles import dense_trace_gram, gram_entry, gram_oracle, kappa_power_check
+from oracles import naive_knn, naive_map
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

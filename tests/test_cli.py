@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from durp.cli import ConfigError, main, read_config_file
+from durp import experiments
+from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, read_config_file
 from durp.data import LabeledDataset, serialize_libsvm
+from durp.evaluate import EvalReport
+from durp.experiments import RunConfig, TrialResult
+from durp.metric import save_metric
 from durp.synth import gaussian_blobs
 from durp.triplets import load_triplets
 
@@ -196,3 +200,52 @@ def test_bad_seed_list_exits_1(capsys):
     code = main(["verify-t1", "--seeds", "one,two"])
     assert code == 1
     assert "list of integers" in capsys.readouterr().err
+
+
+def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
+    train_path, test_path = datasets
+    metric_path = tmp_path / "metric.bin"
+    save_metric(metric_path, np.eye(4))  # the data have 6 features
+    code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
+                 "--test-file", test_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "metric is 4 x 4" in err and "6 features" in err
+
+
+SAMPLE_VALUES = {int: "3", float: "0.25", None: "x.svm"}
+
+
+@pytest.mark.parametrize("command", sorted(build_parser().commands))
+def test_every_long_flag_is_a_config_key(command, tmp_path):
+    for key, action in config_keys(build_parser().commands[command]).items():
+        flag = action.option_strings[-1]
+        assert key == flag[2:].replace("-", "_")
+        raw = action.choices[-1] if action.choices else SAMPLE_VALUES.get(action.type, "1,2")
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"{key} = {raw}\n")
+        from_file = getattr(parse_args([command, "--config", str(config)]), action.dest)
+        from_flag = getattr(parse_args([command, flag, raw]), action.dest)
+        assert from_file == from_flag
+        assert from_file == (action.type(raw) if action.type else raw)
+
+
+@pytest.mark.parametrize("command", ["eval", "spectrum", "verify-t1", "verify-t2"])
+def test_seed_flag_only_where_read(command, capsys):
+    assert main([command, "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_train_defaults_are_run_config_fields(datasets, tmp_path, monkeypatch):
+    def fake_trial(config, train, test, seed, projection_override=None):  # no full-size run
+        return TrialResult(seed, EvalReport(0.5, 0.5, config.k, 1, 0), None, None, [], 0.0)
+
+    monkeypatch.setattr(experiments, "train_trial", fake_trial)
+    out = tmp_path / "report.json"
+    assert main(["train", "--train-file", datasets[0], "--test-file", datasets[1],
+                 "--out", str(out)]) == 0
+    report, defaults = json.loads(out.read_text()), RunConfig()
+    assert report["method"] == defaults.method
+    for key in ("m", "n_triplets", "epochs", "loss", "gamma", "k", "seed", "trials"):
+        assert report["config"][key] == getattr(defaults, key)
+    assert report["config"]["lambda"] == 1.0 / defaults.n_triplets

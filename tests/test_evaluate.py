@@ -1,10 +1,12 @@
 """Retrieval and k-NN scoring against loop-based references."""
 
+import json
+
 import numpy as np
 import pytest
 
 from durp.data import LabeledDataset
-from durp.evaluate import EvalReport, evaluate_metric, knn_accuracy, map_score, ranking_map
+from durp.evaluate import evaluate_metric, knn_accuracy, ranking_map
 from durp.synth import gaussian_blobs
 
 from oracles import naive_knn, naive_map
@@ -25,7 +27,6 @@ def test_ranking_map_matches_naive():
         assert score == ref_score
         assert (included, excluded) == (ref_inc, ref_exc)
         assert excluded == 0
-        assert map_score(M, data) == score
 
 
 def test_ranking_map_excludes_singleton_classes():
@@ -100,8 +101,7 @@ def test_eval_report_round_trip():
     train = gaussian_blobs(4, 30, 3, seed=3)
     test = gaussian_blobs(4, 12, 3, seed=4)
     report = evaluate_metric(np.eye(4), train, test, k=3)
-    text = report.to_json()
-    assert '"map"' in text
-    back = EvalReport.from_json(text)
-    assert back == report
+    back = json.loads(report.to_json())
+    assert back == {"map": report.map_score, "knn_accuracy": report.knn_accuracy, "k": 3,
+                    "n_queries": report.n_queries, "excluded_queries": report.excluded_queries}
     assert report.n_queries + report.excluded_queries == test.n

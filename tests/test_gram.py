@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from durp.gram import (
-    DENSE_LIMIT,
-    KRON_DIM_LIMIT,
-    accumulator,
-    dense_gram,
-    gram_entry,
-    gram_oracle,
-    gram_vector_product,
-    gram_view,
-    kappa,
-)
+from durp.gram import DENSE_LIMIT, accumulator, dense_gram, gram_view, kappa
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, sample_active_triplets
 
-from oracles import dense_trace_gram, naive_accumulator, spectral_norm
+from oracles import (
+    KRON_DIM_LIMIT,
+    dense_trace_gram,
+    gram_entry,
+    gram_oracle,
+    gram_vector_product,
+    naive_accumulator,
+    spectral_norm,
+)
 
 
 def random_cache(rng, p, n):

@@ -10,7 +10,6 @@ from durp.gram import kappa
 from durp.harness import (
     HarnessConfig,
     emit_spectrum,
-    kappa_power_check,
     smooth_recovery_m,
     theorem1_csv,
     theorem2_csv,
@@ -19,6 +18,8 @@ from durp.harness import (
 )
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, sample_active_triplets
+
+from oracles import kappa_power_check
 
 
 def test_smooth_recovery_m_frozen_and_monotone():

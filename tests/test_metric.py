@@ -7,7 +7,6 @@ from durp.metric import (
     assemble_subspace_metric,
     load_metric,
     load_metric_eigen,
-    metric_distance,
     pairwise_sq_distances,
     psd_project,
     recover_metric,
@@ -111,7 +110,6 @@ def test_metric_distance_and_pairwise():
         for j in range(4):
             ref = naive_sq_distance(M, X[:, i], Y[:, j])
             assert abs(D[i, j] - ref) < 1e-9 * (abs(ref) + 1.0)
-    assert abs(metric_distance(M, X[:, 0], Y[:, 0]) - naive_sq_distance(M, X[:, 0], Y[:, 0])) < 1e-10
     # one-argument form: self-distances vanish
     D_self = pairwise_sq_distances(M, X)
     assert D_self.shape == (7, 7)
@@ -150,3 +148,8 @@ def test_factored_metric_round_trip(tmp_path):
     assert np.allclose(back, ref, atol=1e-10)
     with pytest.raises(ValueError, match="rank"):
         save_metric_eigen(path, M, rank=9)
+    raw = path.read_bytes()
+    for cut in (16 + 8, 16 + 3 * 8 + 8):  # inside the eigenvalues, inside the eigenvectors
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=f"has {cut - 16} bytes, expected {len(raw) - 16}"):
+            load_metric_eigen(path)

@@ -10,7 +10,6 @@ from durp.projection import (
     gaussian_matrix,
     identity_matrix,
     pca_matrix,
-    project_points,
 )
 
 
@@ -59,14 +58,3 @@ def test_pca_matrix_wraps_fitted_basis():
     proj = pca_matrix(fit)
     assert proj.kind == "pca"
     assert np.array_equal(proj.entries, fit.basis)
-
-
-def test_project_points_shape_and_values():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(6, 15))
-    proj = gaussian_matrix(6, 2, seed=0)
-    Y = project_points(X, proj)
-    assert Y.shape == (2, 15)
-    assert np.array_equal(Y, proj.entries.T @ X)
-    with pytest.raises(ValueError):
-        project_points(rng.normal(size=(5, 15)), proj)

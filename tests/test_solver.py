@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from durp.gram import dense_gram, gram_view
+from durp.gram import accumulator, dense_gram, gram_view
 from durp.reference import pga_solve
 from durp.solver import (
     LossModel,
     csdca_solve,
     dual_objective,
-    dual_objective_from_alpha,
     duality_gap,
     init_state,
     primal_objective,
@@ -20,7 +19,7 @@ from durp.solver import (
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, sample_active_triplets
 
-from oracles import naive_primal, naive_recover
+from oracles import dual_objective_from_alpha, naive_primal, naive_recover
 
 
 def solver_instance(seed, loss_kind):
@@ -98,8 +97,6 @@ def test_dual_objective_routes_agree():
     rng = np.random.default_rng(0)
     state = init_state(cache, lam, seed=0)
     state.alpha = -rng.random(cache.n)
-    from durp.gram import accumulator
-
     state.S = accumulator(cache, state.alpha)
     a = dual_objective(state, view, loss)
     b = dual_objective_from_alpha(view, state.alpha, loss, lam)
@@ -108,9 +105,10 @@ def test_dual_objective_routes_agree():
 
 def test_dual_objective_rejects_infeasible_alpha():
     cache, lam = solver_instance(0, "hinge")
-    view = gram_view(cache)
+    state = init_state(cache, lam, seed=0)
+    state.alpha = np.full(cache.n, 0.5)
     with pytest.raises(ValueError, match="box"):
-        dual_objective_from_alpha(view, np.full(cache.n, 0.5), LossModel("hinge"), lam)
+        dual_objective(state, gram_view(cache), LossModel("hinge"))
 
 
 def test_primal_objective_matches_naive():
@@ -133,8 +131,6 @@ def test_sdca_update_is_exact_coordinate_maximizer():
         n = cache.n
         state = init_state(cache, lam, seed=0)
         state.alpha = -rng.random(n)
-        from durp.gram import accumulator
-
         state.S = accumulator(cache, state.alpha)
         grid = np.linspace(-1.0, 0.0, 2001)
         for t in rng.integers(0, n, size=8):
@@ -159,8 +155,6 @@ def test_sdca_update_keeps_s_consistent():
     state = init_state(cache, lam, seed=0)
     for t in range(min(25, cache.n)):
         sdca_update(state, view, loss, t)
-    from durp.gram import accumulator
-
     rebuilt = accumulator(cache, state.alpha)
     assert np.allclose(state.S, rebuilt, atol=1e-10 * (np.abs(rebuilt).max() + 1.0))
 
@@ -184,8 +178,6 @@ def test_sgd_epoch_all_active_pins_every_coordinate():
     sgd_epoch(state, view, LossModel("hinge"), list(range(cache.n)))
     assert np.all(state.alpha == -1.0)
     assert state.epoch == 1
-    from durp.gram import accumulator
-
     assert np.array_equal(state.S, accumulator(cache, state.alpha))
 
 
@@ -253,6 +245,6 @@ def test_duality_gap_definition():
 def test_trace_csv_format():
     cache, lam = solver_instance(0, "hinge")
     solution = csdca_solve(cache, LossModel("hinge"), lam, epochs=2, seed=0)
-    lines = trace_csv(solution).strip().splitlines()
+    lines = trace_csv(solution.trace).strip().splitlines()
     assert lines[0] == "epoch,dual_objective,duality_gap,seconds"
     assert len(lines) == 3
