@@ -203,8 +203,8 @@ def cmd_train(args):
 def cmd_eval(args):
     _require(args, "metric_file", "train_file", "test_file")
     metric = load_metric(args.metric_file)
-    train, _ = load_libsvm(args.train_file)
-    test, _ = load_libsvm(args.test_file, d=train.d)
+    train, label_map = load_libsvm(args.train_file)
+    test, _ = load_libsvm(args.test_file, d=train.d, label_map=label_map)
     report = evaluate_metric(metric, train, test, args.k)
     _write_out(args, report.to_json() + "\n")
 

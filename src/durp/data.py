@@ -80,7 +80,7 @@ class PcaBasis:
     eigenvalues: np.ndarray
 
 
-def parse_libsvm(text, d=None):
+def parse_libsvm(text, d=None, label_map=None):
     """Parse LIBSVM-format text into a dataset.
 
     Each nonempty line is ``<label> <index>:<value> ...`` with 1-based,
@@ -94,6 +94,10 @@ def parse_libsvm(text, d=None):
     d : int, optional
         Feature-dimension override.  Defaults to the largest index seen;
         must be at least that large when given.
+    label_map : dict, optional
+        A mapping to extend, e.g. the training file's, so that a test file
+        shares its class ids: known labels keep their ids and unseen ones
+        get the next free ids in ascending order.
 
     Returns
     -------
@@ -149,8 +153,11 @@ def parse_libsvm(text, d=None):
     for col, entries in enumerate(rows):
         for idx, value in entries:
             points[idx, col] = value
-    uniques = sorted(set(raw_labels))
-    label_map = {value: i for i, value in enumerate(uniques)}
+    label_map = dict(label_map or {})
+    next_id = max(label_map.values(), default=-1) + 1
+    for value in sorted(set(raw_labels) - set(label_map)):
+        label_map[value] = next_id
+        next_id += 1
     labels = np.array([label_map[v] for v in raw_labels], dtype=np.int64)
     return LabeledDataset(points, labels), label_map
 
@@ -167,10 +174,10 @@ def serialize_libsvm(data):
     return "\n".join(lines) + "\n"
 
 
-def load_libsvm(path, d=None):
+def load_libsvm(path, d=None, label_map=None):
     """Read a LIBSVM file from disk; see :func:`parse_libsvm`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh.read(), d=d)
+        return parse_libsvm(fh.read(), d=d, label_map=label_map)
 
 
 def _orient_columns(basis):

@@ -124,14 +124,16 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
 def run_method(config, train=None, test=None, projection_override=None):
     """Run all trials and aggregate mean/std of the evaluation scores.
 
-    Datasets are loaded from the config paths unless passed in directly.
+    Datasets are loaded from the config paths unless passed in directly;
+    a test file loaded after a training file shares its class ids.
     Returns a JSON-ready dict; per-trial metrics are kept on the side in
     the ``trials`` entries only as scores (matrices are not serialized).
     """
+    label_map = None
     if train is None:
-        train, _ = load_libsvm(config.train_file)
+        train, label_map = load_libsvm(config.train_file)
     if test is None:
-        test, _ = load_libsvm(config.test_file, d=train.d)
+        test, _ = load_libsvm(config.test_file, d=train.d, label_map=label_map)
     if test.d != train.d:
         raise ValueError("train and test dimensions differ")
     results = []

@@ -1,4 +1,4 @@
-"""Matrix-free view of the triplet Gram matrix and its spectral summary.
+"""Triplet Gram diagonal, dense Gram, accumulator and norm bounds.
 
 With A_t = u_t u_t^T - v_t v_t^T, the Gram entry expands into four squared
 dot products:
@@ -18,23 +18,14 @@ import numpy as np
 DENSE_LIMIT = 4000
 
 
-@dataclass(frozen=True)
-class GramView:
-    """A triplet cache plus the precomputed Gram diagonal."""
-
-    cache: "object"
-    diag: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.cache.n
+def _column_sqnorms(A):
+    return np.einsum("pt,pt->t", A, A)
 
 
-def gram_view(cache):
-    """Build a view; the diagonal costs one pass over the cache."""
+def gram_diag(cache):
+    """G[t, t] = |u_t|^4 + |v_t|^4 - 2 (u_t.v_t)^2, one pass over the cache."""
     cross = np.einsum("pt,pt->t", cache.U, cache.V)
-    diag = cache.uu_norms**2 + cache.vv_norms**2 - 2.0 * cross**2
-    return GramView(cache=cache, diag=diag)
+    return _column_sqnorms(cache.U) ** 2 + _column_sqnorms(cache.V) ** 2 - 2.0 * cross**2
 
 
 def accumulator(cache, alpha):
@@ -45,11 +36,11 @@ def accumulator(cache, alpha):
     return 0.5 * (S + S.T)
 
 
-def dense_gram(view, limit=DENSE_LIMIT):
+def dense_gram(cache, limit=DENSE_LIMIT):
     """Materialize G for small N; the per-block squares keep it O(N^2 p)."""
-    if view.n > limit:
-        raise ValueError(f"dense Gram limited to {limit} triplets, got {view.n}")
-    U, V = view.cache.U, view.cache.V
+    if cache.n > limit:
+        raise ValueError(f"dense Gram limited to {limit} triplets, got {cache.n}")
+    U, V = cache.U, cache.V
     UU = U.T @ U
     VV = V.T @ V
     UV = U.T @ V
@@ -71,9 +62,9 @@ def kappa(cache):
     The matrices pairing squared norms, e.g. K1[a, b] = |u_a|^2 |u_b|^2,
     are rank one, so their spectral norms collapse to products of vector
     norms: |p|^2, |q|^2, and |p||q| for the two cross matrices, with
-    p = uu_norms and q = vv_norms.
+    p_t = |u_t|^2 and q_t = |v_t|^2.
     """
-    p = np.linalg.norm(cache.uu_norms)
-    q = np.linalg.norm(cache.vv_norms)
+    p = np.linalg.norm(_column_sqnorms(cache.U))
+    q = np.linalg.norm(_column_sqnorms(cache.V))
     norms = (p * p, q * q, p * q, q * p)
     return KappaStats(kappa=float(max(norms)), norms=tuple(float(x) for x in norms))

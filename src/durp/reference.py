@@ -2,8 +2,8 @@
 
 An independent optimization path used to certify the coordinate-ascent
 solver and to compute near-exact optima inside the verification
-harnesses.  Materializes G (guarded to small N), steps with 1/L where L
-comes from power iteration, and adds Nesterov momentum with objective
+harnesses.  Materializes G (guarded to small N), steps with 1/L where
+L = lambda_max(G) / (lam N), and adds Nesterov momentum with objective
 restarts (same fixed point as plain projected gradient, faster tail).
 """
 
@@ -11,30 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gram import dense_gram, gram_view
+from .gram import dense_gram
 from .metric import recover_metric
 from .solver import DualSolution, primal_objective
 
 MAX_ITERS = 200000
 CHECK_EVERY = 50
-
-
-def power_iteration_norm(A, iters=200, seed=0):
-    """Spectral norm of a square matrix via plain power iteration."""
-    n = A.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=n)
-    x /= np.linalg.norm(x)
-    B = A.T @ A
-    for _ in range(iters):
-        y = B @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-    return float(np.sqrt(x @ (B @ x)))
 
 
 def _clip_box(alpha):
@@ -51,9 +33,10 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     n = cache.n
     if n == 0:
         return DualSolution(alpha=np.zeros(0), objective=0.0, gap=0.0, trace=[])
-    G = dense_gram(gram_view(cache))
+    G = dense_gram(cache)
     lam_n = lam * n
-    lipschitz = power_iteration_norm(G) / lam_n
+    # G is symmetric PSD, so its spectral norm is its top eigenvalue
+    lipschitz = np.linalg.eigvalsh(G)[-1] / lam_n
     if loss.kind == "smoothed_hinge":
         lipschitz += loss.gamma
     step = 1.0 / max(lipschitz, 1e-30)

@@ -12,11 +12,14 @@ linked by M(alpha) = -S / (lam N) with S = sum_t alpha_t A_t.  The solver
 keeps S (p x p) instead of G: one coordinate step costs O(p^2), and
 alpha^T G alpha = ||S||_F^2.
 
-The schedule is one stochastic-subgradient epoch (step 1/(lam t), dual
-seeds recorded at visit time) followed by exact coordinate-ascent passes
-in fresh random order each epoch.  With a full permutation first epoch,
-the final subgradient iterate equals -S/(lam N) for the recorded seeds,
-so the handoff to coordinate ascent is exact.
+Both phases run on one state (alpha, S) and one kernel: read the margin
+<A_t, S> = u^T S u - v^T S v, set alpha_t, add the change times A_t to S.
+The first epoch is stochastic subgradient with step 1/(lam s) written in
+dual variables (Shalev-Shwartz & Zhang, JMLR 2013): after s visits its
+iterate is -S/(lam s), so visit s sets alpha_t = loss'(-<A_t, S>/(lam s)).
+Exact coordinate-ascent passes in fresh random order follow, starting
+from the same S, so the handoff is exact.  Every epoch ends by rebuilding
+S from alpha and checking the drift of the running S.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import accumulator, gram_view
+from .gram import accumulator, gram_diag
 
 FEASIBILITY_TOL = 1e-12
 DRIFT_TOL = 1e-6
@@ -80,13 +83,13 @@ class LossModel:
 
 @dataclass
 class SolverState:
-    """Mutable dual iterate: alpha, its accumulator S, and the epoch count."""
+    """The problem (cache, Gram diagonal, lam) plus the dual iterate alpha and S."""
 
+    cache: object
+    diag: np.ndarray
+    lam: float
     alpha: np.ndarray
     S: np.ndarray
-    lam: float
-    epoch: int
-    rng: np.random.Generator
 
 
 @dataclass
@@ -99,17 +102,13 @@ class DualSolution:
     trace: list = field(default_factory=list)
 
 
-def init_state(cache, lam, seed):
+def init_state(cache, lam):
+    """The zero iterate alpha = 0, S = 0 on ``cache``."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     p = cache.space_dim
-    return SolverState(
-        alpha=np.zeros(cache.n),
-        S=np.zeros((p, p)),
-        lam=lam,
-        epoch=0,
-        rng=np.random.default_rng(seed),
-    )
+    return SolverState(cache=cache, diag=gram_diag(cache), lam=lam,
+                       alpha=np.zeros(cache.n), S=np.zeros((p, p)))
 
 
 def _check_feasible(alpha):
@@ -117,10 +116,10 @@ def _check_feasible(alpha):
         raise ValueError("alpha leaves the box [-1, 0]")
 
 
-def dual_objective(state, view, loss):
+def dual_objective(state, loss):
     """D(alpha) using the identity alpha^T G alpha = ||S||_F^2."""
     _check_feasible(state.alpha)
-    n = view.n
+    n = state.cache.n
     if n == 0:
         return 0.0
     quad = float(np.sum(state.S * state.S))
@@ -141,16 +140,30 @@ def primal_objective(cache, M, loss, lam):
     return reg + float(np.mean(loss.value(_margins(cache, M))))
 
 
-def duality_gap(state, view, loss):
+def duality_gap(state, loss):
     """P(M(alpha)) - D(alpha)/N, the mean-loss-scale optimality certificate."""
-    n = view.n
+    n = state.cache.n
     if n == 0:
         return 0.0
     M = -state.S / (state.lam * n)
-    return primal_objective(view.cache, M, loss, state.lam) - dual_objective(state, view, loss) / n
+    return primal_objective(state.cache, M, loss, state.lam) - dual_objective(state, loss) / n
 
 
-def sdca_update(state, view, loss, t):
+def _inner(S, u, v):
+    """<A_t, S> = u^T S u - v^T S v for A_t = u u^T - v v^T."""
+    return float(u @ (S @ u) - v @ (S @ v))
+
+
+def _set_coordinate(state, t, u, v, new):
+    """Move alpha_t to ``new`` and S by the same change times A_t."""
+    delta = new - state.alpha[t]
+    if delta != 0.0:
+        state.S += delta * np.outer(u, u)
+        state.S -= delta * np.outer(v, v)
+        state.alpha[t] = new
+
+
+def sdca_update(state, loss, t):
     """Exact coordinate maximization of the dual at coordinate t, O(p^2).
 
     With c_t = <A_t, S> - alpha_t G[t, t], the stationary point is
@@ -159,14 +172,11 @@ def sdca_update(state, view, loss, t):
     clipped to [-1, 0].  A zero diagonal makes the hinge subproblem
     linear: the coordinate goes to -1 when the slope is negative, else 0.
     """
-    cache = view.cache
-    u = cache.U[:, t]
-    v = cache.V[:, t]
-    S = state.S
-    g_tt = view.diag[t]
-    lam_n = state.lam * view.n
-    old = state.alpha[t]
-    c_t = float(u @ (S @ u) - v @ (S @ v)) - old * g_tt
+    u = state.cache.U[:, t]
+    v = state.cache.V[:, t]
+    g_tt = state.diag[t]
+    lam_n = state.lam * state.cache.n
+    c_t = _inner(state.S, u, v) - state.alpha[t] * g_tt
     if loss.kind == "hinge":
         if g_tt > 0.0:
             new = min(0.0, max(-1.0, -(lam_n + c_t) / g_tt))
@@ -175,46 +185,32 @@ def sdca_update(state, view, loss, t):
     else:
         denom = loss.gamma * lam_n + max(g_tt, 0.0)
         new = min(0.0, max(-1.0, -(lam_n + c_t) / denom))
-    delta = new - old
-    if delta != 0.0:
-        state.S += delta * np.outer(u, u)
-        state.S -= delta * np.outer(v, v)
-        state.alpha[t] = new
+    _set_coordinate(state, t, u, v, new)
     return state
 
 
-def sgd_epoch(state, view, loss, order):
+def sgd_epoch(state, loss, order):
     """One strongly-convex-schedule subgradient pass seeding the dual.
 
-    Visits ``order`` (a permutation of the triplets) with step 1/(lam t),
-    records alpha_t = loss'(<M, A_t>) at visit time, and rebuilds S from
-    the recorded values on completion.
+    Starts from the zero state of :func:`init_state` and visits ``order``
+    (a permutation of the triplets).  After s visits the subgradient
+    iterate with step 1/(lam t) is -S/(lam s), so visit s reads the margin
+    z = -<A_t, S>/(lam s) (z = 0 at s = 0), sets alpha_t = loss'(z) and
+    adds alpha_t A_t to S.  Ends with the drift check every epoch ends with.
     """
-    cache = view.cache
-    n = view.n
+    n = state.cache.n
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all triplet indices")
-    lam = state.lam
-    p = cache.space_dim
-    M = np.zeros((p, p))
-    for step, t in enumerate(order, start=1):
-        u = cache.U[:, t]
-        v = cache.V[:, t]
-        z = float(u @ (M @ u) - v @ (M @ v))
-        g = float(loss.derivative(z))
-        state.alpha[t] = g
-        eta = 1.0 / (lam * step)
-        M *= 1.0 - eta * lam
-        if g != 0.0:
-            M -= (eta * g) * np.outer(u, u)
-            M += (eta * g) * np.outer(v, v)
-    state.S = accumulator(cache, state.alpha)
-    state.epoch = 1
-    return state
+    for s, t in enumerate(order):
+        u = state.cache.U[:, t]
+        v = state.cache.V[:, t]
+        z = -_inner(state.S, u, v) / (state.lam * s) if s else 0.0
+        _set_coordinate(state, t, u, v, float(loss.derivative(z)))
+    return _refresh_accumulator(state)
 
 
-def _refresh_accumulator(state, cache):
-    rebuilt = accumulator(cache, state.alpha)
+def _refresh_accumulator(state):
+    rebuilt = accumulator(state.cache, state.alpha)
     scale = max(float(np.abs(rebuilt).max()), 1e-30)
     drift = float(np.abs(state.S - rebuilt).max()) / scale
     if drift > DRIFT_TOL:
@@ -236,39 +232,37 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
-    view = gram_view(cache)
-    state = init_state(cache, lam, seed)
+    state = init_state(cache, lam)
     n = cache.n
     if n == 0:
         return DualSolution(alpha=state.alpha, objective=0.0, gap=0.0, trace=[])
+    rng = np.random.default_rng(seed)
     trace = []
     start = time.perf_counter()
 
-    def record():
-        obj = dual_objective(state, view, loss)
-        gap = duality_gap(state, view, loss)
-        trace.append((state.epoch, obj, gap, time.perf_counter() - start))
+    def record(epoch):
+        obj = dual_objective(state, loss)
+        gap = duality_gap(state, loss)
+        trace.append((epoch, obj, gap, time.perf_counter() - start))
         return gap
 
-    order = state.rng.permutation(n)
-    sgd_epoch(state, view, loss, list(order))
-    gap = record()
+    sgd_epoch(state, loss, list(rng.permutation(n)))
+    gap = record(1)
     limit = epochs if max_epochs is None else max(epochs, max_epochs)
     epoch = 1
     while epoch < limit:
         epoch += 1
-        for t in state.rng.permutation(n):
-            sdca_update(state, view, loss, int(t))
-        state.epoch = epoch
-        _refresh_accumulator(state, cache)
-        gap = record()
+        for t in rng.permutation(n):
+            sdca_update(state, loss, int(t))
+        _refresh_accumulator(state)
+        gap = record(epoch)
         if epoch >= epochs and gap_tol is not None and gap <= gap_tol:
             break
     if gap_tol is not None and gap > gap_tol:
         raise ValueError(f"solver stopped at gap {gap:.3e} > tolerance {gap_tol:.1e}")
     return DualSolution(
         alpha=state.alpha,
-        objective=dual_objective(state, view, loss),
+        objective=dual_objective(state, loss),
         gap=gap,
         trace=trace,
     )

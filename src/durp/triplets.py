@@ -36,22 +36,20 @@ class TripletCache:
     """Difference vectors for a triplet set, stored column-wise.
 
     U[:, t] = x_i - x_k (different classes), V[:, t] = x_i - x_j (same
-    class), with their squared norms precomputed.  ``space_dim`` is the
-    ambient dimension, which changes under projection.
+    class).  Both are kept C-contiguous: a fixed memory layout keeps the
+    reduction order of column norms (and hence their bits) the same
+    whether the vectors came from indexing or a projection.  ``space_dim``
+    is the ambient dimension, which changes under projection.
     """
 
     U: np.ndarray
     V: np.ndarray
-    uu_norms: np.ndarray
-    vv_norms: np.ndarray
 
     def __post_init__(self):
         if self.U.shape != self.V.shape:
             raise ValueError("U and V must have matching shapes")
-        if self.uu_norms.shape != (self.U.shape[1],) or self.vv_norms.shape != (self.U.shape[1],):
-            raise ValueError("norm vectors must have one entry per triplet")
-        if np.any(self.uu_norms < 0) or np.any(self.vv_norms < 0):
-            raise ValueError("squared norms must be nonnegative")
+        object.__setattr__(self, "U", np.ascontiguousarray(self.U))
+        object.__setattr__(self, "V", np.ascontiguousarray(self.V))
 
     @property
     def space_dim(self) -> int:
@@ -60,18 +58,6 @@ class TripletCache:
     @property
     def n(self) -> int:
         return self.U.shape[1]
-
-
-def _column_sqnorms(A):
-    return np.einsum("pt,pt->t", A, A)
-
-
-def _cache_from_vectors(U, V):
-    # fixed memory layout keeps the norm reduction order (and hence the
-    # bits) identical whether vectors came from indexing or a projection
-    U = np.ascontiguousarray(U)
-    V = np.ascontiguousarray(V)
-    return TripletCache(U=U, V=V, uu_norms=_column_sqnorms(U), vv_norms=_column_sqnorms(V))
 
 
 def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
@@ -134,23 +120,25 @@ def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
 
 
 def build_cache(data, triplet_set):
-    """Materialize difference vectors and squared norms for a triplet set."""
+    """Materialize the difference vectors of a triplet set."""
     t = triplet_set.triplets
     if t.size and (t.min() < 0 or t.max() >= data.n):
         raise ValueError("triplet indices out of range")
-    U = data.points[:, t[:, 0]] - data.points[:, t[:, 2]]
-    V = data.points[:, t[:, 0]] - data.points[:, t[:, 1]]
-    return _cache_from_vectors(U, V)
+    X = data.points
+    # take() gathers into C order, which the cache keeps without a copy
+    U = X.take(t[:, 0], axis=1) - X.take(t[:, 2], axis=1)
+    V = X.take(t[:, 0], axis=1) - X.take(t[:, 1], axis=1)
+    return TripletCache(U, V)
 
 
 def project_cache(cache, projection):
-    """Push a cache through x -> R^T x, recomputing the squared norms."""
+    """Push a cache through x -> R^T x."""
     R = projection.entries
     if R.shape[0] != cache.space_dim:
         raise ValueError(
             f"projection rows ({R.shape[0]}) must match cache dimension ({cache.space_dim})"
         )
-    return _cache_from_vectors(R.T @ cache.U, R.T @ cache.V)
+    return TripletCache(R.T @ cache.U, R.T @ cache.V)
 
 
 def save_triplets(path, triplet_set):

@@ -5,13 +5,12 @@ explicit d x d matrices, textbook formulas.  Unit and acceptance tests
 compare the fast production paths against these.  Independent routes the
 package itself does not need (single Gram entries, the Kronecker
 embedding, the matrix-free Gram product and dual objective, kappa by power
-iteration) live here too.
+iteration, the primal form of the subgradient seed epoch) live here too.
 """
 
 import numpy as np
 
 from durp.gram import accumulator
-from durp.reference import power_iteration_norm
 
 
 def triplet_matrix(u, v):
@@ -124,44 +123,84 @@ def naive_knn(M, train_points, train_labels, test_points, test_labels, k):
     return correct / n_test
 
 
+def primal_sgd_epoch(cache, loss, lam, order):
+    """The subgradient seed epoch written on the primal iterate M.
+
+    Visits ``order`` with step 1/(lam s), records alpha_t = loss'(<M, A_t>)
+    at visit time and shrinks all of M by 1 - 1/s at every step.
+    Returns (alpha, final M).
+    """
+    p = cache.space_dim
+    M = np.zeros((p, p))
+    alpha = np.zeros(cache.n)
+    for step, t in enumerate(order, start=1):
+        u = cache.U[:, t]
+        v = cache.V[:, t]
+        g = float(loss.derivative(float(u @ (M @ u) - v @ (M @ v))))
+        alpha[t] = g
+        eta = 1.0 / (lam * step)
+        M *= 1.0 - eta * lam
+        if g != 0.0:
+            M -= (eta * g) * np.outer(u, u)
+            M += (eta * g) * np.outer(v, v)
+    return alpha, M
+
+
+def power_iteration_norm(A, iters=200, seed=0):
+    """Spectral norm of a square matrix via plain power iteration on A^T A."""
+    n = A.shape[0]
+    if n == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x /= np.linalg.norm(x)
+    B = A.T @ A
+    for _ in range(iters):
+        y = B @ x
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            return 0.0
+        x = y / norm
+    return float(np.sqrt(x @ (B @ x)))
+
+
 KRON_DIM_LIMIT = 256
 
 
-def gram_entry(view, a, b):
+def gram_entry(cache, a, b):
     """G[a, b] via the four-term decomposition, O(p)."""
-    U, V = view.cache.U, view.cache.V
+    U, V = cache.U, cache.V
     ua, va = U[:, a], V[:, a]
     ub, vb = U[:, b], V[:, b]
     return float((ua @ ub) ** 2 + (va @ vb) ** 2 - (ua @ vb) ** 2 - (va @ ub) ** 2)
 
 
-def gram_oracle(view, a, b):
+def gram_oracle(cache, a, b):
     """G[a, b] through the p^2-dimensional Kronecker embedding.
 
     z_t = u_t (x) u_t - v_t (x) v_t satisfies G[a, b] = <z_a, z_b>, which
     also certifies that G is positive semidefinite.  Quadratic memory, so
     guarded to small dimensions.
     """
-    p = view.cache.space_dim
+    p = cache.space_dim
     if p > KRON_DIM_LIMIT:
         raise ValueError(f"Kronecker oracle limited to dimension {KRON_DIM_LIMIT}, got {p}")
-    U, V = view.cache.U, view.cache.V
+    U, V = cache.U, cache.V
     za = np.kron(U[:, a], U[:, a]) - np.kron(V[:, a], V[:, a])
     zb = np.kron(U[:, b], U[:, b]) - np.kron(V[:, b], V[:, b])
     return float(za @ zb)
 
 
-def gram_vector_product(view, alpha):
+def gram_vector_product(cache, alpha):
     """(G alpha)_t = u_t^T S u_t - v_t^T S v_t, matrix-free through the accumulator S."""
-    cache = view.cache
     S = accumulator(cache, alpha)
     return np.einsum("pt,pt->t", cache.U, S @ cache.U) - np.einsum("pt,pt->t", cache.V, S @ cache.V)
 
 
-def dual_objective_from_alpha(view, alpha, loss, lam):
+def dual_objective_from_alpha(cache, alpha, loss, lam):
     """D(alpha) evaluated matrix-free from alpha alone (no solver state)."""
-    quad = float(alpha @ gram_vector_product(view, alpha))
-    return float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam * view.n))
+    quad = float(alpha @ gram_vector_product(cache, alpha))
+    return float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam * cache.n))
 
 
 def kappa_power_check(cache, seed=0):
@@ -170,7 +209,7 @@ def kappa_power_check(cache, seed=0):
     Independent of the closed form in :func:`durp.gram.kappa`.  Quadratic
     in N, so desk scale only.
     """
-    p = cache.uu_norms
-    q = cache.vv_norms
+    p = np.einsum("pt,pt->t", cache.U, cache.U)
+    q = np.einsum("pt,pt->t", cache.V, cache.V)
     dense = (np.outer(p, p), np.outer(q, q), np.outer(p, q), np.outer(q, p))
     return tuple(power_iteration_norm(A, seed=seed) for A in dense)

@@ -20,7 +20,7 @@ import numpy as np
 from durp.data import LabeledDataset, load_libsvm
 from durp.evaluate import knn_accuracy, ranking_map
 from durp.experiments import RunConfig, run_method, train_trial
-from durp.gram import dense_gram, gram_view, kappa
+from durp.gram import dense_gram, kappa
 from durp.harness import HarnessConfig, verify_theorem1, verify_theorem2
 from durp.metric import psd_project
 from durp.projection import identity_matrix
@@ -50,13 +50,12 @@ def test_criterion_1_gram_routes_agree():
         n_triplets = int(rng.integers(2, 31))
         data = gaussian_blobs(d, 30, 3, seed=i)
         cache = build_cache(data, sample_active_triplets(data, n_triplets, seed=i))
-        view = gram_view(cache)
-        dense = dense_gram(view)
+        dense = dense_gram(cache)
         trace_ref = dense_trace_gram(cache.U, cache.V)
         for a in range(cache.n):
             for b in range(cache.n):
-                entry = gram_entry(view, a, b)
-                kron = gram_oracle(view, a, b)
+                entry = gram_entry(cache, a, b)
+                kron = gram_oracle(cache, a, b)
                 scale = max(1.0, abs(trace_ref[a, b]))
                 for other in (dense[a, b], kron, trace_ref[a, b]):
                     worst = max(worst, abs(entry - other) / scale)
@@ -151,8 +150,8 @@ def test_criterion_6_retrieval_beats_subspace_baseline():
     started = time.perf_counter()
     paths = _usps_paths()
     if paths is not None:
-        train, _ = load_libsvm(paths[0])
-        test, _ = load_libsvm(paths[1], d=train.d)
+        train, label_map = load_libsvm(paths[0])
+        test, _ = load_libsvm(paths[1], d=train.d, label_map=label_map)
         base = dict(m=10, n_triplets=100000, epochs=3, loss="hinge", k=5,
                     seed=0, trials=5)
         durp, _ = run_method(RunConfig(method="durp", **base), train=train, test=test)

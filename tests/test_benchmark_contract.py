@@ -1,0 +1,45 @@
+"""The names and the call the benchmark under perfbench/ relies on.
+
+The benchmark times layers by wrapping the functions listed in
+``perfbench/spans.py``'s ``LAYERS`` and solves once more to a duality gap
+through ``perfbench/run.py``.  Renaming one of those functions or changing
+that call breaks the benchmark; these tests catch it in the unit suite.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from durp.solver import LossModel, csdca_solve
+from durp.synth import gaussian_blobs
+from durp.triplets import build_cache, sample_active_triplets
+
+SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_layer_is_a_durp_callable():
+    layers = load_spans().LAYERS
+    assert layers
+    for targets in layers.values():
+        for module_name, attr in targets:
+            module = importlib.import_module(f"durp.{module_name}")
+            assert callable(getattr(module, attr, None)), f"durp.{module_name}.{attr}"
+
+
+def test_csdca_solve_accepts_the_benchmark_call():
+    data = gaussian_blobs(6, 40, 2, seed=0, noise=0.3)
+    cache = build_cache(data, sample_active_triplets(data, 30, seed=0))
+    loss, lam, epochs, seed = LossModel("hinge"), 1.0 / cache.n, 2, 0
+    # the call perfbench/run.py makes to solve down to a workload's gap
+    solution = csdca_solve(cache, loss, lam, epochs, seed, gap_tol=10.0, max_epochs=4)
+    # spans.py reads every trace row as (epoch, objective, gap, seconds)
+    assert [row[0] for row in solution.trace] == [1, 2]
+    assert all(len(row) == 4 for row in solution.trace)
+    assert solution.gap <= 10.0

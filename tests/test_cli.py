@@ -8,7 +8,7 @@ import pytest
 from durp import experiments
 from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, read_config_file
 from durp.data import LabeledDataset, serialize_libsvm
-from durp.evaluate import EvalReport
+from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
 from durp.metric import save_metric
 from durp.synth import gaussian_blobs
@@ -133,6 +133,28 @@ def test_train_eval_round_trip(datasets, tmp_path):
     evaluated = json.loads(eval_path.read_text())
     assert evaluated["map"] == trained["trials"][0]["map"]
     assert evaluated["knn_accuracy"] == trained["trials"][0]["knn_accuracy"]
+
+
+def test_eval_test_file_without_a_class_keeps_train_ids(tmp_path):
+    # train has classes {0, 1, 2}, test only {1, 2}: the test file must not
+    # renumber its labels to {0, 1}
+    data = gaussian_blobs(4, 90, 3, seed=1)
+    train = LabeledDataset(data.points[:, :60], data.labels[:60])
+    keep = data.labels[60:] != 0
+    test = LabeledDataset(data.points[:, 60:][:, keep], data.labels[60:][keep])
+    train_path, test_path = tmp_path / "train.svm", tmp_path / "test.svm"
+    train_path.write_text(serialize_libsvm(train))
+    test_path.write_text(serialize_libsvm(test))
+    metric_path = tmp_path / "identity.bin"
+    save_metric(metric_path, np.eye(4))
+    eval_path = tmp_path / "eval.json"
+    code = main(["eval", "--metric-file", str(metric_path), "--train-file", str(train_path),
+                 "--test-file", str(test_path), "--k", "3", "--out", str(eval_path)])
+    assert code == 0
+    from_files = json.loads(eval_path.read_text())
+    in_memory = evaluate_metric(np.eye(4), train, test, 3)
+    assert from_files["knn_accuracy"] == in_memory.knn_accuracy
+    assert from_files["map"] == in_memory.map_score
 
 
 def test_train_trace_out(datasets, tmp_path):

@@ -44,6 +44,15 @@ def test_parse_basic_and_label_remap():
     assert np.array_equal(data.points, expected)
 
 
+def test_parse_extends_a_training_label_map():
+    train_map = {3.0: 0, 7.0: 1, 9.0: 2}
+    data, label_map = parse_libsvm("9 1:1\n11 1:2\n7 1:3\n5 1:4\n", label_map=train_map)
+    # known labels keep their ids, unseen ones follow in ascending order
+    assert label_map == {3.0: 0, 7.0: 1, 9.0: 2, 5.0: 3, 11.0: 4}
+    assert data.labels.tolist() == [2, 4, 1, 3]
+    assert train_map == {3.0: 0, 7.0: 1, 9.0: 2}
+
+
 def test_parse_d_override():
     data, _ = parse_libsvm("1 1:1\n", d=5)
     assert data.d == 5

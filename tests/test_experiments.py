@@ -94,18 +94,22 @@ def test_run_method_aggregates_trials():
 
 
 def test_run_method_loads_datasets_from_files(tmp_path):
-    train, test = split_blobs(seed=6)
-    train_path = tmp_path / "train.svm"
-    test_path = tmp_path / "test.svm"
-    train_path.write_text(serialize_libsvm(train))
-    test_path.write_text(serialize_libsvm(test))
-    config = small_config(
-        "duori", trials=1, train_file=str(train_path), test_file=str(test_path)
-    )
-    from_files, _ = run_method(config)
-    in_memory, _ = run_method(config, train=train, test=test)
-    assert from_files["map_mean"] == in_memory["map_mean"]
-    assert from_files["knn_mean"] == in_memory["knn_mean"]
+    train, full_test = split_blobs(seed=6)
+    # a test file without class 0 must keep the training ids of the others
+    keep = full_test.labels != 0
+    without_0 = LabeledDataset(full_test.points[:, keep], full_test.labels[keep])
+    for test in (full_test, without_0):
+        train_path = tmp_path / "train.svm"
+        test_path = tmp_path / "test.svm"
+        train_path.write_text(serialize_libsvm(train))
+        test_path.write_text(serialize_libsvm(test))
+        config = small_config(
+            "duori", trials=1, train_file=str(train_path), test_file=str(test_path)
+        )
+        from_files, _ = run_method(config)
+        in_memory, _ = run_method(config, train=train, test=test)
+        assert from_files["map_mean"] == in_memory["map_mean"]
+        assert from_files["knn_mean"] == in_memory["knn_mean"]
 
 
 def test_run_method_rejects_dimension_mismatch():

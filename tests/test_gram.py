@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from durp.gram import DENSE_LIMIT, accumulator, dense_gram, gram_view, kappa
+from durp.gram import DENSE_LIMIT, accumulator, dense_gram, gram_diag, kappa
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, sample_active_triplets
 
@@ -21,7 +21,7 @@ from oracles import (
 def random_cache(rng, p, n):
     U = rng.normal(size=(p, n))
     V = rng.normal(size=(p, n))
-    return TripletCache(U, V, np.einsum("pt,pt->t", U, U), np.einsum("pt,pt->t", V, V))
+    return TripletCache(U, V)
 
 
 def test_gram_entry_hand_example():
@@ -29,9 +29,7 @@ def test_gram_entry_hand_example():
     # (u_a.u_b)^2=1, (v_a.v_b)^2=0, (u_a.v_b)^2=4, (v_a.u_b)^2=1 -> G = -4
     U = np.array([[1.0, 1.0], [0.0, 1.0]])
     V = np.array([[0.0, 2.0], [1.0, 0.0]])
-    cache = TripletCache(U, V, np.array([1.0, 2.0]), np.array([1.0, 4.0]))
-    view = gram_view(cache)
-    assert gram_entry(view, 0, 1) == 1.0 + 0.0 - 4.0 - 1.0
+    assert gram_entry(TripletCache(U, V), 0, 1) == 1.0 + 0.0 - 4.0 - 1.0
 
 
 def test_gram_three_routes_agree():
@@ -39,44 +37,44 @@ def test_gram_three_routes_agree():
     for _ in range(20):
         p = int(rng.integers(2, 12))
         n = int(rng.integers(2, 15))
-        view = gram_view(random_cache(rng, p, n))
-        dense = dense_gram(view)
-        trace = dense_trace_gram(view.cache.U, view.cache.V)
+        cache = random_cache(rng, p, n)
+        dense = dense_gram(cache)
+        trace = dense_trace_gram(cache.U, cache.V)
         scale = np.abs(trace).max() + 1.0
         assert np.allclose(dense, trace, atol=1e-9 * scale)
         for a in range(n):
             for b in range(n):
-                e = gram_entry(view, a, b)
+                e = gram_entry(cache, a, b)
                 assert abs(e - trace[a, b]) <= 1e-9 * scale
-                assert abs(gram_oracle(view, a, b) - e) <= 1e-9 * scale
+                assert abs(gram_oracle(cache, a, b) - e) <= 1e-9 * scale
 
 
 def test_gram_diag_matches_entries():
     rng = np.random.default_rng(1)
-    view = gram_view(random_cache(rng, 6, 20))
+    cache = random_cache(rng, 6, 20)
+    diag = gram_diag(cache)
     for t in range(20):
-        assert np.isclose(view.diag[t], gram_entry(view, t, t), rtol=1e-12)
+        assert np.isclose(diag[t], gram_entry(cache, t, t), rtol=1e-12)
 
 
 def test_gram_is_positive_semidefinite():
     rng = np.random.default_rng(2)
-    view = gram_view(random_cache(rng, 5, 25))
-    eigs = np.linalg.eigvalsh(dense_gram(view))
+    eigs = np.linalg.eigvalsh(dense_gram(random_cache(rng, 5, 25)))
     assert eigs.min() > -1e-9 * max(eigs.max(), 1.0)
 
 
 def test_kron_oracle_dimension_guard():
     rng = np.random.default_rng(3)
-    view = gram_view(random_cache(rng, KRON_DIM_LIMIT + 1, 3))
+    cache = random_cache(rng, KRON_DIM_LIMIT + 1, 3)
     with pytest.raises(ValueError, match="Kronecker oracle"):
-        gram_oracle(view, 0, 1)
+        gram_oracle(cache, 0, 1)
 
 
 def test_dense_gram_size_guard():
     rng = np.random.default_rng(4)
-    view = gram_view(random_cache(rng, 3, 10))
+    cache = random_cache(rng, 3, 10)
     with pytest.raises(ValueError, match="dense Gram"):
-        dense_gram(view, limit=5)
+        dense_gram(cache, limit=5)
     assert DENSE_LIMIT == 4000
 
 
@@ -95,18 +93,17 @@ def test_accumulator_matches_naive():
 def test_gram_vector_product_matches_dense():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        view = gram_view(random_cache(rng, 5, 25))
+        cache = random_cache(rng, 5, 25)
         alpha = -rng.random(25)
-        fast = gram_vector_product(view, alpha)
-        dense = dense_gram(view) @ alpha
+        fast = gram_vector_product(cache, alpha)
+        dense = dense_gram(cache) @ alpha
         assert np.allclose(fast, dense, atol=1e-10 * np.abs(dense).max())
 
 
 def test_kappa_closed_form_hand_example():
-    # p = (3, 4) -> |p| = 5; q = (0, 0) -> kappa = |p|^2 = 25
-    cache = TripletCache(
-        np.array([[np.sqrt(3.0), 2.0]]), np.zeros((1, 2)), np.array([3.0, 4.0]), np.zeros(2)
-    )
+    # |u| = (sqrt 3, 2) -> p = (3, 4), |p| = 5; q = (0, 0) -> kappa = |p|^2 = 25
+    U = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 0.0]])
+    cache = TripletCache(U, np.zeros((3, 2)))
     stats = kappa(cache)
     assert stats.kappa == 25.0
     assert stats.norms == (25.0, 0.0, 0.0, 0.0)
@@ -117,7 +114,8 @@ def test_kappa_matches_spectral_norm_oracle():
     for _ in range(10):
         cache = random_cache(rng, 4, 15)
         stats = kappa(cache)
-        p, q = cache.uu_norms, cache.vv_norms
+        p = np.einsum("pt,pt->t", cache.U, cache.U)
+        q = np.einsum("pt,pt->t", cache.V, cache.V)
         dense_norms = [
             spectral_norm(np.outer(p, p)),
             spectral_norm(np.outer(q, q)),
@@ -128,10 +126,9 @@ def test_kappa_matches_spectral_norm_oracle():
         assert stats.kappa == max(stats.norms)
 
 
-def test_gram_view_on_sampled_data():
+def test_dense_gram_on_sampled_data():
     data = gaussian_blobs(10, 40, 2, seed=8, noise=0.3)
     cache = build_cache(data, sample_active_triplets(data, 60, seed=8))
-    view = gram_view(cache)
-    dense = dense_gram(view)
+    dense = dense_gram(cache)
     trace = dense_trace_gram(cache.U, cache.V)
     assert np.allclose(dense, trace, atol=1e-9 * (np.abs(trace).max() + 1.0))

@@ -53,7 +53,7 @@ def test_recover_metric_validation():
     cache = sample_cache(1)
     with pytest.raises(ValueError, match="one entry per triplet"):
         recover_metric(np.zeros(cache.n + 1), cache, 0.1)
-    empty = TripletCache(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros(0), np.zeros(0))
+    empty = TripletCache(np.zeros((3, 0)), np.zeros((3, 0)))
     with pytest.raises(ValueError, match="empty triplet cache"):
         recover_metric(np.zeros(0), empty, 0.1)
 

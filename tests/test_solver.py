@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from durp.gram import accumulator, dense_gram, gram_view
+from durp.gram import accumulator, dense_gram
 from durp.reference import pga_solve
 from durp.solver import (
     LossModel,
@@ -19,7 +19,7 @@ from durp.solver import (
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, sample_active_triplets
 
-from oracles import dual_objective_from_alpha, naive_primal, naive_recover
+from oracles import dual_objective_from_alpha, naive_primal, naive_recover, primal_sgd_epoch
 
 
 def solver_instance(seed, loss_kind):
@@ -84,31 +84,30 @@ def test_conjugate_is_fenchel_dual_on_the_box():
 def test_init_state_validation():
     cache, _ = solver_instance(0, "hinge")
     with pytest.raises(ValueError, match="lam"):
-        init_state(cache, 0.0, seed=0)
-    state = init_state(cache, 0.1, seed=0)
+        init_state(cache, 0.0)
+    state = init_state(cache, 0.1)
     assert state.alpha.shape == (cache.n,)
     assert np.all(state.alpha == 0)
 
 
 def test_dual_objective_routes_agree():
     cache, lam = solver_instance(1, "hinge")
-    view = gram_view(cache)
     loss = LossModel("hinge")
     rng = np.random.default_rng(0)
-    state = init_state(cache, lam, seed=0)
+    state = init_state(cache, lam)
     state.alpha = -rng.random(cache.n)
     state.S = accumulator(cache, state.alpha)
-    a = dual_objective(state, view, loss)
-    b = dual_objective_from_alpha(view, state.alpha, loss, lam)
+    a = dual_objective(state, loss)
+    b = dual_objective_from_alpha(cache, state.alpha, loss, lam)
     assert abs(a - b) < 1e-8 * (abs(a) + 1.0)
 
 
 def test_dual_objective_rejects_infeasible_alpha():
     cache, lam = solver_instance(0, "hinge")
-    state = init_state(cache, lam, seed=0)
+    state = init_state(cache, lam)
     state.alpha = np.full(cache.n, 0.5)
     with pytest.raises(ValueError, match="box"):
-        dual_objective(state, gram_view(cache), LossModel("hinge"))
+        dual_objective(state, LossModel("hinge"))
 
 
 def test_primal_objective_matches_naive():
@@ -126,16 +125,15 @@ def test_sdca_update_is_exact_coordinate_maximizer():
     rng = np.random.default_rng(2)
     for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=0.5)):
         cache, lam = solver_instance(3, loss.kind)
-        view = gram_view(cache)
-        G = dense_gram(view)
+        G = dense_gram(cache)
         n = cache.n
-        state = init_state(cache, lam, seed=0)
+        state = init_state(cache, lam)
         state.alpha = -rng.random(n)
         state.S = accumulator(cache, state.alpha)
         grid = np.linspace(-1.0, 0.0, 2001)
         for t in rng.integers(0, n, size=8):
             t = int(t)
-            sdca_update(state, view, loss, t)
+            sdca_update(state, loss, t)
             base = state.alpha.copy()
             # dual objective as a function of this coordinate alone
             values = []
@@ -150,21 +148,19 @@ def test_sdca_update_is_exact_coordinate_maximizer():
 
 def test_sdca_update_keeps_s_consistent():
     cache, lam = solver_instance(4, "hinge")
-    view = gram_view(cache)
     loss = LossModel("hinge")
-    state = init_state(cache, lam, seed=0)
+    state = init_state(cache, lam)
     for t in range(min(25, cache.n)):
-        sdca_update(state, view, loss, t)
+        sdca_update(state, loss, t)
     rebuilt = accumulator(cache, state.alpha)
     assert np.allclose(state.S, rebuilt, atol=1e-10 * (np.abs(rebuilt).max() + 1.0))
 
 
 def test_sgd_epoch_requires_permutation():
     cache, lam = solver_instance(0, "hinge")
-    view = gram_view(cache)
-    state = init_state(cache, lam, seed=0)
+    state = init_state(cache, lam)
     with pytest.raises(ValueError, match="permutation"):
-        sgd_epoch(state, view, LossModel("hinge"), list(range(cache.n - 1)))
+        sgd_epoch(state, LossModel("hinge"), list(range(cache.n - 1)))
 
 
 def test_sgd_epoch_all_active_pins_every_coordinate():
@@ -173,12 +169,32 @@ def test_sgd_epoch_all_active_pins_every_coordinate():
     d = 6
     data = gaussian_blobs(d, 60, 3, seed=5, noise=0.01 / np.sqrt(2 * d))
     cache = build_cache(data, sample_active_triplets(data, 50, seed=5))
-    view = gram_view(cache)
-    state = init_state(cache, 1.0 / cache.n, seed=0)
-    sgd_epoch(state, view, LossModel("hinge"), list(range(cache.n)))
+    state = init_state(cache, 1.0 / cache.n)
+    sgd_epoch(state, LossModel("hinge"), list(range(cache.n)))
     assert np.all(state.alpha == -1.0)
-    assert state.epoch == 1
     assert np.array_equal(state.S, accumulator(cache, state.alpha))
+
+
+def test_sgd_epoch_matches_primal_subgradient_pass():
+    # the dual-form seed pass visits the same margins as the primal
+    # iterate M_s = -S_s/(lam s), up to rounding
+    worst_alpha = worst_m = 0.0
+    for seed in range(10):
+        for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=1.0)):
+            cache, lam = solver_instance(seed, loss.kind)
+            order = list(np.random.default_rng(seed).permutation(cache.n))
+            state = init_state(cache, lam)
+            sgd_epoch(state, loss, order)
+            alpha, M = primal_sgd_epoch(cache, loss, lam, order)
+            alpha_err = float(np.abs(state.alpha - alpha).max())
+            if loss.kind == "hinge":
+                assert alpha_err == 0.0
+            assert alpha_err <= 1e-12
+            M_dual = -state.S / (lam * cache.n)
+            m_err = float(np.abs(M_dual - M).max()) / float(np.abs(M).max())
+            assert m_err <= 1e-12
+            worst_alpha, worst_m = max(worst_alpha, alpha_err), max(worst_m, m_err)
+    print(f"worst alpha difference {worst_alpha:.1e}, worst relative M difference {worst_m:.1e}")
 
 
 def test_csdca_determinism_and_feasibility():
@@ -230,14 +246,12 @@ def test_csdca_gap_tol_extension_and_failure():
 
 def test_duality_gap_definition():
     cache, lam = solver_instance(10, "hinge")
-    view = gram_view(cache)
     loss = LossModel("hinge")
-    state = init_state(cache, lam, seed=0)
-    state.rng = np.random.default_rng(3)
-    sgd_epoch(state, view, loss, list(state.rng.permutation(cache.n)))
-    gap = duality_gap(state, view, loss)
+    state = init_state(cache, lam)
+    sgd_epoch(state, loss, list(np.random.default_rng(3).permutation(cache.n)))
+    gap = duality_gap(state, loss)
     M = naive_recover(state.alpha, cache.U, cache.V, lam)
-    expected = primal_objective(cache, M, loss, lam) - dual_objective(state, view, loss) / cache.n
+    expected = primal_objective(cache, M, loss, lam) - dual_objective(state, loss) / cache.n
     assert abs(gap - expected) < 1e-10 * (abs(expected) + 1.0)
     assert gap >= 0.0
 
