@@ -18,6 +18,6 @@ from .projection import ProjectionMatrix, gaussian_matrix, identity_matrix, pca_
 from .reference import pga_solve
 from .solver import DualSolution, LossModel, SolverState, csdca_solve, dual_objective, duality_gap, sdca_update, sgd_epoch
 from .synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
-from .triplets import TripletCache, TripletSet, build_cache, project_cache, sample_active_triplets
+from .triplets import TripletCache, TripletSet, build_cache, differences, project_cache, sample_active_triplets
 
 __version__ = "0.1.0"

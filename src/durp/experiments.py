@@ -2,12 +2,12 @@
 
 Methods
 -------
-durp  : project triplets to m dimensions with a Gaussian map, solve the
-        projected dual, rebuild the metric from the *original* difference
-        vectors, PSD-project once.
+durp  : project the points to m dimensions with a Gaussian map, solve the
+        projected dual, rebuild the metric from the *original* points,
+        PSD-project once.
 duori : solve in the original space directly (no projection).
 srp   : solve the projected dual, recover the subspace metric M_s from
-        the *projected* difference vectors, push it back as R M_s R^T,
+        the *projected* points, push it back as R M_s R^T,
         PSD-project.
 spca  : srp with the projection replaced by the top-m PCA basis.
 
@@ -104,7 +104,7 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
         projected = project_cache(cache, projection)
         solution = csdca_solve(projected, loss, lam, config.epochs, trial_seed)
         if method == "durp":
-            # recovery uses the original-space difference vectors
+            # recovery uses the original-space points
             metric = psd_project(recover_metric(solution.alpha, cache, lam))
         else:  # srp / spca stay in the subspace
             m_s = recover_metric(solution.alpha, projected, lam)
@@ -127,7 +127,8 @@ def run_method(config, train=None, test=None, projection_override=None):
     Datasets are loaded from the config paths unless passed in directly;
     a test file loaded after a training file shares its class ids.
     Returns a JSON-ready dict; per-trial metrics are kept on the side in
-    the ``trials`` entries only as scores (matrices are not serialized).
+    the ``trials`` entries only as scores, each with the duality gap and
+    epoch count its solve reached (matrices are not serialized).
     """
     label_map = None
     if train is None:
@@ -168,6 +169,8 @@ def run_method(config, train=None, test=None, projection_override=None):
                 "knn_accuracy": r.report.knn_accuracy,
                 "n_queries": r.report.n_queries,
                 "excluded_queries": r.report.excluded_queries,
+                "final_gap": float(r.solver_trace[-1][2]),
+                "epochs": int(r.solver_trace[-1][0]),
                 "seconds": r.seconds,
             }
             for r in results

@@ -5,7 +5,9 @@ dot products:
 
     G[a, b] = (u_a.u_b)^2 + (v_a.v_b)^2 - (u_a.v_b)^2 - (v_a.u_b)^2
 
-so no p x p outer products are ever formed.  The full N x N matrix is only
+so no p x p outer products are ever formed.  The Gram routes read the
+gathered difference columns U, V (see :func:`durp.triplets.differences`);
+the accumulator reads the index-form cache.  The full N x N matrix is only
 materialized by :func:`dense_gram` for the small dense reference solver.
 """
 
@@ -16,31 +18,56 @@ from dataclasses import dataclass
 import numpy as np
 
 DENSE_LIMIT = 4000
+CHUNK = 1024  # triplet columns gathered at once while building the accumulator
 
 
 def _column_sqnorms(A):
     return np.einsum("pt,pt->t", A, A)
 
 
-def gram_diag(cache):
-    """G[t, t] = |u_t|^4 + |v_t|^4 - 2 (u_t.v_t)^2, one pass over the cache."""
-    cross = np.einsum("pt,pt->t", cache.U, cache.V)
-    return _column_sqnorms(cache.U) ** 2 + _column_sqnorms(cache.V) ** 2 - 2.0 * cross**2
+def gram_diag(U, V):
+    """G[t, t] = |u_t|^4 + |v_t|^4 - 2 (u_t.v_t)^2, one pass over the columns."""
+    cross = np.einsum("pt,pt->t", U, V)
+    return _column_sqnorms(U) ** 2 + _column_sqnorms(V) ** 2 - 2.0 * cross**2
 
 
 def accumulator(cache, alpha):
-    """S = sum_t alpha_t (u_t u_t^T - v_t v_t^T), built in O(N p^2)."""
+    """S = sum_t alpha_t (u_t u_t^T - v_t v_t^T) from the n points, O(n p^2 + N p).
+
+    In u u^T - v v^T the x_i x_i^T terms cancel, leaving
+    x_k x_k^T - x_j x_j^T + x_i (x_j - x_k)^T + (x_j - x_k) x_i^T, so
+    S = X Z^T + Z X^T with Z = X diag(w)/2 + Y, where
+    w = bincount(k, alpha) - bincount(j, alpha) and column a of Y sums
+    alpha_t (x_j - x_k) over the triplets anchored at a.  Y is built in
+    anchor-sorted chunks of ``CHUNK`` columns with ``np.add.reduceat``.
+    """
     if alpha.shape != (cache.n,):
         raise ValueError("alpha must have one entry per triplet")
-    S = (cache.U * alpha) @ cache.U.T - (cache.V * alpha) @ cache.V.T
-    return 0.5 * (S + S.T)
+    if cache.n == 0:
+        raise ValueError("cannot build S from an empty triplet cache")
+    X = cache.points
+    n_points = X.shape[1]
+    i, j, k = cache.triplets[cache.anchor_order].T
+    a = alpha[cache.anchor_order]
+    w = np.bincount(k, a, n_points) - np.bincount(j, a, n_points)
+    Z = X * (0.5 * w)
+    for s in range(0, cache.n, CHUNK):
+        anchors = i[s:s + CHUNK]
+        D = X.take(j[s:s + CHUNK], axis=1)
+        D -= X.take(k[s:s + CHUNK], axis=1)
+        D *= a[s:s + CHUNK]
+        starts = np.flatnonzero(np.r_[True, anchors[1:] != anchors[:-1]])
+        # += through a fancy index keeps one update per repeated index; the
+        # anchors are sorted, so each run start names a different anchor
+        Z[:, anchors[starts]] += np.add.reduceat(D, starts, axis=1)
+    P = X @ Z.T
+    return P + P.T
 
 
-def dense_gram(cache, limit=DENSE_LIMIT):
+def dense_gram(U, V, limit=DENSE_LIMIT):
     """Materialize G for small N; the per-block squares keep it O(N^2 p)."""
-    if cache.n > limit:
-        raise ValueError(f"dense Gram limited to {limit} triplets, got {cache.n}")
-    U, V = cache.U, cache.V
+    if U.shape[1] > limit:
+        raise ValueError(f"dense Gram limited to {limit} triplets, got {U.shape[1]}")
     UU = U.T @ U
     VV = V.T @ V
     UV = U.T @ V
@@ -56,7 +83,7 @@ class KappaStats:
     norms: tuple
 
 
-def kappa(cache):
+def kappa(U, V):
     """Largest spectral norm among the four norm-product matrices.
 
     The matrices pairing squared norms, e.g. K1[a, b] = |u_a|^2 |u_b|^2,
@@ -64,7 +91,7 @@ def kappa(cache):
     norms: |p|^2, |q|^2, and |p||q| for the two cross matrices, with
     p_t = |u_t|^2 and q_t = |v_t|^2.
     """
-    p = np.linalg.norm(_column_sqnorms(cache.U))
-    q = np.linalg.norm(_column_sqnorms(cache.V))
+    p = np.linalg.norm(_column_sqnorms(U))
+    q = np.linalg.norm(_column_sqnorms(V))
     norms = (p * p, q * q, p * q, q * p)
     return KappaStats(kappa=float(max(norms)), norms=tuple(float(x) for x in norms))

@@ -29,7 +29,7 @@ from .projection import gaussian_matrix
 from .reference import pga_solve
 from .solver import LossModel, csdca_solve
 from .synth import isotropic_cloud, margin_gapped_blobs
-from .triplets import build_cache, project_cache, sample_active_triplets
+from .triplets import build_cache, differences, project_cache, sample_active_triplets
 
 T1_ORACLE_GAP = 1e-9  # gap of the original-space solve the sweep is measured against
 T1_RUN_GAP = 1e-8  # gap of each projected solve
@@ -165,7 +165,7 @@ def verify_theorem2(config, m=None):
     oracle = pga_solve(cache, loss, lam, gap_tol=T2_ORACLE_GAP_SCALE * config.eta / n)
     alpha_star = oracle.alpha
     alpha_norm = float(np.linalg.norm(alpha_star))
-    stats = kappa(cache)
+    stats = kappa(*differences(cache))
 
     rows = []
     for seed in config.seeds:

@@ -1,8 +1,8 @@
 """Metric recovery, PSD projection, pairwise distances, and on-disk formats.
 
-Recovery rebuilds the full-dimension metric from dual variables and the
-*original* difference vectors, so only one PSD projection is ever needed
-at the end of the pipeline.
+Recovery rebuilds the full-dimension metric from dual variables, the
+triplet indices and the *original* points, so only one PSD projection is
+ever needed at the end of the pipeline.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ def require_symmetric(M, tol=SYMMETRY_TOL):
 
 def recover_metric(alpha, cache, lam):
     """M = -S / (lam N) with S = sum_t alpha_t (u_t u_t^T - v_t v_t^T) over the cache's space."""
-    if cache.n == 0:
-        raise ValueError("cannot recover a metric from an empty triplet cache")
     return -accumulator(cache, alpha) / (lam * cache.n)
 
 
@@ -70,7 +68,10 @@ def pairwise_sq_distances(M, X, Y=None):
     K = X.T @ MY
     x_q = np.einsum("pt,pt->t", X, M @ X)
     y_q = x_q if Y is X else np.einsum("pt,pt->t", Y, MY)
-    return x_q[:, None] + y_q[None, :] - 2.0 * K
+    # x + y - 2K in two blocks of the output's size instead of three
+    D = x_q[:, None] + y_q[None, :]
+    K *= 2.0
+    return np.subtract(D, K, out=D)
 
 
 def save_metric(path, M):

@@ -14,6 +14,7 @@ import numpy as np
 from .gram import dense_gram
 from .metric import recover_metric
 from .solver import DualSolution, primal_objective
+from .triplets import differences
 
 MAX_ITERS = 200000
 CHECK_EVERY = 50
@@ -33,7 +34,8 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     n = cache.n
     if n == 0:
         return DualSolution(alpha=np.zeros(0), objective=0.0, gap=0.0, trace=[])
-    G = dense_gram(cache)
+    U, V = differences(cache)  # gathered once for the Gram and every gap check
+    G = dense_gram(U, V)
     lam_n = lam * n
     # G is symmetric PSD, so its spectral norm is its top eigenvalue
     lipschitz = np.linalg.eigvalsh(G)[-1] / lam_n
@@ -51,7 +53,7 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
         return float(-np.sum(loss.conjugate(a)) - (a @ (G @ a)) / (2.0 * lam_n))
 
     def normalized_gap(a):
-        return primal_objective(cache, recover_metric(a, cache, lam), loss, lam) - objective(a) / n
+        return primal_objective(U, V, recover_metric(a, cache, lam), loss, lam) - objective(a) / n
 
     alpha = np.zeros(n)
     momentum = alpha.copy()

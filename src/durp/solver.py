@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import accumulator, gram_diag
+from .triplets import differences
 
 FEASIBILITY_TOL = 1e-12
 DRIFT_TOL = 1e-6
@@ -83,9 +84,11 @@ class LossModel:
 
 @dataclass
 class SolverState:
-    """The problem (cache, Gram diagonal, lam) plus the dual iterate alpha and S."""
+    """The problem (cache, its gathered columns U, V, Gram diagonal, lam) plus alpha and S."""
 
     cache: object
+    U: np.ndarray
+    V: np.ndarray
     diag: np.ndarray
     lam: float
     alpha: np.ndarray
@@ -103,11 +106,12 @@ class DualSolution:
 
 
 def init_state(cache, lam):
-    """The zero iterate alpha = 0, S = 0 on ``cache``."""
+    """The zero iterate alpha = 0, S = 0 on ``cache``, whose columns it gathers once."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     p = cache.space_dim
-    return SolverState(cache=cache, diag=gram_diag(cache), lam=lam,
+    U, V = differences(cache)
+    return SolverState(cache=cache, U=U, V=V, diag=gram_diag(U, V), lam=lam,
                        alpha=np.zeros(cache.n), S=np.zeros((p, p)))
 
 
@@ -126,18 +130,13 @@ def dual_objective(state, loss):
     return float(-np.sum(loss.conjugate(state.alpha)) - quad / (2.0 * state.lam * n))
 
 
-def _margins(cache, M):
-    MU = M @ cache.U
-    MV = M @ cache.V
-    return np.einsum("pt,pt->t", cache.U, MU) - np.einsum("pt,pt->t", cache.V, MV)
-
-
-def primal_objective(cache, M, loss, lam):
-    """P(M) = lam/2 ||M||_F^2 + mean hinge-type loss over the cache."""
+def primal_objective(U, V, M, loss, lam):
+    """P(M) = lam/2 ||M||_F^2 + mean hinge-type loss over the columns U, V."""
     reg = 0.5 * lam * float(np.sum(M * M))
-    if cache.n == 0:
+    if U.shape[1] == 0:
         return reg
-    return reg + float(np.mean(loss.value(_margins(cache, M))))
+    margins = np.einsum("pt,pt->t", U, M @ U) - np.einsum("pt,pt->t", V, M @ V)
+    return reg + float(np.mean(loss.value(margins)))
 
 
 def duality_gap(state, loss):
@@ -146,7 +145,7 @@ def duality_gap(state, loss):
     if n == 0:
         return 0.0
     M = -state.S / (state.lam * n)
-    return primal_objective(state.cache, M, loss, state.lam) - dual_objective(state, loss) / n
+    return primal_objective(state.U, state.V, M, loss, state.lam) - dual_objective(state, loss) / n
 
 
 def _inner(S, u, v):
@@ -172,8 +171,8 @@ def sdca_update(state, loss, t):
     clipped to [-1, 0].  A zero diagonal makes the hinge subproblem
     linear: the coordinate goes to -1 when the slope is negative, else 0.
     """
-    u = state.cache.U[:, t]
-    v = state.cache.V[:, t]
+    u = state.U[:, t]
+    v = state.V[:, t]
     g_tt = state.diag[t]
     lam_n = state.lam * state.cache.n
     c_t = _inner(state.S, u, v) - state.alpha[t] * g_tt
@@ -202,8 +201,8 @@ def sgd_epoch(state, loss, order):
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all triplet indices")
     for s, t in enumerate(order):
-        u = state.cache.U[:, t]
-        v = state.cache.V[:, t]
+        u = state.U[:, t]
+        v = state.V[:, t]
         z = -_inner(state.S, u, v) / (state.lam * s) if s else 0.0
         _set_coordinate(state, t, u, v, float(loss.derivative(z)))
     return _refresh_accumulator(state)

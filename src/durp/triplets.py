@@ -3,13 +3,14 @@
 A triplet (i, j, k) pairs an anchor i with a same-class neighbor j and a
 different-class point k.  It is *active* when the unit-margin Euclidean
 hinge is violated, i.e. ``1 + ||x_i - x_j||^2 - ||x_i - x_k||^2 > 0``.
-The solver never touches raw triplets; it works on cached difference
-vectors u = x_i - x_k (across classes) and v = x_i - x_j (within class).
+The cache keeps triplets as indices into the points; the solver gathers
+the difference vectors u = x_i - x_k (across classes) and
+v = x_i - x_j (within class) once, in the space it runs in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,31 +34,37 @@ class TripletSet:
 
 @dataclass(frozen=True)
 class TripletCache:
-    """Difference vectors for a triplet set, stored column-wise.
+    """A triplet set in index form over the points it indexes.
 
-    U[:, t] = x_i - x_k (different classes), V[:, t] = x_i - x_j (same
-    class).  Both are kept C-contiguous: a fixed memory layout keeps the
-    reduction order of column norms (and hence their bits) the same
-    whether the vectors came from indexing or a projection.  ``space_dim``
-    is the ambient dimension, which changes under projection.
+    ``points`` is p x n (one column per point, kept as given, without a
+    copy) and ``triplets`` the (N, 3) rows (i, j, k).  Nothing of size
+    p x N is stored: the solver gathers the difference columns of the
+    space it runs in (:func:`differences`), and the accumulator rebuilds
+    sum_t alpha_t A_t from the n points.  ``anchor_order`` sorts the
+    triplets by anchor (stable), computed once for that rebuild.
+    ``space_dim`` is the ambient dimension, which changes under projection.
     """
 
-    U: np.ndarray
-    V: np.ndarray
+    points: np.ndarray
+    triplets: np.ndarray
+    anchor_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.U.shape != self.V.shape:
-            raise ValueError("U and V must have matching shapes")
-        object.__setattr__(self, "U", np.ascontiguousarray(self.U))
-        object.__setattr__(self, "V", np.ascontiguousarray(self.V))
+        t = TripletSet(self.triplets).triplets
+        if self.points.ndim != 2:
+            raise ValueError("points must be a 2-d (p, n) array")
+        if t.size and (t.min() < 0 or t.max() >= self.points.shape[1]):
+            raise ValueError("triplet indices out of range")
+        object.__setattr__(self, "triplets", t)
+        object.__setattr__(self, "anchor_order", np.argsort(t[:, 0], kind="stable"))
 
     @property
     def space_dim(self) -> int:
-        return self.U.shape[0]
+        return self.points.shape[0]
 
     @property
     def n(self) -> int:
-        return self.U.shape[1]
+        return self.triplets.shape[0]
 
 
 def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
@@ -120,25 +127,28 @@ def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
 
 
 def build_cache(data, triplet_set):
-    """Materialize the difference vectors of a triplet set."""
-    t = triplet_set.triplets
-    if t.size and (t.min() < 0 or t.max() >= data.n):
-        raise ValueError("triplet indices out of range")
-    X = data.points
-    # take() gathers into C order, which the cache keeps without a copy
-    U = X.take(t[:, 0], axis=1) - X.take(t[:, 2], axis=1)
-    V = X.take(t[:, 0], axis=1) - X.take(t[:, 1], axis=1)
-    return TripletCache(U, V)
+    """Index-form cache of a triplet set over ``data.points`` (not copied)."""
+    return TripletCache(data.points, triplet_set.triplets)
 
 
 def project_cache(cache, projection):
-    """Push a cache through x -> R^T x."""
+    """Push a cache through x -> R^T x: the n points are projected once."""
     R = projection.entries
     if R.shape[0] != cache.space_dim:
         raise ValueError(
             f"projection rows ({R.shape[0]}) must match cache dimension ({cache.space_dim})"
         )
-    return TripletCache(R.T @ cache.U, R.T @ cache.V)
+    return TripletCache(R.T @ cache.points, cache.triplets)
+
+
+def differences(cache):
+    """The gathered difference columns U = x_i - x_k and V = x_i - x_j, p x N each.
+
+    ``take`` gathers into C order, so both come out C-contiguous.
+    """
+    X, t = cache.points, cache.triplets
+    anchors = X.take(t[:, 0], axis=1)
+    return anchors - X.take(t[:, 2], axis=1), anchors - X.take(t[:, 1], axis=1)
 
 
 def save_triplets(path, triplet_set):

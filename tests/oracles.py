@@ -11,6 +11,7 @@ iteration, the primal form of the subgradient seed epoch) live here too.
 import numpy as np
 
 from durp.gram import accumulator
+from durp.triplets import differences
 
 
 def triplet_matrix(u, v):
@@ -60,6 +61,17 @@ def naive_primal(M, U, V, loss_value, lam):
 def spectral_norm(A):
     """Largest singular value via numpy's SVD-backed matrix norm."""
     return float(np.linalg.norm(A, 2))
+
+
+def three_block_sq_distances(M, X, Y=None):
+    """Pairwise squared distances as x + y - 2K, the expression that builds three n x n blocks."""
+    if Y is None:
+        Y = X
+    MY = M @ Y
+    K = X.T @ MY
+    x_q = np.einsum("pt,pt->t", X, M @ X)
+    y_q = x_q if Y is X else np.einsum("pt,pt->t", Y, MY)
+    return x_q[:, None] + y_q[None, :] - 2.0 * K
 
 
 def naive_sq_distance(M, x, y):
@@ -131,11 +143,12 @@ def primal_sgd_epoch(cache, loss, lam, order):
     Returns (alpha, final M).
     """
     p = cache.space_dim
+    U, V = differences(cache)
     M = np.zeros((p, p))
     alpha = np.zeros(cache.n)
     for step, t in enumerate(order, start=1):
-        u = cache.U[:, t]
-        v = cache.V[:, t]
+        u = U[:, t]
+        v = V[:, t]
         g = float(loss.derivative(float(u @ (M @ u) - v @ (M @ v))))
         alpha[t] = g
         eta = 1.0 / (lam * step)
@@ -167,25 +180,23 @@ def power_iteration_norm(A, iters=200, seed=0):
 KRON_DIM_LIMIT = 256
 
 
-def gram_entry(cache, a, b):
+def gram_entry(U, V, a, b):
     """G[a, b] via the four-term decomposition, O(p)."""
-    U, V = cache.U, cache.V
     ua, va = U[:, a], V[:, a]
     ub, vb = U[:, b], V[:, b]
     return float((ua @ ub) ** 2 + (va @ vb) ** 2 - (ua @ vb) ** 2 - (va @ ub) ** 2)
 
 
-def gram_oracle(cache, a, b):
+def gram_oracle(U, V, a, b):
     """G[a, b] through the p^2-dimensional Kronecker embedding.
 
     z_t = u_t (x) u_t - v_t (x) v_t satisfies G[a, b] = <z_a, z_b>, which
     also certifies that G is positive semidefinite.  Quadratic memory, so
     guarded to small dimensions.
     """
-    p = cache.space_dim
+    p = U.shape[0]
     if p > KRON_DIM_LIMIT:
         raise ValueError(f"Kronecker oracle limited to dimension {KRON_DIM_LIMIT}, got {p}")
-    U, V = cache.U, cache.V
     za = np.kron(U[:, a], U[:, a]) - np.kron(V[:, a], V[:, a])
     zb = np.kron(U[:, b], U[:, b]) - np.kron(V[:, b], V[:, b])
     return float(za @ zb)
@@ -194,7 +205,8 @@ def gram_oracle(cache, a, b):
 def gram_vector_product(cache, alpha):
     """(G alpha)_t = u_t^T S u_t - v_t^T S v_t, matrix-free through the accumulator S."""
     S = accumulator(cache, alpha)
-    return np.einsum("pt,pt->t", cache.U, S @ cache.U) - np.einsum("pt,pt->t", cache.V, S @ cache.V)
+    U, V = differences(cache)
+    return np.einsum("pt,pt->t", U, S @ U) - np.einsum("pt,pt->t", V, S @ V)
 
 
 def dual_objective_from_alpha(cache, alpha, loss, lam):
@@ -203,13 +215,13 @@ def dual_objective_from_alpha(cache, alpha, loss, lam):
     return float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam * cache.n))
 
 
-def kappa_power_check(cache, seed=0):
+def kappa_power_check(U, V, seed=0):
     """Spectral norms of the four dense norm-product matrices by power iteration.
 
     Independent of the closed form in :func:`durp.gram.kappa`.  Quadratic
     in N, so desk scale only.
     """
-    p = np.einsum("pt,pt->t", cache.U, cache.U)
-    q = np.einsum("pt,pt->t", cache.V, cache.V)
+    p = np.einsum("pt,pt->t", U, U)
+    q = np.einsum("pt,pt->t", V, V)
     dense = (np.outer(p, p), np.outer(q, q), np.outer(p, q), np.outer(q, p))
     return tuple(power_iteration_norm(A, seed=seed) for A in dense)

@@ -2,30 +2,33 @@
 
 The benchmark times layers by wrapping the functions listed in
 ``perfbench/spans.py``'s ``LAYERS`` and solves once more to a duality gap
-through ``perfbench/run.py``.  Renaming one of those functions or changing
-that call breaks the benchmark; these tests catch it in the unit suite.
+through ``perfbench/run.py``.  Renaming one of those functions, changing
+that call, or no longer calling a layer a workload declares breaks the
+benchmark; these tests catch it in the unit suite.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, sample_active_triplets
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrapped_layer_is_a_durp_callable():
-    layers = load_spans().LAYERS
+    layers = load_perfbench("spans").LAYERS
     assert layers
     for targets in layers.values():
         for module_name, attr in targets:
@@ -43,3 +46,17 @@ def test_csdca_solve_accepts_the_benchmark_call():
     assert [row[0] for row in solution.trace] == [1, 2]
     assert all(len(row) == 4 for row in solution.trace)
     assert solution.gap <= 10.0
+
+
+def test_every_declared_layer_records_a_span():
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
+    modules = {module_name: importlib.import_module(f"durp.{module_name}")
+               for targets in spans.LAYERS.values() for module_name, _ in targets}
+    for workload in workloads.WORKLOADS.values():
+        small = workloads.tiny(workload)
+        recorder = spans.SpanRecorder()
+        with spans.instrumented(recorder, modules):
+            small.run_unit(small.make_inputs(0))
+        recorded = {span["name"] for span in recorder.spans}
+        missing = [layer for layer in small.layers if layer not in recorded]
+        assert not missing, f"{workload.name}: no span for {missing}"

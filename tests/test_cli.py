@@ -168,6 +168,19 @@ def test_train_trace_out(datasets, tmp_path):
     assert len(lines) == 4  # header + three epochs
 
 
+def test_train_report_gives_each_trial_its_gap(datasets, tmp_path):
+    train_path, test_path = datasets
+    out, trace_path = tmp_path / "report.json", tmp_path / "trace.csv"
+    code = main(train_args(train_path, test_path, "--epochs", "4", "--out", str(out),
+                           "--trace-out", str(trace_path)))
+    assert code == 0
+    trials = json.loads(out.read_text())["trials"]
+    for i, trial in enumerate(trials):
+        last = (tmp_path / f"trace.csv.trial{i}").read_text().splitlines()[-1].split(",")
+        assert trial["epochs"] == int(last[0]) == 4
+        assert trial["final_gap"] == float(last[2])
+
+
 def test_spectrum_subcommand(datasets, tmp_path):
     train_path, _ = datasets
     out = tmp_path / "spectrum.csv"
@@ -260,7 +273,8 @@ def test_seed_flag_only_where_read(command, capsys):
 
 def test_train_defaults_are_run_config_fields(datasets, tmp_path, monkeypatch):
     def fake_trial(config, train, test, seed, projection_override=None):  # no full-size run
-        return TrialResult(seed, EvalReport(0.5, 0.5, config.k, 1, 0), None, None, [], 0.0)
+        trace = [(1, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
+        return TrialResult(seed, EvalReport(0.5, 0.5, config.k, 1, 0), None, None, trace, 0.0)
 
     monkeypatch.setattr(experiments, "train_trial", fake_trial)
     out = tmp_path / "report.json"

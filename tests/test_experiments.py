@@ -1,12 +1,18 @@
 """Training pipelines: per-method behavior, identity reduction, aggregation."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from durp.data import LabeledDataset, pca_fit, serialize_libsvm
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
-from durp.projection import identity_matrix, pca_matrix
+from durp.metric import recover_metric
+from durp.projection import gaussian_matrix, identity_matrix, pca_matrix
+from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
+from durp.triplets import TripletSet, build_cache, project_cache
 
 
 def split_blobs(d=8, n=80, seed=0):
@@ -91,6 +97,37 @@ def test_run_method_aggregates_trials():
     # trial seeds are seed + t, so adding trials preserves earlier ones
     shorter, _ = run_method(small_config("srp", trials=2, seed=11), train=train, test=test)
     assert [t["map"] for t in shorter["trials"]] == maps[:2]
+
+
+def test_run_method_reports_gap_and_epochs_per_trial():
+    train, test = split_blobs(seed=8)
+    report, results = run_method(small_config("durp", epochs=4), train=train, test=test)
+    for trial, result in zip(report["trials"], results):
+        epoch, _, gap, _ = result.solver_trace[-1]
+        assert trial["epochs"] == epoch == 4
+        assert trial["final_gap"] == gap
+        assert gap >= -1e-12
+    json.dumps(report)  # still JSON-ready
+
+
+def test_durp_path_allocates_nothing_of_size_d_by_n():
+    # cache -> project -> solve -> recover at d=512, N=20000: one d x N float64
+    # array would be 78 MiB; the index form needs about a tenth of that
+    d, n_points, n = 512, 200, 20000
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(rng.normal(size=(d, n_points)), np.arange(n_points) % 2)
+    triplets = TripletSet(rng.integers(0, n_points, size=(n, 3)))
+    tracemalloc.start()
+    try:
+        cache = build_cache(data, triplets)
+        projected = project_cache(cache, gaussian_matrix(d, 10, seed=0))
+        solution = csdca_solve(projected, LossModel("hinge"), 1.0 / n, epochs=1, seed=0)
+        M = recover_metric(solution.alpha, cache, 1.0 / n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (d, d)
+    assert peak < d * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_run_method_loads_datasets_from_files(tmp_path):

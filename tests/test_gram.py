@@ -1,11 +1,12 @@
-"""Gram entries, products, dense materialization, and the spectral summary."""
+"""Gram entries, products, dense materialization, the accumulator, and the spectral summary."""
 
 import numpy as np
 import pytest
 
+from durp import gram
 from durp.gram import DENSE_LIMIT, accumulator, dense_gram, gram_diag, kappa
 from durp.synth import gaussian_blobs
-from durp.triplets import TripletCache, build_cache, sample_active_triplets
+from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 
 from oracles import (
     KRON_DIM_LIMIT,
@@ -18,10 +19,21 @@ from oracles import (
 )
 
 
-def random_cache(rng, p, n):
-    U = rng.normal(size=(p, n))
-    V = rng.normal(size=(p, n))
-    return TripletCache(U, V)
+def random_columns(rng, p, n):
+    """Random difference columns U, V (p x n each), not tied to any points."""
+    return rng.normal(size=(p, n)), rng.normal(size=(p, n))
+
+
+def random_cache(rng, p, n_points, n):
+    """Index-form cache: random points and n random (i, j, k) rows over them."""
+    return TripletCache(rng.normal(size=(p, n_points)), rng.integers(0, n_points, size=(n, 3)))
+
+
+def assert_accumulator_matches_naive(cache, alpha):
+    S = accumulator(cache, alpha)
+    S_naive = naive_accumulator(*differences(cache), alpha)
+    assert np.abs(S - S_naive).max() <= 1e-12 * np.abs(S_naive).max()
+    assert np.array_equal(S, S.T)
 
 
 def test_gram_entry_hand_example():
@@ -29,7 +41,7 @@ def test_gram_entry_hand_example():
     # (u_a.u_b)^2=1, (v_a.v_b)^2=0, (u_a.v_b)^2=4, (v_a.u_b)^2=1 -> G = -4
     U = np.array([[1.0, 1.0], [0.0, 1.0]])
     V = np.array([[0.0, 2.0], [1.0, 0.0]])
-    assert gram_entry(TripletCache(U, V), 0, 1) == 1.0 + 0.0 - 4.0 - 1.0
+    assert gram_entry(U, V, 0, 1) == 1.0 + 0.0 - 4.0 - 1.0
 
 
 def test_gram_three_routes_agree():
@@ -37,74 +49,103 @@ def test_gram_three_routes_agree():
     for _ in range(20):
         p = int(rng.integers(2, 12))
         n = int(rng.integers(2, 15))
-        cache = random_cache(rng, p, n)
-        dense = dense_gram(cache)
-        trace = dense_trace_gram(cache.U, cache.V)
+        U, V = random_columns(rng, p, n)
+        dense = dense_gram(U, V)
+        trace = dense_trace_gram(U, V)
         scale = np.abs(trace).max() + 1.0
         assert np.allclose(dense, trace, atol=1e-9 * scale)
         for a in range(n):
             for b in range(n):
-                e = gram_entry(cache, a, b)
+                e = gram_entry(U, V, a, b)
                 assert abs(e - trace[a, b]) <= 1e-9 * scale
-                assert abs(gram_oracle(cache, a, b) - e) <= 1e-9 * scale
+                assert abs(gram_oracle(U, V, a, b) - e) <= 1e-9 * scale
 
 
 def test_gram_diag_matches_entries():
     rng = np.random.default_rng(1)
-    cache = random_cache(rng, 6, 20)
-    diag = gram_diag(cache)
+    U, V = random_columns(rng, 6, 20)
+    diag = gram_diag(U, V)
     for t in range(20):
-        assert np.isclose(diag[t], gram_entry(cache, t, t), rtol=1e-12)
+        assert np.isclose(diag[t], gram_entry(U, V, t, t), rtol=1e-12)
 
 
 def test_gram_is_positive_semidefinite():
     rng = np.random.default_rng(2)
-    eigs = np.linalg.eigvalsh(dense_gram(random_cache(rng, 5, 25)))
+    eigs = np.linalg.eigvalsh(dense_gram(*random_columns(rng, 5, 25)))
     assert eigs.min() > -1e-9 * max(eigs.max(), 1.0)
 
 
 def test_kron_oracle_dimension_guard():
     rng = np.random.default_rng(3)
-    cache = random_cache(rng, KRON_DIM_LIMIT + 1, 3)
+    U, V = random_columns(rng, KRON_DIM_LIMIT + 1, 3)
     with pytest.raises(ValueError, match="Kronecker oracle"):
-        gram_oracle(cache, 0, 1)
+        gram_oracle(U, V, 0, 1)
 
 
 def test_dense_gram_size_guard():
     rng = np.random.default_rng(4)
-    cache = random_cache(rng, 3, 10)
+    U, V = random_columns(rng, 3, 10)
     with pytest.raises(ValueError, match="dense Gram"):
-        dense_gram(cache, limit=5)
+        dense_gram(U, V, limit=5)
     assert DENSE_LIMIT == 4000
 
 
 def test_accumulator_matches_naive():
     rng = np.random.default_rng(5)
-    cache = random_cache(rng, 7, 30)
+    cache = random_cache(rng, 7, 12, 30)
     alpha = -rng.random(30)
-    S = accumulator(cache, alpha)
-    S_naive = naive_accumulator(cache.U, cache.V, alpha)
-    assert np.allclose(S, S_naive, atol=1e-12 * np.abs(S_naive).max())
-    assert np.array_equal(S, S.T)
+    assert_accumulator_matches_naive(cache, alpha)
     with pytest.raises(ValueError):
         accumulator(cache, alpha[:-1])
+
+
+def test_accumulator_index_form_edge_cases():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(5, 6))
+    cases = {
+        "repeated anchors": [[0, 1, 2], [0, 3, 4], [0, 1, 5], [2, 3, 1]],
+        "duplicate triplets": [[1, 2, 3], [1, 2, 3], [1, 2, 3], [4, 0, 5]],
+        "anchor is another's j or k": [[0, 1, 2], [1, 2, 0], [2, 0, 1], [3, 0, 1]],
+        "single triplet": [[3, 4, 5]],
+    }
+    for name, rows in cases.items():
+        cache = TripletCache(X, np.array(rows))
+        assert_accumulator_matches_naive(cache, -rng.random(cache.n))
+    with pytest.raises(ValueError, match="empty triplet cache"):
+        accumulator(TripletCache(X, np.empty((0, 3), dtype=np.int64)), np.zeros(0))
+
+
+def test_accumulator_anchor_runs_across_chunks(monkeypatch):
+    # with 3-column chunks, most anchors' runs of triplets span a chunk boundary
+    rng = np.random.default_rng(10)
+    cache = random_cache(rng, 4, 5, 40)
+    alpha = -rng.random(40)
+    monkeypatch.setattr(gram, "CHUNK", 3)
+    assert_accumulator_matches_naive(cache, alpha)
+
+
+def test_accumulator_on_sampled_data():
+    data = gaussian_blobs(9, 50, 3, seed=11, noise=0.3)
+    cache = build_cache(data, sample_active_triplets(data, 300, seed=11))
+    alpha = -np.random.default_rng(11).random(cache.n)
+    alpha[::3] = 0.0  # inactive coordinates as the solver leaves them
+    assert_accumulator_matches_naive(cache, alpha)
 
 
 def test_gram_vector_product_matches_dense():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        cache = random_cache(rng, 5, 25)
+        cache = random_cache(rng, 5, 15, 25)
         alpha = -rng.random(25)
         fast = gram_vector_product(cache, alpha)
-        dense = dense_gram(cache) @ alpha
+        dense = dense_gram(*differences(cache)) @ alpha
         assert np.allclose(fast, dense, atol=1e-10 * np.abs(dense).max())
 
 
 def test_kappa_closed_form_hand_example():
     # |u| = (sqrt 3, 2) -> p = (3, 4), |p| = 5; q = (0, 0) -> kappa = |p|^2 = 25
     U = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 0.0]])
-    cache = TripletCache(U, np.zeros((3, 2)))
-    stats = kappa(cache)
+    stats = kappa(U, np.zeros((3, 2)))
     assert stats.kappa == 25.0
     assert stats.norms == (25.0, 0.0, 0.0, 0.0)
 
@@ -112,10 +153,10 @@ def test_kappa_closed_form_hand_example():
 def test_kappa_matches_spectral_norm_oracle():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        cache = random_cache(rng, 4, 15)
-        stats = kappa(cache)
-        p = np.einsum("pt,pt->t", cache.U, cache.U)
-        q = np.einsum("pt,pt->t", cache.V, cache.V)
+        U, V = random_columns(rng, 4, 15)
+        stats = kappa(U, V)
+        p = np.einsum("pt,pt->t", U, U)
+        q = np.einsum("pt,pt->t", V, V)
         dense_norms = [
             spectral_norm(np.outer(p, p)),
             spectral_norm(np.outer(q, q)),
@@ -129,6 +170,7 @@ def test_kappa_matches_spectral_norm_oracle():
 def test_dense_gram_on_sampled_data():
     data = gaussian_blobs(10, 40, 2, seed=8, noise=0.3)
     cache = build_cache(data, sample_active_triplets(data, 60, seed=8))
-    dense = dense_gram(cache)
-    trace = dense_trace_gram(cache.U, cache.V)
+    U, V = differences(cache)
+    dense = dense_gram(U, V)
+    trace = dense_trace_gram(U, V)
     assert np.allclose(dense, trace, atol=1e-9 * (np.abs(trace).max() + 1.0))

@@ -17,7 +17,7 @@ from durp.harness import (
     verify_theorem2,
 )
 from durp.synth import gaussian_blobs
-from durp.triplets import build_cache, sample_active_triplets
+from durp.triplets import build_cache, differences, sample_active_triplets
 
 from oracles import kappa_power_check
 
@@ -121,8 +121,9 @@ def test_theorem2_csv_shape():
 def test_kappa_power_check_matches_closed_form():
     data = gaussian_blobs(10, 40, 3, seed=2)
     cache = build_cache(data, sample_active_triplets(data, 25, seed=2))
-    closed = kappa(cache).norms
-    powered = kappa_power_check(cache)
+    U, V = differences(cache)
+    closed = kappa(U, V).norms
+    powered = kappa_power_check(U, V)
     assert len(powered) == 4
     for a, b in zip(closed, powered):
         assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)

@@ -17,9 +17,9 @@ from durp.metric import (
 )
 from durp.projection import gaussian_matrix
 from durp.synth import gaussian_blobs
-from durp.triplets import TripletCache, build_cache, sample_active_triplets
+from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 
-from oracles import naive_recover, naive_sq_distance
+from oracles import naive_recover, naive_sq_distance, three_block_sq_distances
 
 
 def sample_cache(seed, d=6, n=30):
@@ -44,7 +44,7 @@ def test_recover_metric_matches_naive():
     alpha = -rng.random(cache.n)
     lam = 1.0 / cache.n
     M = recover_metric(alpha, cache, lam)
-    ref = naive_recover(alpha, cache.U, cache.V, lam)
+    ref = naive_recover(alpha, *differences(cache), lam)
     assert np.allclose(M, ref, atol=1e-11 * (np.abs(ref).max() + 1.0))
     assert np.array_equal(M, M.T)
 
@@ -53,7 +53,7 @@ def test_recover_metric_validation():
     cache = sample_cache(1)
     with pytest.raises(ValueError, match="one entry per triplet"):
         recover_metric(np.zeros(cache.n + 1), cache, 0.1)
-    empty = TripletCache(np.zeros((3, 0)), np.zeros((3, 0)))
+    empty = TripletCache(np.zeros((3, 4)), np.empty((0, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="empty triplet cache"):
         recover_metric(np.zeros(0), empty, 0.1)
 
@@ -114,6 +114,16 @@ def test_metric_distance_and_pairwise():
     D_self = pairwise_sq_distances(M, X)
     assert D_self.shape == (7, 7)
     assert np.abs(np.diag(D_self)).max() < 1e-9
+
+
+def test_pairwise_distances_bytes_match_three_block_expression():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(16, 16))
+    M = A @ A.T
+    X = rng.normal(size=(16, 90))
+    Y = rng.normal(size=(16, 40))
+    for args in ((M, X, Y), (M, X)):
+        assert pairwise_sq_distances(*args).tobytes() == three_block_sq_distances(*args).tobytes()
 
 
 def test_metric_file_round_trip(tmp_path):

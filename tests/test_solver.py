@@ -17,7 +17,7 @@ from durp.solver import (
     trace_csv,
 )
 from durp.synth import gaussian_blobs
-from durp.triplets import build_cache, sample_active_triplets
+from durp.triplets import build_cache, differences, sample_active_triplets
 
 from oracles import dual_objective_from_alpha, naive_primal, naive_recover, primal_sgd_epoch
 
@@ -116,8 +116,9 @@ def test_primal_objective_matches_naive():
     rng = np.random.default_rng(1)
     M = rng.normal(size=(cache.space_dim, cache.space_dim))
     M = 0.5 * (M + M.T)
-    mine = primal_objective(cache, M, loss, lam)
-    ref = naive_primal(M, cache.U, cache.V, lambda z: float(loss.value(z)), lam)
+    U, V = differences(cache)
+    mine = primal_objective(U, V, M, loss, lam)
+    ref = naive_primal(M, U, V, lambda z: float(loss.value(z)), lam)
     assert abs(mine - ref) < 1e-10 * (abs(ref) + 1.0)
 
 
@@ -125,7 +126,7 @@ def test_sdca_update_is_exact_coordinate_maximizer():
     rng = np.random.default_rng(2)
     for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=0.5)):
         cache, lam = solver_instance(3, loss.kind)
-        G = dense_gram(cache)
+        G = dense_gram(*differences(cache))
         n = cache.n
         state = init_state(cache, lam)
         state.alpha = -rng.random(n)
@@ -250,8 +251,9 @@ def test_duality_gap_definition():
     state = init_state(cache, lam)
     sgd_epoch(state, loss, list(np.random.default_rng(3).permutation(cache.n)))
     gap = duality_gap(state, loss)
-    M = naive_recover(state.alpha, cache.U, cache.V, lam)
-    expected = primal_objective(cache, M, loss, lam) - dual_objective(state, loss) / cache.n
+    U, V = differences(cache)
+    M = naive_recover(state.alpha, U, V, lam)
+    expected = primal_objective(U, V, M, loss, lam) - dual_objective(state, loss) / cache.n
     assert abs(gap - expected) < 1e-10 * (abs(expected) + 1.0)
     assert gap >= 0.0
 

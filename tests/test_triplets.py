@@ -1,16 +1,17 @@
-"""Active-triplet sampling and the difference-vector cache."""
+"""Active-triplet sampling, the index-form cache, and the gathered differences."""
 
 import numpy as np
 import pytest
 
 from durp.data import LabeledDataset
-from durp.gram import gram_diag
+from durp.gram import accumulator, gram_diag
 from durp.projection import gaussian_matrix, identity_matrix
 from durp.synth import gaussian_blobs
 from durp.triplets import (
     TripletCache,
     TripletSet,
     build_cache,
+    differences,
     load_triplets,
     project_cache,
     sample_active_triplets,
@@ -84,17 +85,24 @@ def test_cache_matches_naive_differences():
     ts = sample_active_triplets(data, 80, seed=1)
     cache = build_cache(data, ts)
     assert cache.space_dim == 7 and cache.n == 80
+    assert cache.points is data.points  # wrapped, not copied
+    assert np.array_equal(cache.triplets, ts.triplets)
+    U, V = differences(cache)
     for t in range(0, 80, 7):
         i, j, k = ts.triplets[t]
         u = data.points[:, i] - data.points[:, k]
         v = data.points[:, i] - data.points[:, j]
-        assert np.array_equal(cache.U[:, t], u)
-        assert np.array_equal(cache.V[:, t], v)
+        assert np.array_equal(U[:, t], u)
+        assert np.array_equal(V[:, t], v)
 
 
 def test_cache_validation():
-    with pytest.raises(ValueError, match="matching shapes"):
-        TripletCache(np.zeros((3, 4)), np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="2-d"):
+        TripletCache(np.zeros(4), np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="index array"):
+        TripletCache(np.zeros((3, 4)), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="out of range"):
+        TripletCache(np.zeros((3, 4)), np.array([[0, 1, -1]]))
     data = gaussian_blobs(4, 20, 2, seed=0)
     with pytest.raises(ValueError, match="out of range"):
         build_cache(data, TripletSet(np.array([[0, 1, 99]])))
@@ -104,9 +112,14 @@ def test_cache_arrays_are_c_contiguous():
     data = gaussian_blobs(6, 30, 2, seed=2)
     ts = sample_active_triplets(data, 40, seed=2)
     cache = build_cache(data, ts)
-    assert cache.U.flags["C_CONTIGUOUS"] and cache.V.flags["C_CONTIGUOUS"]
     projected = project_cache(cache, gaussian_matrix(6, 3, seed=0))
-    assert projected.U.flags["C_CONTIGUOUS"] and projected.V.flags["C_CONTIGUOUS"]
+    for U, V in (differences(cache), differences(projected)):
+        assert U.flags["C_CONTIGUOUS"] and V.flags["C_CONTIGUOUS"]
+
+
+def test_anchor_order_sorts_anchors_stably():
+    cache = TripletCache(np.zeros((2, 5)), np.array([[3, 0, 1], [1, 0, 2], [3, 4, 2], [0, 1, 2]]))
+    assert cache.anchor_order.tolist() == [3, 1, 0, 2]
 
 
 def test_project_cache_applies_projection():
@@ -116,8 +129,10 @@ def test_project_cache_applies_projection():
     proj = gaussian_matrix(8, 4, seed=1)
     projected = project_cache(cache, proj)
     assert projected.space_dim == 4 and projected.n == 40
-    assert np.allclose(projected.U, proj.entries.T @ cache.U)
-    assert np.allclose(projected.V, proj.entries.T @ cache.V)
+    assert np.allclose(projected.points, proj.entries.T @ data.points)
+    assert np.array_equal(projected.triplets, cache.triplets)
+    for sketch, full in zip(differences(projected), differences(cache)):
+        assert np.allclose(sketch, proj.entries.T @ full)
     with pytest.raises(ValueError):
         project_cache(cache, gaussian_matrix(9, 4, seed=1))
 
@@ -127,9 +142,12 @@ def test_identity_projection_preserves_cache_bits():
     ts = sample_active_triplets(data, 40, seed=4)
     cache = build_cache(data, ts)
     projected = project_cache(cache, identity_matrix(6))
-    assert np.array_equal(projected.U, cache.U)
-    assert np.array_equal(projected.V, cache.V)
-    assert np.array_equal(gram_diag(projected), gram_diag(cache))
+    assert np.array_equal(projected.points, cache.points)
+    for sketch, full in zip(differences(projected), differences(cache)):
+        assert np.array_equal(sketch, full)
+    assert np.array_equal(gram_diag(*differences(projected)), gram_diag(*differences(cache)))
+    alpha = -np.random.default_rng(4).random(cache.n)
+    assert np.array_equal(accumulator(projected, alpha), accumulator(cache, alpha))
 
 
 def test_triplets_csv_round_trip(tmp_path):
