@@ -5,6 +5,10 @@ metric distance.  A retrieved point is relevant when it shares the query's
 class.  Queries with no relevant candidates are dropped from the average.
 Ties are deterministic: equal distances keep index order (stable sort),
 k-NN vote ties go to the smallest class id.
+
+Distances arrive in query blocks from :func:`durp.metric.sq_distance_blocks`,
+and each block is scored with whole-block array operations, so memory is
+bounded by a few blocks whatever the number of queries.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import pairwise_sq_distances
+from .metric import sq_distance_blocks
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,19 @@ class EvalReport:
         )
 
 
+def _stable_argsort(dist):
+    """Row-wise ``argsort(kind="stable")``, through the faster unstable sort.
+
+    A row whose sorted values strictly increase has one ascending order, so
+    only rows with equal (or NaN) neighbours are sorted again, stably.
+    """
+    order = np.argsort(dist, axis=1)
+    ranked = np.take_along_axis(dist, order, axis=1)
+    for r in np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)):
+        order[r] = np.argsort(dist[r], kind="stable")
+    return order
+
+
 def ranking_map(M, test):
     """Mean average precision plus query bookkeeping.
 
@@ -50,21 +67,26 @@ def ranking_map(M, test):
     """
     if test.n < 2:
         raise ValueError("retrieval evaluation needs at least two test points")
-    dist = pairwise_sq_distances(M, test.points)
     labels = test.labels
     ap_values = []
     excluded = 0
-    for i in range(test.n):
-        other_labels = np.delete(labels, i)
-        relevant = other_labels == labels[i]
-        if not relevant.any():
-            excluded += 1
-            continue
-        order = np.argsort(np.delete(dist[i], i), kind="stable")
-        hits = relevant[order]
-        ranks = np.flatnonzero(hits) + 1
-        precisions = np.arange(1, ranks.size + 1) / ranks
-        ap_values.append(sum(precisions.tolist()) / precisions.size)
+    for rows, dist in sq_distance_blocks(M, test.points):
+        queries = np.arange(test.n)[rows]
+        order = _stable_argsort(dist)
+        # dropping the query from its sorted row gives the stable order of the
+        # row without the query
+        order = order[order != queries[:, None]].reshape(queries.size, test.n - 1)
+        hits = labels[order] == labels[queries, None]
+        found = np.cumsum(hits, axis=1)
+        _, rank = np.nonzero(hits)
+        precisions = (found[hits] / (rank + 1)).tolist()
+        start = 0
+        for count in found[:, -1].tolist():
+            if count == 0:
+                excluded += 1
+                continue
+            ap_values.append(sum(precisions[start:start + count]) / count)
+            start += count
     if not ap_values:
         raise ValueError("no query had a same-class candidate")
     # builtin sum at both levels, as in the naive oracle, so the two agree bit
@@ -83,14 +105,20 @@ def knn_accuracy(M, train, test, k):
         raise ValueError(f"k must be in [1, {train.n}]")
     if train.d != test.d:
         raise ValueError("train and test dimensions differ")
-    dist = pairwise_sq_distances(M, test.points, train.points)
     n_classes = int(train.labels.max()) + 1
     correct = 0
-    for i in range(test.n):
-        nearest = np.argsort(dist[i], kind="stable")[:k]
-        votes = np.bincount(train.labels[nearest], minlength=n_classes)
-        if votes.argmax() == test.labels[i]:
-            correct += 1
+    for rows, dist in sq_distance_blocks(M, test.points, train.points):
+        nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(dist, nearest[:, k - 1:], axis=1)
+        # the k smallest are one set unless ties straddle the k-th distance
+        # (or it is NaN); there the first k of a stable sort decide
+        for r in np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) != k):
+            nearest[r] = np.argsort(dist[r], kind="stable")[:k]
+        offsets = np.arange(nearest.shape[0])[:, None] * n_classes
+        votes = np.bincount((offsets + train.labels[nearest]).ravel(),
+                            minlength=nearest.shape[0] * n_classes)
+        predicted = votes.reshape(-1, n_classes).argmax(axis=1)
+        correct += int(np.count_nonzero(predicted == test.labels[rows]))
     return correct / test.n
 
 

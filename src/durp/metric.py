@@ -1,4 +1,4 @@
-"""Metric recovery, PSD projection, pairwise distances, and on-disk formats.
+"""Metric recovery, PSD projection, blocked pairwise distances, and on-disk formats.
 
 Recovery rebuilds the full-dimension metric from dual variables, the
 triplet indices and the *original* points, so only one PSD projection is
@@ -14,6 +14,7 @@ import numpy as np
 from .gram import accumulator
 
 SYMMETRY_TOL = 1e-8
+BLOCK_BYTES = 2 << 20  # cap on one block of squared distances; 2-4 MiB ran fastest of 0.5-8 MiB
 
 
 def symmetrize(M):
@@ -57,21 +58,31 @@ def psd_project(M):
     return symmetrize((eigvecs * clipped) @ eigvecs.T)
 
 
-def pairwise_sq_distances(M, X, Y=None):
-    """All squared metric distances between columns of X and Y (Y defaults to X).
+def sq_distance_blocks(M, X, Y=None):
+    """Squared metric distances from the columns of X to those of Y, in row blocks.
 
-    Assumes M symmetric, as everything in this module produces.
+    Yields ``(rows, D)`` where ``rows`` is a slice of X's columns and
+    ``D[r, t]`` is the distance from column ``rows.start + r`` of X to
+    column t of Y (Y defaults to X).  A block holds at most
+    ``BLOCK_BYTES`` (at least one row), so memory stays bounded however many
+    columns X has.  Assumes M symmetric, as everything in this module
+    produces.
     """
+    if not np.isfinite(M).all():
+        raise ValueError("metric has non-finite entries")
     if Y is None:
         Y = X
     MY = M @ Y
-    K = X.T @ MY
-    x_q = np.einsum("pt,pt->t", X, M @ X)
-    y_q = x_q if Y is X else np.einsum("pt,pt->t", Y, MY)
-    # x + y - 2K in two blocks of the output's size instead of three
-    D = x_q[:, None] + y_q[None, :]
-    K *= 2.0
-    return np.subtract(D, K, out=D)
+    y_q = np.einsum("pt,pt->t", Y, MY)
+    x_q = y_q if Y is X else np.einsum("pt,pt->t", X, M @ X)
+    step = max(1, BLOCK_BYTES // (8 * Y.shape[1]))
+    for start in range(0, X.shape[1], step):
+        rows = slice(start, start + step)
+        K = X[:, rows].T @ MY
+        # x + y - 2K in two blocks of the output's size instead of three
+        D = x_q[rows, None] + y_q[None, :]
+        K *= 2.0
+        yield rows, np.subtract(D, K, out=D)
 
 
 def save_metric(path, M):

@@ -10,6 +10,8 @@ iteration, the primal form of the subgradient seed epoch) live here too.
 
 import numpy as np
 
+from durp import metric
+from durp.data import LabeledDataset
 from durp.gram import accumulator
 from durp.triplets import differences
 
@@ -133,6 +135,41 @@ def naive_knn(M, train_points, train_labels, test_points, test_labels, k):
         if predicted == int(test_labels[q]):
             correct += 1
     return correct / n_test
+
+
+DEFAULT_BLOCK_BYTES = metric.BLOCK_BYTES
+
+
+def cap_block_rows(monkeypatch, rows, n_cols):
+    """Make each distance block ``rows`` query rows of ``n_cols`` columns (None: the default cap)."""
+    cap = DEFAULT_BLOCK_BYTES if rows is None else 8 * rows * n_cols
+    monkeypatch.setattr(metric, "BLOCK_BYTES", cap)
+
+
+def with_copies(data, seed, copies=3):
+    """``data`` plus copies of a few of its points and one point of a class of its own.
+
+    The copies keep their labels and sit at higher indices than their
+    originals, so a stable order must keep them behind.
+    """
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(data.n, size=copies, replace=False)
+    points = np.hstack([data.points, data.points[:, picked], rng.normal(size=(data.d, 1))])
+    labels = np.concatenate([data.labels, data.labels[picked], [data.labels.max() + 1]])
+    return LabeledDataset(points, labels)
+
+
+def lattice_problem(d, n, n_classes, seed):
+    """Small-integer points with random labels, and an integer PSD metric.
+
+    Every squared distance is a small integer that any summation order
+    computes exactly, so exact ties between different classes are common
+    and every route sees the same ties.  Returns (M, data).
+    """
+    rng = np.random.default_rng(seed)
+    B = rng.integers(-1, 2, size=(d, d)).astype(np.float64)
+    points = rng.integers(-2, 3, size=(d, n)).astype(np.float64)
+    return B @ B.T, LabeledDataset(points, rng.integers(0, n_classes, size=n))
 
 
 def primal_sgd_epoch(cache, loss, lam, order):

@@ -30,7 +30,7 @@ from durp.synth import gaussian_blobs, isotropic_cloud
 from durp.triplets import build_cache, differences, sample_active_triplets
 
 from oracles import dense_trace_gram, gram_entry, gram_oracle, kappa_power_check
-from oracles import naive_knn, naive_map
+from oracles import cap_block_rows, lattice_problem, naive_knn, naive_map, with_copies
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -202,16 +202,24 @@ def test_criterion_7_psd_projection_properties():
     _report(7, 10.0, started, "idempotent, nonexpansive, Frobenius-optimal on 100 draws")
 
 
-def test_criterion_8_evaluation_matches_naive():
+def test_criterion_8_evaluation_matches_naive(monkeypatch):
     started = time.perf_counter()
-    for i in range(50):
+    for i in range(60):
         rng = np.random.default_rng(i)
         d = 3 + i % 6
         classes = 2 + i % 4
         n = 20 + (i * 7) % 181  # 20..200
-        data = gaussian_blobs(d, n, classes, seed=i)
-        B = rng.normal(size=(d, d))
-        M = B @ B.T
+        if i < 50:
+            data = gaussian_blobs(d, n, classes, seed=i)
+            B = rng.normal(size=(d, d))
+            M = B @ B.T
+            if i % 5 == 4:  # copies of some points and a one-point class
+                data = with_copies(data, seed=i)
+        else:  # exact distance ties between classes
+            M, data = lattice_problem(d, n, classes, seed=i)
+        # two instances in three split their queries into blocks of 1 or 3 rows
+        rows = (None, 1, 3)[i % 3]
+        cap_block_rows(monkeypatch, rows, data.n)
         score, included, excluded = ranking_map(M, data)
         ref = naive_map(M, data.points, data.labels)
         assert (score, included, excluded) == ref
@@ -219,7 +227,8 @@ def test_criterion_8_evaluation_matches_naive():
         train = LabeledDataset(data.points[:, :cut], data.labels[:cut])
         test = LabeledDataset(data.points[:, cut:], data.labels[cut:])
         k = 1 + i % 5
+        cap_block_rows(monkeypatch, rows, train.n)
         acc = knn_accuracy(M, train, test, k)
         assert acc == naive_knn(M, train.points, train.labels,
                                 test.points, test.labels, k)
-    _report(8, 30.0, started, "mAP and k-NN equal the naive references on 50 instances")
+    _report(8, 30.0, started, "mAP and k-NN equal the naive references on 60 instances")

@@ -240,12 +240,19 @@ def test_bad_seed_list_exits_1(capsys):
 def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
     train_path, test_path = datasets
     metric_path = tmp_path / "metric.bin"
-    save_metric(metric_path, np.eye(4))  # the data have 6 features
-    code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
-                 "--test-file", test_path])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "metric is 4 x 4" in err and "6 features" in err
+    not_finite = np.eye(6)
+    not_finite[0, 0] = np.nan
+    cases = (
+        (np.eye(4), ("metric is 4 x 4", "6 features")),  # the data have 6 features
+        (not_finite, ("metric has non-finite entries",)),
+    )
+    for metric, messages in cases:
+        save_metric(metric_path, metric)
+        code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
+                     "--test-file", test_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(message in err for message in messages)
 
 
 SAMPLE_VALUES = {int: "3", float: "0.25", None: "x.svm"}

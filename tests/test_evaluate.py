@@ -1,6 +1,7 @@
 """Retrieval and k-NN scoring against loop-based references."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from durp.data import LabeledDataset
 from durp.evaluate import evaluate_metric, knn_accuracy, ranking_map
 from durp.synth import gaussian_blobs
 
-from oracles import naive_knn, naive_map
+from oracles import cap_block_rows, lattice_problem, naive_knn, naive_map, with_copies
+
+BLOCK_ROWS = (None, 1, 3)  # None: the default cap; 1 and 3 rows split every query set
 
 
 def random_metric(rng, d):
@@ -17,16 +20,26 @@ def random_metric(rng, d):
     return A @ A.T
 
 
-def test_ranking_map_matches_naive():
+def map_cases():
+    """(M, data, excluded): blobs, blobs with copies and a singleton class, lattices."""
     for seed in range(8):
         rng = np.random.default_rng(seed)
         data = gaussian_blobs(5, 30, 3, seed=seed)
         M = random_metric(rng, 5)
-        score, included, excluded = ranking_map(M, data)
+        yield M, data, 0
+        yield M, with_copies(data, seed=seed), 1
+        M, data = lattice_problem(4, 40, 3, seed=seed)
+        yield M, data, None
+
+
+def test_ranking_map_matches_naive(monkeypatch):
+    for M, data, expected_excluded in map_cases():
         ref_score, ref_inc, ref_exc = naive_map(M, data.points, data.labels)
-        assert score == ref_score
-        assert (included, excluded) == (ref_inc, ref_exc)
-        assert excluded == 0
+        if expected_excluded is not None:
+            assert ref_exc == expected_excluded
+        for rows in BLOCK_ROWS:
+            cap_block_rows(monkeypatch, rows, data.n)
+            assert ranking_map(M, data) == (ref_score, ref_inc, ref_exc)
 
 
 def test_ranking_map_excludes_singleton_classes():
@@ -52,16 +65,27 @@ def test_ranking_map_validation():
         ranking_map(np.eye(2), singletons)
 
 
-def test_knn_matches_naive():
+def knn_cases():
+    """(M, train, test): blobs, then blobs with copies and a singleton class, lattices."""
     for seed in range(8):
         rng = np.random.default_rng(seed)
         train = gaussian_blobs(4, 40, 3, seed=seed)
         test = gaussian_blobs(4, 15, 3, seed=seed + 100)
         M = random_metric(rng, 4)
+        yield M, train, test
+        yield M, with_copies(train, seed=seed), with_copies(test, seed=seed + 100)
+        M, data = lattice_problem(3, 60, 3, seed=seed)
+        yield M, LabeledDataset(data.points[:, :45], data.labels[:45]), \
+            LabeledDataset(data.points[:, 45:], data.labels[45:])
+
+
+def test_knn_matches_naive(monkeypatch):
+    for M, train, test in knn_cases():
         for k in (1, 3, 5):
-            acc = knn_accuracy(M, train, test, k)
             ref = naive_knn(M, train.points, train.labels, test.points, test.labels, k)
-            assert acc == ref
+            for rows in BLOCK_ROWS:
+                cap_block_rows(monkeypatch, rows, train.n)
+                assert knn_accuracy(M, train, test, k) == ref
 
 
 def test_knn_distance_tie_prefers_smaller_train_index():
@@ -105,3 +129,32 @@ def test_eval_report_round_trip():
     assert back == {"map": report.map_score, "knn_accuracy": report.knn_accuracy, "k": 3,
                     "n_queries": report.n_queries, "excluded_queries": report.excluded_queries}
     assert report.n_queries + report.excluded_queries == test.n
+
+
+def test_evaluate_rejects_non_finite_metric():
+    train = gaussian_blobs(4, 30, 3, seed=3)
+    test = gaussian_blobs(4, 12, 3, seed=4)
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.eye(4)
+        M[0, 0] = bad
+        with pytest.raises(ValueError, match="metric has non-finite entries"):
+            evaluate_metric(M, train, test, k=3)
+        with pytest.raises(ValueError, match="metric has non-finite entries"):
+            knn_accuracy(M, train, test, 3)
+
+
+def test_evaluation_memory_stays_below_half_a_distance_matrix():
+    # one full test x train float64 block is 61 MiB at this shape
+    d, n_train, n_test = 32, 8000, 1000
+    rng = np.random.default_rng(0)
+    train = LabeledDataset(rng.normal(size=(d, n_train)), np.arange(n_train) % 10)
+    test = LabeledDataset(rng.normal(size=(d, n_test)), np.arange(n_test) % 10)
+    M = random_metric(rng, d)
+    tracemalloc.start()
+    try:
+        report = evaluate_metric(M, train, test, k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_queries == n_test
+    assert peak < n_test * n_train * 8 / 2, f"peak {peak / 2**20:.1f} MiB"

@@ -7,19 +7,19 @@ from durp.metric import (
     assemble_subspace_metric,
     load_metric,
     load_metric_eigen,
-    pairwise_sq_distances,
     psd_project,
     recover_metric,
     require_symmetric,
     save_metric,
     save_metric_eigen,
+    sq_distance_blocks,
     symmetrize,
 )
 from durp.projection import gaussian_matrix
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 
-from oracles import naive_recover, naive_sq_distance, three_block_sq_distances
+from oracles import cap_block_rows, naive_recover, naive_sq_distance, three_block_sq_distances
 
 
 def sample_cache(seed, d=6, n=30):
@@ -98,22 +98,31 @@ def test_psd_project_properties_random():
             assert dist <= np.linalg.norm(A - cand) + 1e-10
 
 
-def test_metric_distance_and_pairwise():
+def assembled(M, X, Y=None):
+    blocks = list(sq_distance_blocks(M, X, Y))
+    assert [rows.start for rows, _ in blocks] == list(range(0, X.shape[1], blocks[0][1].shape[0]))
+    return np.vstack([D for _, D in blocks]), len(blocks)
+
+
+def test_metric_distance_and_pairwise(monkeypatch):
     rng = np.random.default_rng(4)
     M = rng.normal(size=(5, 5))
     M = M @ M.T  # PSD so distances are nonnegative
     X = rng.normal(size=(5, 7))
     Y = rng.normal(size=(5, 4))
-    D = pairwise_sq_distances(M, X, Y)
-    assert D.shape == (7, 4)
-    for i in range(7):
-        for j in range(4):
-            ref = naive_sq_distance(M, X[:, i], Y[:, j])
-            assert abs(D[i, j] - ref) < 1e-9 * (abs(ref) + 1.0)
-    # one-argument form: self-distances vanish
-    D_self = pairwise_sq_distances(M, X)
-    assert D_self.shape == (7, 7)
-    assert np.abs(np.diag(D_self)).max() < 1e-9
+    for rows in (None, 1, 3):
+        cap_block_rows(monkeypatch, rows, 4)
+        D, _ = assembled(M, X, Y)
+        assert D.shape == (7, 4)
+        for i in range(7):
+            for j in range(4):
+                ref = naive_sq_distance(M, X[:, i], Y[:, j])
+                assert abs(D[i, j] - ref) < 1e-9 * (abs(ref) + 1.0)
+        # one-argument form: self-distances vanish
+        cap_block_rows(monkeypatch, rows, 7)
+        D_self, _ = assembled(M, X)
+        assert D_self.shape == (7, 7)
+        assert np.abs(np.diag(D_self)).max() < 1e-9
 
 
 def test_pairwise_distances_bytes_match_three_block_expression():
@@ -123,7 +132,9 @@ def test_pairwise_distances_bytes_match_three_block_expression():
     X = rng.normal(size=(16, 90))
     Y = rng.normal(size=(16, 40))
     for args in ((M, X, Y), (M, X)):
-        assert pairwise_sq_distances(*args).tobytes() == three_block_sq_distances(*args).tobytes()
+        D, n_blocks = assembled(*args)
+        assert n_blocks == 1  # the default cap holds this shape whole
+        assert D.tobytes() == three_block_sq_distances(*args).tobytes()
 
 
 def test_metric_file_round_trip(tmp_path):
