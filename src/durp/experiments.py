@@ -128,7 +128,9 @@ def run_method(config, train=None, test=None, projection_override=None):
     a test file loaded after a training file shares its class ids.
     Returns a JSON-ready dict; per-trial metrics are kept on the side in
     the ``trials`` entries only as scores, each with the duality gap and
-    epoch count its solve reached (matrices are not serialized).
+    epoch count its solve reached, the largest accumulator drift of its
+    epochs, and how many dual variables sit at -1, inside the box and at 0
+    (matrices are not serialized).
     """
     label_map = None
     if train is None:
@@ -171,6 +173,10 @@ def run_method(config, train=None, test=None, projection_override=None):
                 "excluded_queries": r.report.excluded_queries,
                 "final_gap": float(r.solver_trace[-1][2]),
                 "epochs": int(r.solver_trace[-1][0]),
+                "max_drift": max(row[4] for row in r.solver_trace),
+                "alpha_at_lower": int(np.count_nonzero(r.alpha == -1.0)),
+                "alpha_interior": int(np.count_nonzero((r.alpha > -1.0) & (r.alpha < 0.0))),
+                "alpha_at_zero": int(np.count_nonzero(r.alpha == 0.0)),
                 "seconds": r.seconds,
             }
             for r in results

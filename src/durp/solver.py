@@ -9,17 +9,25 @@ Dual (reported in the N-scaled form, variables boxed to [-1, 0]):
     D(alpha) = -sum_t conj(alpha_t) - (1/(2 lam N)) alpha^T G alpha
 
 linked by M(alpha) = -S / (lam N) with S = sum_t alpha_t A_t.  The solver
-keeps S (p x p) instead of G: one coordinate step costs O(p^2), and
-alpha^T G alpha = ||S||_F^2.
+keeps S (p x p) instead of G, and alpha^T G alpha = ||S||_F^2.
 
-Both phases run on one state (alpha, S) and one kernel: read the margin
-<A_t, S> = u^T S u - v^T S v, set alpha_t, add the change times A_t to S.
+Both phases run on one state (alpha, S) and one block sweep.  A step at
+coordinate t reads the margin <A_t, S> = u^T S u - v^T S v and sets
+alpha_t.  The sweep walks the epoch's order in blocks of ``BLOCK``
+coordinates: it reads the block's margins from S at once, takes the steps
+in order, and after each nonzero change delta_q adds delta_q G[q, q'] to
+the margins of the block's later coordinates q'.  S then takes the whole
+block as U_B diag(delta) U_B^T - V_B diag(delta) V_B^T, two GEMMs.  Every
+step sees the margin a one-at-a-time visit would see, so the iterates are
+those of sequential coordinate ascent up to rounding (the maintained-``w``
+trick of Hsieh et al., ICML 2008), not those of mini-batch ascent.
+
 The first epoch is stochastic subgradient with step 1/(lam s) written in
 dual variables (Shalev-Shwartz & Zhang, JMLR 2013): after s visits its
 iterate is -S/(lam s), so visit s sets alpha_t = loss'(-<A_t, S>/(lam s)).
 Exact coordinate-ascent passes in fresh random order follow, starting
 from the same S, so the handoff is exact.  Every epoch ends by rebuilding
-S from alpha and checking the drift of the running S.
+S from alpha and checking, and recording, the drift of the running S.
 """
 
 from __future__ import annotations
@@ -29,11 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import accumulator, gram_diag
+from .gram import accumulator, dense_gram, gram_diag
 from .triplets import differences
 
 FEASIBILITY_TOL = 1e-12
 DRIFT_TOL = 1e-6
+BLOCK = 64  # coordinates per sweep block; measured, see CHANGES.md
 
 _LOSS_KINDS = ("hinge", "smoothed_hinge")
 
@@ -97,7 +106,11 @@ class SolverState:
 
 @dataclass
 class DualSolution:
-    """Final iterate plus the per-epoch trace (epoch, objective, gap, seconds)."""
+    """Final iterate plus the per-epoch trace (epoch, objective, gap, seconds, drift).
+
+    ``drift`` is the relative max-entry difference between the running S
+    and S rebuilt from alpha at the end of the epoch.
+    """
 
     alpha: np.ndarray
     objective: float
@@ -148,22 +161,33 @@ def duality_gap(state, loss):
     return primal_objective(state.U, state.V, M, loss, state.lam) - dual_objective(state, loss) / n
 
 
-def _inner(S, u, v):
-    """<A_t, S> = u^T S u - v^T S v for A_t = u u^T - v v^T."""
-    return float(u @ (S @ u) - v @ (S @ v))
+def _sweep(state, order, step):
+    """Visit ``order`` in blocks of ``BLOCK`` coordinates (see the module docstring).
+
+    ``step(s, t, r)`` returns the new alpha_t at visit s of the epoch,
+    given the current margin r = <A_t, S> of its coordinate t.
+    """
+    alpha, S = state.alpha, state.S
+    for b in range(0, len(order), BLOCK):
+        block = order[b:b + BLOCK]
+        U_B = state.U.take(block, axis=1)
+        V_B = state.V.take(block, axis=1)
+        margins = np.einsum("pb,pb->b", U_B, S @ U_B) - np.einsum("pb,pb->b", V_B, S @ V_B)
+        G_B = dense_gram(U_B, V_B)
+        deltas = np.zeros(len(block))
+        for q, t in enumerate(block.tolist()):
+            new = step(b + q, t, float(margins[q]))
+            delta = new - alpha[t]
+            if delta != 0.0:
+                alpha[t] = new
+                deltas[q] = delta
+                margins[q + 1:] += delta * G_B[q, q + 1:]
+        S += (U_B * deltas) @ U_B.T
+        S -= (V_B * deltas) @ V_B.T
 
 
-def _set_coordinate(state, t, u, v, new):
-    """Move alpha_t to ``new`` and S by the same change times A_t."""
-    delta = new - state.alpha[t]
-    if delta != 0.0:
-        state.S += delta * np.outer(u, u)
-        state.S -= delta * np.outer(v, v)
-        state.alpha[t] = new
-
-
-def sdca_update(state, loss, t):
-    """Exact coordinate maximization of the dual at coordinate t, O(p^2).
+def _sdca_step(state, loss):
+    """Exact coordinate maximization of the dual at coordinate t, O(1) given its margin.
 
     With c_t = <A_t, S> - alpha_t G[t, t], the stationary point is
     -(lam N + c_t) / (G[t, t])           for the hinge, and
@@ -171,21 +195,40 @@ def sdca_update(state, loss, t):
     clipped to [-1, 0].  A zero diagonal makes the hinge subproblem
     linear: the coordinate goes to -1 when the slope is negative, else 0.
     """
-    u = state.U[:, t]
-    v = state.V[:, t]
-    g_tt = state.diag[t]
+    alpha, diag = state.alpha, state.diag
     lam_n = state.lam * state.cache.n
-    c_t = _inner(state.S, u, v) - state.alpha[t] * g_tt
-    if loss.kind == "hinge":
-        if g_tt > 0.0:
-            new = min(0.0, max(-1.0, -(lam_n + c_t) / g_tt))
-        else:
-            new = -1.0 if -(1.0 + c_t / lam_n) < 0.0 else 0.0
-    else:
+    hinge = loss.kind == "hinge"
+
+    def step(s, t, margin):
+        g_tt = diag[t]
+        c_t = margin - alpha[t] * g_tt
+        if hinge:
+            if g_tt > 0.0:
+                return min(0.0, max(-1.0, -(lam_n + c_t) / g_tt))
+            return -1.0 if -(1.0 + c_t / lam_n) < 0.0 else 0.0
         denom = loss.gamma * lam_n + max(g_tt, 0.0)
-        new = min(0.0, max(-1.0, -(lam_n + c_t) / denom))
-    _set_coordinate(state, t, u, v, new)
+        return min(0.0, max(-1.0, -(lam_n + c_t) / denom))
+
+    return step
+
+
+def _check_permutation(order, n):
+    order = np.asarray(order)
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError("order must be a permutation of all triplet indices")
+    return order
+
+
+def sdca_update(state, loss, t):
+    """Exact coordinate maximization of the dual at coordinate t: a sweep over t alone."""
+    _sweep(state, np.array([t]), _sdca_step(state, loss))
     return state
+
+
+def sdca_epoch(state, loss, order):
+    """One exact coordinate-ascent pass over ``order``; returns the accumulator drift."""
+    _sweep(state, _check_permutation(order, state.cache.n), _sdca_step(state, loss))
+    return _refresh_accumulator(state)
 
 
 def sgd_epoch(state, loss, order):
@@ -195,27 +238,27 @@ def sgd_epoch(state, loss, order):
     (a permutation of the triplets).  After s visits the subgradient
     iterate with step 1/(lam t) is -S/(lam s), so visit s reads the margin
     z = -<A_t, S>/(lam s) (z = 0 at s = 0), sets alpha_t = loss'(z) and
-    adds alpha_t A_t to S.  Ends with the drift check every epoch ends with.
+    adds alpha_t A_t to S.  Ends with the drift check every epoch ends
+    with, and returns the drift.
     """
-    n = state.cache.n
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of all triplet indices")
-    for s, t in enumerate(order):
-        u = state.U[:, t]
-        v = state.V[:, t]
-        z = -_inner(state.S, u, v) / (state.lam * s) if s else 0.0
-        _set_coordinate(state, t, u, v, float(loss.derivative(z)))
+    lam = state.lam
+
+    def step(s, t, margin):
+        return float(loss.derivative(-margin / (lam * s) if s else 0.0))
+
+    _sweep(state, _check_permutation(order, state.cache.n), step)
     return _refresh_accumulator(state)
 
 
 def _refresh_accumulator(state):
+    """Rebuild S from alpha; return the relative drift of the running S."""
     rebuilt = accumulator(state.cache, state.alpha)
     scale = max(float(np.abs(rebuilt).max()), 1e-30)
     drift = float(np.abs(state.S - rebuilt).max()) / scale
     if drift > DRIFT_TOL:
         raise ValueError(f"accumulator drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
     state.S = rebuilt
-    return state
+    return drift
 
 
 def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
@@ -239,22 +282,18 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     trace = []
     start = time.perf_counter()
 
-    def record(epoch):
+    def record(epoch, drift):
         obj = dual_objective(state, loss)
         gap = duality_gap(state, loss)
-        trace.append((epoch, obj, gap, time.perf_counter() - start))
+        trace.append((epoch, obj, gap, time.perf_counter() - start, drift))
         return gap
 
-    sgd_epoch(state, loss, list(rng.permutation(n)))
-    gap = record(1)
+    gap = record(1, sgd_epoch(state, loss, rng.permutation(n)))
     limit = epochs if max_epochs is None else max(epochs, max_epochs)
     epoch = 1
     while epoch < limit:
         epoch += 1
-        for t in rng.permutation(n):
-            sdca_update(state, loss, int(t))
-        _refresh_accumulator(state)
-        gap = record(epoch)
+        gap = record(epoch, sdca_epoch(state, loss, rng.permutation(n)))
         if epoch >= epochs and gap_tol is not None and gap <= gap_tol:
             break
     if gap_tol is not None and gap > gap_tol:
@@ -268,7 +307,7 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
 
 
 def trace_csv(trace):
-    """Render per-epoch trace rows as ``epoch,dual_objective,duality_gap,seconds``."""
-    lines = ["epoch,dual_objective,duality_gap,seconds"]
-    lines.extend("%d,%.17g,%.17g,%.6f" % (epoch, obj, gap, sec) for epoch, obj, gap, sec in trace)
+    """Render per-epoch trace rows as ``epoch,dual_objective,duality_gap,seconds,accumulator_drift``."""
+    lines = ["epoch,dual_objective,duality_gap,seconds,accumulator_drift"]
+    lines.extend("%d,%.17g,%.17g,%.6f,%.3e" % row for row in trace)
     return "\n".join(lines) + "\n"

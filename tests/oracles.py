@@ -262,3 +262,31 @@ def kappa_power_check(U, V, seed=0):
     q = np.einsum("pt,pt->t", V, V)
     dense = (np.outer(p, p), np.outer(q, q), np.outer(p, q), np.outer(q, p))
     return tuple(power_iteration_norm(A, seed=seed) for A in dense)
+
+
+def sequential_sdca_epoch(state, loss, order):
+    """One coordinate-ascent pass over ``order``, one coordinate at a time.
+
+    Each visit reads its margin u^T S u - v^T S v from the current S, takes
+    the closed-form step of :func:`durp.solver.sdca_update` and adds the
+    change to S as two rank-one updates: the per-coordinate loop the block
+    sweep must reproduce.  Updates ``state`` in place (no drift refresh).
+    """
+    lam_n = state.lam * state.cache.n
+    for t in order:
+        u, v = state.U[:, t], state.V[:, t]
+        g_tt = state.diag[t]
+        c_t = float(u @ (state.S @ u) - v @ (state.S @ v)) - state.alpha[t] * g_tt
+        if loss.kind == "hinge":
+            if g_tt > 0.0:
+                new = min(0.0, max(-1.0, -(lam_n + c_t) / g_tt))
+            else:
+                new = -1.0 if -(1.0 + c_t / lam_n) < 0.0 else 0.0
+        else:
+            new = min(0.0, max(-1.0, -(lam_n + c_t) / (loss.gamma * lam_n + max(g_tt, 0.0))))
+        delta = new - state.alpha[t]
+        if delta != 0.0:
+            state.S += delta * np.outer(u, u)
+            state.S -= delta * np.outer(v, v)
+            state.alpha[t] = new
+    return state

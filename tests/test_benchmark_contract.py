@@ -42,10 +42,22 @@ def test_csdca_solve_accepts_the_benchmark_call():
     loss, lam, epochs, seed = LossModel("hinge"), 1.0 / cache.n, 2, 0
     # the call perfbench/run.py makes to solve down to a workload's gap
     solution = csdca_solve(cache, loss, lam, epochs, seed, gap_tol=10.0, max_epochs=4)
-    # spans.py reads every trace row as (epoch, objective, gap, seconds)
     assert [row[0] for row in solution.trace] == [1, 2]
-    assert all(len(row) == 4 for row in solution.trace)
     assert solution.gap <= 10.0
+
+
+def test_solver_trace_keeps_the_fields_perfbench_reads():
+    # spans.py takes solver.sgd_s and solver.sdca_epoch_s from index 3 and
+    # workloads.py takes final_gap from index 2 of the trace rows
+    data = gaussian_blobs(6, 40, 2, seed=1, noise=0.3)
+    cache = build_cache(data, sample_active_triplets(data, 30, seed=1))
+    solution = csdca_solve(cache, LossModel("hinge"), 1.0 / cache.n, 4, 0)
+    trace = solution.trace
+    assert [row[0] for row in trace] == [1, 2, 3, 4]
+    assert trace[-1][2] == solution.gap
+    seconds = [row[3] for row in trace]
+    assert seconds[0] >= 0.0
+    assert all(b >= a for a, b in zip(seconds, seconds[1:]))
 
 
 def test_every_declared_layer_records_a_span():

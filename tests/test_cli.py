@@ -164,7 +164,7 @@ def test_train_trace_out(datasets, tmp_path):
                            "--trials", "1", "--trace-out", str(trace_path)))
     assert code == 0
     lines = trace_path.read_text().splitlines()
-    assert lines[0] == "epoch,dual_objective,duality_gap,seconds"
+    assert lines[0] == "epoch,dual_objective,duality_gap,seconds,accumulator_drift"
     assert len(lines) == 4  # header + three epochs
 
 
@@ -280,8 +280,9 @@ def test_seed_flag_only_where_read(command, capsys):
 
 def test_train_defaults_are_run_config_fields(datasets, tmp_path, monkeypatch):
     def fake_trial(config, train, test, seed, projection_override=None):  # no full-size run
-        trace = [(1, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
-        return TrialResult(seed, EvalReport(0.5, 0.5, config.k, 1, 0), None, None, trace, 0.0)
+        trace = [(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
+        alpha = np.zeros(1)
+        return TrialResult(seed, EvalReport(0.5, 0.5, config.k, 1, 0), None, alpha, trace, 0.0)
 
     monkeypatch.setattr(experiments, "train_trial", fake_trial)
     out = tmp_path / "report.json"

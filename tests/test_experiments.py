@@ -103,11 +103,23 @@ def test_run_method_reports_gap_and_epochs_per_trial():
     train, test = split_blobs(seed=8)
     report, results = run_method(small_config("durp", epochs=4), train=train, test=test)
     for trial, result in zip(report["trials"], results):
-        epoch, _, gap, _ = result.solver_trace[-1]
+        epoch, _, gap, _, _ = result.solver_trace[-1]
         assert trial["epochs"] == epoch == 4
         assert trial["final_gap"] == gap
         assert gap >= -1e-12
+        assert trial["max_drift"] == max(row[4] for row in result.solver_trace)
     json.dumps(report)  # still JSON-ready
+
+
+def test_run_method_reports_dual_support_counts():
+    train, test = split_blobs(seed=8)
+    for loss in ("hinge", "smoothed_hinge"):
+        config = small_config("duori", loss=loss)
+        report, results = run_method(config, train=train, test=test)
+        for trial, result in zip(report["trials"], results):
+            counts = (trial["alpha_at_lower"], trial["alpha_interior"], trial["alpha_at_zero"])
+            assert sum(counts) == result.alpha.size == config.n_triplets
+            assert counts[0] == np.count_nonzero(result.alpha == -1.0)
 
 
 def test_durp_path_allocates_nothing_of_size_d_by_n():

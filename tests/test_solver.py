@@ -1,8 +1,11 @@
 """Loss models, coordinate updates, the seeded first epoch, and the full solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from durp import solver
 from durp.gram import accumulator, dense_gram
 from durp.reference import pga_solve
 from durp.solver import (
@@ -12,14 +15,21 @@ from durp.solver import (
     duality_gap,
     init_state,
     primal_objective,
+    sdca_epoch,
     sdca_update,
     sgd_epoch,
     trace_csv,
 )
 from durp.synth import gaussian_blobs
-from durp.triplets import build_cache, differences, sample_active_triplets
+from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 
-from oracles import dual_objective_from_alpha, naive_primal, naive_recover, primal_sgd_epoch
+from oracles import (
+    dual_objective_from_alpha,
+    naive_primal,
+    naive_recover,
+    primal_sgd_epoch,
+    sequential_sdca_epoch,
+)
 
 
 def solver_instance(seed, loss_kind):
@@ -198,6 +208,44 @@ def test_sgd_epoch_matches_primal_subgradient_pass():
     print(f"worst alpha difference {worst_alpha:.1e}, worst relative M difference {worst_m:.1e}")
 
 
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_block_sdca_epoch_matches_sequential_oracle(monkeypatch, block):
+    # N runs 40..94 over the seeds, so blocks of 3 and of the default size
+    # both leave a short last block for some seeds
+    if block is not None:
+        monkeypatch.setattr(solver, "BLOCK", block)
+    worst = 0.0
+    for seed in range(10):
+        for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=1.0)):
+            cache, lam = solver_instance(seed, loss.kind)
+            rng = np.random.default_rng(seed)
+            seeded = init_state(cache, lam)
+            sgd_epoch(seeded, loss, rng.permutation(cache.n))
+            order = rng.permutation(cache.n)
+            block_state = replace(seeded, alpha=seeded.alpha.copy(), S=seeded.S.copy())
+            sdca_epoch(block_state, loss, order)
+            sequential_sdca_epoch(seeded, loss, order)
+            err = float(np.abs(block_state.alpha - seeded.alpha).max())
+            assert err <= 1e-12
+            worst = max(worst, err)
+    print(f"block {solver.BLOCK}: worst alpha difference {worst:.1e}")
+
+
+def test_drift_stays_below_tolerance_at_100k_triplets():
+    # random index triplets over 2000 points in m = 10: the paper's N without
+    # the sampler's cost; the running S takes 100k steps per epoch
+    rng = np.random.default_rng(0)
+    n_points, n = 2000, 100_000
+    cache = TripletCache(rng.normal(size=(10, n_points)) / np.sqrt(10),
+                         rng.integers(0, n_points, size=(n, 3)))
+    for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=1.0)):
+        solution = csdca_solve(cache, loss, 1.0 / n, epochs=2, seed=0)
+        drifts = [row[4] for row in solution.trace]
+        assert len(drifts) == 2
+        assert max(drifts) <= solver.DRIFT_TOL
+        print(f"{loss.kind}: drift per epoch {drifts}")
+
+
 def test_csdca_determinism_and_feasibility():
     cache, lam = solver_instance(9, "hinge")
     loss = LossModel("hinge")
@@ -262,5 +310,5 @@ def test_trace_csv_format():
     cache, lam = solver_instance(0, "hinge")
     solution = csdca_solve(cache, LossModel("hinge"), lam, epochs=2, seed=0)
     lines = trace_csv(solution.trace).strip().splitlines()
-    assert lines[0] == "epoch,dual_objective,duality_gap,seconds"
+    assert lines[0] == "epoch,dual_objective,duality_gap,seconds,accumulator_drift"
     assert len(lines) == 3
