@@ -11,7 +11,7 @@ check the method's recovery guarantees empirically.
 from .data import LabeledDataset, ParseError, PcaBasis, eigen_spectrum, load_libsvm, parse_libsvm, pca_fit, serialize_libsvm
 from .evaluate import EvalReport, evaluate_metric, knn_accuracy
 from .experiments import METHODS, RunConfig, run_method, train_trial
-from .gram import KappaStats, dense_gram, gram_diag, kappa
+from .gram import KappaStats, dense_gram, kappa
 from .harness import HarnessConfig, verify_theorem1, verify_theorem2
 from .metric import assemble_subspace_metric, load_metric, psd_project, recover_metric, save_metric
 from .projection import ProjectionMatrix, gaussian_matrix, identity_matrix, pca_matrix

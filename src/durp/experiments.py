@@ -18,14 +18,14 @@ solver), so extending the trial count preserves earlier trials.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import load_libsvm, pca_fit
 from .evaluate import evaluate_metric
 from .metric import assemble_subspace_metric, psd_project, recover_metric
-from .projection import GENERATOR_NAME, gaussian_matrix, identity_matrix, pca_matrix
+from .projection import GENERATOR_NAME, gaussian_matrix, pca_matrix
 from .solver import LossModel, csdca_solve
 from .triplets import build_cache, project_cache, sample_active_triplets
 

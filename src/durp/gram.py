@@ -1,14 +1,16 @@
-"""Triplet Gram diagonal, dense Gram, accumulator and norm bounds.
+"""Triplet margins, dense Gram, accumulator and norm bounds.
 
 With A_t = u_t u_t^T - v_t v_t^T, the Gram entry expands into four squared
 dot products:
 
     G[a, b] = (u_a.u_b)^2 + (v_a.v_b)^2 - (u_a.v_b)^2 - (v_a.u_b)^2
 
-so no p x p outer products are ever formed.  The Gram routes read the
-gathered difference columns U, V (see :func:`durp.triplets.differences`);
-the accumulator reads the index-form cache.  The full N x N matrix is only
-materialized by :func:`dense_gram` for the small dense reference solver.
+so no p x p outer products are ever formed.  :func:`dense_gram` is the one
+Gram route: the coordinate sweep calls it per block, and the dense
+reference solver calls it once on all N columns.  The Gram and the margins
+read the gathered difference columns U, V (see
+:func:`durp.triplets.differences`); the accumulator reads the index-form
+cache.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ def _column_sqnorms(A):
     return np.einsum("pt,pt->t", A, A)
 
 
-def gram_diag(U, V):
-    """G[t, t] = |u_t|^4 + |v_t|^4 - 2 (u_t.v_t)^2, one pass over the columns."""
-    cross = np.einsum("pt,pt->t", U, V)
-    return _column_sqnorms(U) ** 2 + _column_sqnorms(V) ** 2 - 2.0 * cross**2
+def margins(U, V, M):
+    """<A_t, M> = u_t^T M u_t - v_t^T M v_t for every column t of U, V."""
+    return np.einsum("pt,pt->t", U, M @ U) - np.einsum("pt,pt->t", V, M @ V)
 
 
 def accumulator(cache, alpha):

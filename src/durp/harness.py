@@ -18,7 +18,7 @@ bound wants the Lipschitz constant, so the harness uses 1/gamma there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

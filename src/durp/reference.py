@@ -5,6 +5,10 @@ solver and to compute near-exact optima inside the verification
 harnesses.  Materializes G (guarded to small N), steps with 1/L where
 L = lambda_max(G) / (lam N), and adds Nesterov momentum with objective
 restarts (same fixed point as plain projected gradient, faster tail).
+The duality gap is read from the same G: with M = -S / (lam N), the
+margins are <A_t, M> = -(G alpha)_t / (lam N) and ||M||_F^2 =
+alpha^T G alpha / (lam N)^2.  The check never forms a metric, so it does
+not go through the accumulator or the coordinate-ascent solver's gap.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gram import dense_gram
-from .metric import recover_metric
-from .solver import DualSolution, primal_objective
+from .solver import DualSolution
 from .triplets import differences
 
 MAX_ITERS = 200000
@@ -34,8 +37,7 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     n = cache.n
     if n == 0:
         return DualSolution(alpha=np.zeros(0), objective=0.0, gap=0.0, trace=[])
-    U, V = differences(cache)  # gathered once for the Gram and every gap check
-    G = dense_gram(U, V)
+    G = dense_gram(*differences(cache))
     lam_n = lam * n
     # G is symmetric PSD, so its spectral norm is its top eigenvalue
     lipschitz = np.linalg.eigvalsh(G)[-1] / lam_n
@@ -49,17 +51,19 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
             g = g - loss.gamma * a
         return g
 
-    def objective(a):
-        return float(-np.sum(loss.conjugate(a)) - (a @ (G @ a)) / (2.0 * lam_n))
-
-    def normalized_gap(a):
-        return primal_objective(U, V, recover_metric(a, cache, lam), loss, lam) - objective(a) / n
+    def certify(a):
+        """Dual objective D(a) and the gap P(M(a)) - D(a)/N, from one product G a."""
+        Ga = G @ a
+        quad = float(a @ Ga)
+        obj = float(-np.sum(loss.conjugate(a)) - quad / (2.0 * lam_n))
+        primal = 0.5 * lam * quad / lam_n**2 + float(np.mean(loss.value(-Ga / lam_n)))
+        return obj, primal - obj / n
 
     alpha = np.zeros(n)
     momentum = alpha.copy()
     t_accel = 1.0
     best_obj = -np.inf
-    gap = normalized_gap(alpha)
+    obj, gap = certify(alpha)
     iters_done = 0
     while gap > gap_tol and iters_done < MAX_ITERS:
         iters_done += 1
@@ -69,15 +73,13 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
         t_accel = t_next
         alpha = new
         if iters_done % CHECK_EVERY == 0:
-            obj = objective(alpha)
+            obj, gap = certify(alpha)
             if obj < best_obj:
                 # objective went backwards under momentum: restart it
                 momentum = alpha.copy()
                 t_accel = 1.0
             best_obj = max(best_obj, obj)
-            gap = normalized_gap(alpha)
     if gap > gap_tol:
         raise ValueError(f"reference solve stalled at gap {gap:.3e} > {gap_tol:.1e}")
-    obj = objective(alpha)
     return DualSolution(alpha=alpha, objective=obj, gap=float(gap),
                         trace=[(iters_done, obj, float(gap), 0.0)])

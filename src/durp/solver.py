@@ -12,12 +12,14 @@ linked by M(alpha) = -S / (lam N) with S = sum_t alpha_t A_t.  The solver
 keeps S (p x p) instead of G, and alpha^T G alpha = ||S||_F^2.
 
 Both phases run on one state (alpha, S) and one block sweep.  A step at
-coordinate t reads the margin <A_t, S> = u^T S u - v^T S v and sets
-alpha_t.  The sweep walks the epoch's order in blocks of ``BLOCK``
-coordinates: it reads the block's margins from S at once, takes the steps
-in order, and after each nonzero change delta_q adds delta_q G[q, q'] to
-the margins of the block's later coordinates q'.  S then takes the whole
-block as U_B diag(delta) U_B^T - V_B diag(delta) V_B^T, two GEMMs.  Every
+coordinate t reads the margin <A_t, S> = u^T S u - v^T S v and G[t, t]
+and sets alpha_t.  The sweep walks the epoch's order in blocks of
+``BLOCK`` coordinates: it reads the block's margins from S and forms the
+block Gram G_B at once, takes the steps in order, each reading its G[t, t]
+from the diagonal of G_B, and after each nonzero change delta_q adds
+delta_q G[q, q'] to the margins of the block's later coordinates q'.
+S then takes the whole block as U_B diag(delta) U_B^T - V_B diag(delta)
+V_B^T, two GEMMs.  Every
 step sees the margin a one-at-a-time visit would see, so the iterates are
 those of sequential coordinate ascent up to rounding (the maintained-``w``
 trick of Hsieh et al., ICML 2008), not those of mini-batch ascent.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import accumulator, dense_gram, gram_diag
+from .gram import accumulator, dense_gram, margins
 from .triplets import differences
 
 FEASIBILITY_TOL = 1e-12
@@ -93,12 +95,11 @@ class LossModel:
 
 @dataclass
 class SolverState:
-    """The problem (cache, its gathered columns U, V, Gram diagonal, lam) plus alpha and S."""
+    """The problem (cache, its gathered columns U, V, lam) plus alpha and S."""
 
     cache: object
     U: np.ndarray
     V: np.ndarray
-    diag: np.ndarray
     lam: float
     alpha: np.ndarray
     S: np.ndarray
@@ -124,8 +125,7 @@ def init_state(cache, lam):
         raise ValueError("lam must be positive")
     p = cache.space_dim
     U, V = differences(cache)
-    return SolverState(cache=cache, U=U, V=V, diag=gram_diag(U, V), lam=lam,
-                       alpha=np.zeros(cache.n), S=np.zeros((p, p)))
+    return SolverState(cache=cache, U=U, V=V, lam=lam, alpha=np.zeros(cache.n), S=np.zeros((p, p)))
 
 
 def _check_feasible(alpha):
@@ -148,8 +148,7 @@ def primal_objective(U, V, M, loss, lam):
     reg = 0.5 * lam * float(np.sum(M * M))
     if U.shape[1] == 0:
         return reg
-    margins = np.einsum("pt,pt->t", U, M @ U) - np.einsum("pt,pt->t", V, M @ V)
-    return reg + float(np.mean(loss.value(margins)))
+    return reg + float(np.mean(loss.value(margins(U, V, M))))
 
 
 def duality_gap(state, loss):
@@ -164,24 +163,25 @@ def duality_gap(state, loss):
 def _sweep(state, order, step):
     """Visit ``order`` in blocks of ``BLOCK`` coordinates (see the module docstring).
 
-    ``step(s, t, r)`` returns the new alpha_t at visit s of the epoch,
-    given the current margin r = <A_t, S> of its coordinate t.
+    ``step(s, t, r, g)`` returns the new alpha_t at visit s of the epoch,
+    given the current margin r = <A_t, S> of its coordinate t and
+    g = G[t, t], read from the block Gram.
     """
     alpha, S = state.alpha, state.S
     for b in range(0, len(order), BLOCK):
         block = order[b:b + BLOCK]
         U_B = state.U.take(block, axis=1)
         V_B = state.V.take(block, axis=1)
-        margins = np.einsum("pb,pb->b", U_B, S @ U_B) - np.einsum("pb,pb->b", V_B, S @ V_B)
+        r = margins(U_B, V_B, S)
         G_B = dense_gram(U_B, V_B)
         deltas = np.zeros(len(block))
         for q, t in enumerate(block.tolist()):
-            new = step(b + q, t, float(margins[q]))
+            new = step(b + q, t, float(r[q]), G_B[q, q])
             delta = new - alpha[t]
             if delta != 0.0:
                 alpha[t] = new
                 deltas[q] = delta
-                margins[q + 1:] += delta * G_B[q, q + 1:]
+                r[q + 1:] += delta * G_B[q, q + 1:]
         S += (U_B * deltas) @ U_B.T
         S -= (V_B * deltas) @ V_B.T
 
@@ -195,12 +195,11 @@ def _sdca_step(state, loss):
     clipped to [-1, 0].  A zero diagonal makes the hinge subproblem
     linear: the coordinate goes to -1 when the slope is negative, else 0.
     """
-    alpha, diag = state.alpha, state.diag
+    alpha = state.alpha
     lam_n = state.lam * state.cache.n
     hinge = loss.kind == "hinge"
 
-    def step(s, t, margin):
-        g_tt = diag[t]
+    def step(s, t, margin, g_tt):
         c_t = margin - alpha[t] * g_tt
         if hinge:
             if g_tt > 0.0:
@@ -243,7 +242,7 @@ def sgd_epoch(state, loss, order):
     """
     lam = state.lam
 
-    def step(s, t, margin):
+    def step(s, t, margin, g_tt):
         return float(loss.derivative(-margin / (lam * s) if s else 0.0))
 
     _sweep(state, _check_permutation(order, state.cache.n), step)
@@ -298,12 +297,7 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
             break
     if gap_tol is not None and gap > gap_tol:
         raise ValueError(f"solver stopped at gap {gap:.3e} > tolerance {gap_tol:.1e}")
-    return DualSolution(
-        alpha=state.alpha,
-        objective=dual_objective(state, loss),
-        gap=gap,
-        trace=trace,
-    )
+    return DualSolution(alpha=state.alpha, objective=trace[-1][1], gap=gap, trace=trace)
 
 
 def trace_csv(trace):

@@ -275,7 +275,7 @@ def sequential_sdca_epoch(state, loss, order):
     lam_n = state.lam * state.cache.n
     for t in order:
         u, v = state.U[:, t], state.V[:, t]
-        g_tt = state.diag[t]
+        g_tt = gram_entry(state.U, state.V, t, t)
         c_t = float(u @ (state.S @ u) - v @ (state.S @ v)) - state.alpha[t] * g_tt
         if loss.kind == "hinge":
             if g_tt > 0.0:

@@ -55,6 +55,7 @@ def test_solver_trace_keeps_the_fields_perfbench_reads():
     trace = solution.trace
     assert [row[0] for row in trace] == [1, 2, 3, 4]
     assert trace[-1][2] == solution.gap
+    assert trace[-1][1] == solution.objective
     seconds = [row[3] for row in trace]
     assert seconds[0] >= 0.0
     assert all(b >= a for a, b in zip(seconds, seconds[1:]))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from durp import solver
+from durp import metric, solver
 from durp.gram import accumulator, dense_gram
 from durp.reference import pga_solve
 from durp.solver import (
@@ -279,6 +279,27 @@ def test_csdca_matches_reference_solver():
         mine = csdca_solve(cache, loss, lam, epochs=3, seed=0)
         oracle = pga_solve(cache, loss, lam, gap_tol=1e-9)
         assert abs(mine.objective - oracle.objective) < 1e-3
+
+
+def test_reference_gap_matches_production_gap():
+    # pga_solve reads its gap off G alpha; duality_gap reads it off S and U, V
+    for kind in ("hinge", "smoothed_hinge"):
+        loss = LossModel(kind, gamma=1.0)
+        for seed in range(5):
+            cache, lam = solver_instance(seed, kind)
+            oracle = pga_solve(cache, loss, lam)
+            state = replace(init_state(cache, lam), alpha=oracle.alpha,
+                            S=accumulator(cache, oracle.alpha))
+            assert abs(oracle.gap - duality_gap(state, loss)) <= 1e-12
+
+
+def test_reference_solver_does_not_rebuild_the_metric(monkeypatch):
+    def refuse(cache, alpha):
+        raise AssertionError("pga_solve went through the accumulator")
+
+    monkeypatch.setattr(metric, "accumulator", refuse)
+    cache, lam = solver_instance(2, "hinge")
+    assert pga_solve(cache, LossModel("hinge"), lam).gap <= 1e-8
 
 
 def test_csdca_gap_tol_extension_and_failure():
