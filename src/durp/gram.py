@@ -6,9 +6,16 @@ dot products:
     G[a, b] = (u_a.u_b)^2 + (v_a.v_b)^2 - (u_a.v_b)^2 - (v_a.u_b)^2
 
 so no p x p outer products are ever formed.  :func:`dense_gram` is the one
-Gram route: the coordinate sweep calls it per block, and the dense
-reference solver calls it once on all N columns.  The Gram and the margins
-read the gathered difference columns U, V (see
+dense Gram route: the coordinate sweep calls it per block, and the
+reference solver calls it on all N columns when p(p + 1) > N.
+
+G also factors as G = Phi^T Phi.  <A_a, A_b>_F is the inner product of the
+symmetric vectorisations of A_a and A_b, so :func:`gram_factor` gives Phi
+one row per pair i <= j of the p coordinates, r = p(p + 1)/2 rows in all:
+row (i, j) holds U[i] U[j] - V[i] V[j] over the columns, times sqrt(2) off
+the diagonal.  The reference solver multiplies by Phi^T (Phi alpha) when
+that factor is thinner than G.  The Gram, its factor and the margins read
+the gathered difference columns U, V (see
 :func:`durp.triplets.differences`); the accumulator reads the index-form
 cache.
 """
@@ -65,15 +72,28 @@ def accumulator(cache, alpha):
     return P + P.T
 
 
+def check_dense_limit(n, limit=DENSE_LIMIT):
+    """Refuse Gram work on more than ``limit`` triplet columns."""
+    if n > limit:
+        raise ValueError(f"dense Gram limited to {limit} triplets, got {n}")
+
+
 def dense_gram(U, V, limit=DENSE_LIMIT):
     """Materialize G for small N; the per-block squares keep it O(N^2 p)."""
-    if U.shape[1] > limit:
-        raise ValueError(f"dense Gram limited to {limit} triplets, got {U.shape[1]}")
+    check_dense_limit(U.shape[1], limit)
     UU = U.T @ U
     VV = V.T @ V
     UV = U.T @ V
     G = UU**2 + VV**2 - UV**2 - (UV.T) ** 2
     return 0.5 * (G + G.T)
+
+
+def gram_factor(U, V):
+    """Phi, r x N with r = p(p + 1)/2, such that G = Phi^T Phi (module docstring)."""
+    rows, cols = np.triu_indices(U.shape[0])
+    Phi = U[rows] * U[cols] - V[rows] * V[cols]
+    Phi[rows != cols] *= np.sqrt(2.0)
+    return Phi
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Verification harnesses for the two recovery guarantees.
 
 Both harnesses build synthetic data at desk scale, solve the original
-dual to near-exactness with the dense reference solver, and then compare
+dual to near-exactness with the reference solver, and then compare
 projected runs against it.  The published constants target far larger
 regimes than any desk run, so alongside the measured errors the outputs
 carry the literal bound curves for reference; headers say so explicitly.

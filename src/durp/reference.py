@@ -1,21 +1,26 @@
-"""Dense projected-gradient reference solver for small dual instances.
+"""Projected-gradient reference solver for small dual instances.
 
 An independent optimization path used to certify the coordinate-ascent
 solver and to compute near-exact optima inside the verification
-harnesses.  Materializes G (guarded to small N), steps with 1/L where
-L = lambda_max(G) / (lam N), and adds Nesterov momentum with objective
-restarts (same fixed point as plain projected gradient, faster tail).
-The duality gap is read from the same G: with M = -S / (lam N), the
-margins are <A_t, M> = -(G alpha)_t / (lam N) and ||M||_F^2 =
-alpha^T G alpha / (lam N)^2.  The check never forms a metric, so it does
-not go through the accumulator or the coordinate-ascent solver's gap.
+harnesses.  It multiplies by G (guarded to N <= ``DENSE_LIMIT``) on one of
+two routes, picked from the shapes alone: when p(p + 1) <= N, G alpha is
+Phi^T (Phi alpha) on the r x N factor of :func:`durp.gram.gram_factor`,
+r = p(p + 1)/2, and lambda_max(G) is that of the r x r matrix Phi Phi^T;
+otherwise it materializes G with :func:`durp.gram.dense_gram`.  It steps
+with 1/L where L = lambda_max(G) / (lam N), and adds Nesterov momentum
+with objective restarts (same fixed point as plain projected gradient,
+faster tail).  The duality gap is read from the same product: with
+M = -S / (lam N), the margins are <A_t, M> = -(G alpha)_t / (lam N) and
+||M||_F^2 = alpha^T G alpha / (lam N)^2.  The check never forms a metric,
+so it does not go through the accumulator or the coordinate-ascent
+solver's gap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gram import dense_gram
+from .gram import check_dense_limit, dense_gram, gram_factor
 from .solver import DualSolution
 from .triplets import differences
 
@@ -27,8 +32,21 @@ def _clip_box(alpha):
     return np.clip(alpha, -1.0, 0.0)
 
 
+def _gram_product(cache):
+    """(alpha -> G alpha, lambda_max(G)) on the thinner of G and its factor."""
+    U, V = differences(cache)
+    p = cache.space_dim
+    if p * (p + 1) <= cache.n:
+        Phi = gram_factor(U, V)
+        # Phi Phi^T and Phi^T Phi = G share their nonzero eigenvalues
+        return (lambda a: Phi.T @ (Phi @ a)), np.linalg.eigvalsh(Phi @ Phi.T)[-1]
+    G = dense_gram(U, V)
+    # G is symmetric PSD, so its spectral norm is its top eigenvalue
+    return (lambda a: G @ a), np.linalg.eigvalsh(G)[-1]
+
+
 def pga_solve(cache, loss, lam, gap_tol=1e-8):
-    """Maximize the boxed dual on a dense Gram matrix.
+    """Maximize the boxed dual by projected gradient on G (module docstring).
 
     Stops when the mean-loss-scale duality gap, checked every
     ``CHECK_EVERY`` steps, drops below ``gap_tol``.  Raises if ``MAX_ITERS``
@@ -37,23 +55,23 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     n = cache.n
     if n == 0:
         return DualSolution(alpha=np.zeros(0), objective=0.0, gap=0.0, trace=[])
-    G = dense_gram(*differences(cache))
+    check_dense_limit(n)
+    product, top = _gram_product(cache)
     lam_n = lam * n
-    # G is symmetric PSD, so its spectral norm is its top eigenvalue
-    lipschitz = np.linalg.eigvalsh(G)[-1] / lam_n
+    lipschitz = top / lam_n
     if loss.kind == "smoothed_hinge":
         lipschitz += loss.gamma
     step = 1.0 / max(lipschitz, 1e-30)
 
     def grad(a):
-        g = -1.0 - (G @ a) / lam_n
+        g = -1.0 - product(a) / lam_n
         if loss.kind == "smoothed_hinge":
             g = g - loss.gamma * a
         return g
 
     def certify(a):
         """Dual objective D(a) and the gap P(M(a)) - D(a)/N, from one product G a."""
-        Ga = G @ a
+        Ga = product(a)
         quad = float(a @ Ga)
         obj = float(-np.sum(loss.conjugate(a)) - quad / (2.0 * lam_n))
         primal = 0.5 * lam * quad / lam_n**2 + float(np.mean(loss.value(-Ga / lam_n)))

@@ -79,11 +79,15 @@ class LossModel:
         )
 
     def derivative(self, z):
-        z = np.asarray(z, dtype=np.float64)
+        """loss'(z) for one float z, in plain float arithmetic (the seed step's hot path)."""
         if self.kind == "hinge":
-            return np.where(z < 1.0, -1.0, 0.0)
+            return -1.0 if z < 1.0 else 0.0
         g = self.gamma
-        return np.where(z >= 1.0, 0.0, np.where(z >= 1.0 - g, -(1.0 - z) / g, -1.0))
+        if z >= 1.0:
+            return 0.0
+        if z >= 1.0 - g:
+            return -(1.0 - z) / g
+        return -1.0
 
     def conjugate(self, alpha):
         """Fenchel conjugate on the box [-1, 0] (infinite elsewhere)."""
@@ -110,7 +114,9 @@ class DualSolution:
     """Final iterate plus the per-epoch trace (epoch, objective, gap, seconds, drift).
 
     ``drift`` is the relative max-entry difference between the running S
-    and S rebuilt from alpha at the end of the epoch.
+    and S rebuilt from alpha at the end of the epoch.  The reference
+    solver's ``pga_solve`` runs no epochs: its trace is the single row
+    (iterations, objective, gap, 0.0).
     """
 
     alpha: np.ndarray
@@ -243,7 +249,7 @@ def sgd_epoch(state, loss, order):
     lam = state.lam
 
     def step(s, t, margin, g_tt):
-        return float(loss.derivative(-margin / (lam * s) if s else 0.0))
+        return loss.derivative(-margin / (lam * s) if s else 0.0)
 
     _sweep(state, _check_permutation(order, state.cache.n), step)
     return _refresh_accumulator(state)

@@ -5,7 +5,8 @@ explicit d x d matrices, textbook formulas.  Unit and acceptance tests
 compare the fast production paths against these.  Independent routes the
 package itself does not need (single Gram entries, the Kronecker
 embedding, the matrix-free Gram product and dual objective, kappa by power
-iteration, the primal form of the subgradient seed epoch) live here too.
+iteration, the primal form of the subgradient seed epoch, the array form
+of the loss derivative) live here too.
 """
 
 import numpy as np
@@ -170,6 +171,15 @@ def lattice_problem(d, n, n_classes, seed):
     B = rng.integers(-1, 2, size=(d, d)).astype(np.float64)
     points = rng.integers(-2, 3, size=(d, n)).astype(np.float64)
     return B @ B.T, LabeledDataset(points, rng.integers(0, n_classes, size=n))
+
+
+def array_loss_derivative(loss, z):
+    """loss'(z) elementwise over an array, by nested ``np.where``."""
+    z = np.asarray(z, dtype=np.float64)
+    if loss.kind == "hinge":
+        return np.where(z < 1.0, -1.0, 0.0)
+    g = loss.gamma
+    return np.where(z >= 1.0, 0.0, np.where(z >= 1.0 - g, -(1.0 - z) / g, -1.0))
 
 
 def primal_sgd_epoch(cache, loss, lam, order):

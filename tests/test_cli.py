@@ -218,6 +218,14 @@ def test_verify_t1_subcommand_tiny(tmp_path):
     assert sum(1 for l in lines if not l.startswith("#")) == 3  # header + 2 m values
 
 
+def test_verify_t1_over_the_dense_limit_exits_2(capsys):
+    # d = 20 puts the original-space solve on the Gram factor (20 * 21 <= 4001)
+    code = main(["verify-t1", "--d", "20", "--r", "2", "--n", "40", "--triplets", "4001",
+                 "--m-sweep", "2,4", "--seeds", "0"])
+    assert code == 2
+    assert "dense Gram limited to 4000 triplets" in capsys.readouterr().err
+
+
 def test_verify_t2_subcommand_tiny(tmp_path):
     out = tmp_path / "t2.csv"
     code = main([

@@ -1,10 +1,10 @@
-"""Gram entries, products, dense materialization, the accumulator, and the spectral summary."""
+"""Gram entries, products, dense materialization, the factor, the accumulator, and the spectral summary."""
 
 import numpy as np
 import pytest
 
 from durp import gram
-from durp.gram import DENSE_LIMIT, accumulator, dense_gram, kappa
+from durp.gram import DENSE_LIMIT, accumulator, dense_gram, gram_factor, kappa
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 
@@ -67,6 +67,18 @@ def test_gram_diag_matches_entries():
     diag = np.diag(dense_gram(U, V))
     for t in range(20):
         assert np.isclose(diag[t], gram_entry(U, V, t, t), rtol=1e-12)
+
+
+def test_gram_factor_reproduces_the_gram():
+    # (p, N) on both sides of the reference solver's rule p(p + 1) <= N
+    rng = np.random.default_rng(13)
+    for p, n in [(1, 3), (2, 6), (3, 12), (4, 30), (6, 40), (5, 12), (8, 20), (12, 15)]:
+        U, V = random_columns(rng, p, n)
+        Phi = gram_factor(U, V)
+        assert Phi.shape == (p * (p + 1) // 2, n)
+        G = Phi.T @ Phi
+        for reference in (dense_gram(U, V), dense_trace_gram(U, V)):
+            assert np.abs(G - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_gram_is_positive_semidefinite():

@@ -1,4 +1,4 @@
-"""Every name a module under src/durp imports is used in that module.
+"""Every name a module under src/durp or tests imports is used in that module.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -7,7 +7,12 @@ A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "durp"
+ROOT = Path(__file__).resolve().parents[1]
+CHECKED = [
+    path
+    for path in sorted((ROOT / "src" / "durp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    if path.name != "__init__.py"
+]
 
 
 def unused_imports(source):
@@ -30,9 +35,8 @@ def test_unused_imports_detected():
 
 def test_no_module_imports_an_unused_name():
     found = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in CHECKED
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []

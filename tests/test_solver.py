@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from durp import metric, solver
-from durp.gram import accumulator, dense_gram
+from durp import gram, metric, reference, solver
+from durp.gram import DENSE_LIMIT, accumulator, dense_gram
+from durp.projection import gaussian_matrix
 from durp.reference import pga_solve
 from durp.solver import (
     LossModel,
@@ -20,10 +21,17 @@ from durp.solver import (
     sgd_epoch,
     trace_csv,
 )
-from durp.synth import gaussian_blobs
-from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
+from durp.synth import gaussian_blobs, margin_gapped_blobs
+from durp.triplets import (
+    TripletCache,
+    build_cache,
+    differences,
+    project_cache,
+    sample_active_triplets,
+)
 
 from oracles import (
+    array_loss_derivative,
     dual_objective_from_alpha,
     naive_primal,
     naive_recover,
@@ -47,6 +55,20 @@ def solver_instance(seed, loss_kind):
     return cache, 1.0 / cache.n
 
 
+def factor_instance(seed):
+    """Small instance at p = 4, N >= 30, where p(p + 1) <= N puts pga_solve on G's factor."""
+    data = gaussian_blobs(4, 60, 3, seed=seed, noise=0.35 / np.sqrt(8))
+    cache = build_cache(data, sample_active_triplets(data, 30 + 4 * seed, seed=seed))
+    return cache, 1.0 / cache.n
+
+
+def sketched_instance(m):
+    """500 triplets of margin-gapped data at d = 40, sketched to m dimensions."""
+    data = margin_gapped_blobs(40, 3, 120, seed=0)
+    cache = build_cache(data, sample_active_triplets(data, 500, seed=0))
+    return project_cache(cache, gaussian_matrix(40, m, 0)), 1.0 / cache.n
+
+
 def test_loss_model_validation():
     with pytest.raises(ValueError, match="loss kind"):
         LossModel(kind="logistic")
@@ -59,7 +81,7 @@ def test_hinge_values_and_derivative():
     loss = LossModel("hinge")
     z = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     assert np.array_equal(loss.value(z), np.array([2.0, 1.0, 0.5, 0.0, 0.0]))
-    assert np.array_equal(loss.derivative(z), np.array([-1.0, -1.0, -1.0, 0.0, 0.0]))
+    assert np.array_equal([loss.derivative(x) for x in z], np.array([-1.0, -1.0, -1.0, 0.0, 0.0]))
     assert np.array_equal(loss.conjugate(np.array([-1.0, -0.5, 0.0])), np.array([-1.0, -0.5, 0.0]))
 
 
@@ -72,15 +94,28 @@ def test_smoothed_hinge_pieces_join_continuously():
             below = float(loss.value(knot - eps))
             above = float(loss.value(knot + eps))
             assert abs(below - above) < 1e-7
-            d_below = float(loss.derivative(knot - eps))
-            d_above = float(loss.derivative(knot + eps))
+            d_below = loss.derivative(knot - eps)
+            d_above = loss.derivative(knot + eps)
             assert abs(d_below - d_above) < 1e-7
-        z = np.linspace(-2, 3, 101)
-        assert np.all(loss.derivative(z) >= -1.0)
-        assert np.all(loss.derivative(z) <= 0.0)
+        derivs = np.array([loss.derivative(x) for x in np.linspace(-2, 3, 101)])
+        assert np.all(derivs >= -1.0)
+        assert np.all(derivs <= 0.0)
         # quadratic region value: (1-z)^2 / (2 gamma)
         mid = 1.0 - gamma / 2
         assert np.isclose(float(loss.value(mid)), (gamma / 2) ** 2 / (2 * gamma))
+
+
+def test_scalar_derivative_matches_array_form_bit_for_bit():
+    for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=0.25),
+                 LossModel("smoothed_hinge", gamma=0.7), LossModel("smoothed_hinge", gamma=2.0)):
+        knots = np.array([1.0 - loss.gamma, 1.0])
+        z = np.concatenate([
+            np.linspace(-3.0, 3.0, 601),
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan],
+        ])
+        scalar = np.array([loss.derivative(float(x)) for x in z])
+        assert scalar.tobytes() == array_loss_derivative(loss, z).tobytes()
 
 
 def test_conjugate_is_fenchel_dual_on_the_box():
@@ -282,11 +317,13 @@ def test_csdca_matches_reference_solver():
 
 
 def test_reference_gap_matches_production_gap():
-    # pga_solve reads its gap off G alpha; duality_gap reads it off S and U, V
+    # pga_solve reads its gap off G alpha; duality_gap reads it off S and U, V.
+    # solver_instance has p(p + 1) > N (dense G), factor_instance p(p + 1) <= N.
     for kind in ("hinge", "smoothed_hinge"):
         loss = LossModel(kind, gamma=1.0)
-        for seed in range(5):
-            cache, lam = solver_instance(seed, kind)
+        instances = [solver_instance(seed, kind) for seed in range(5)]
+        instances += [factor_instance(seed) for seed in range(3)]
+        for cache, lam in instances:
             oracle = pga_solve(cache, loss, lam)
             state = replace(init_state(cache, lam), alpha=oracle.alpha,
                             S=accumulator(cache, oracle.alpha))
@@ -300,6 +337,32 @@ def test_reference_solver_does_not_rebuild_the_metric(monkeypatch):
     monkeypatch.setattr(metric, "accumulator", refuse)
     cache, lam = solver_instance(2, "hinge")
     assert pga_solve(cache, LossModel("hinge"), lam).gap <= 1e-8
+
+
+def test_reference_solver_route_follows_the_shape(monkeypatch):
+    def refuse(U, V, limit=DENSE_LIMIT):
+        raise AssertionError("pga_solve built the dense Gram")
+
+    # patched where it is defined and where reference.py bound it at import
+    monkeypatch.setattr(gram, "dense_gram", refuse)
+    monkeypatch.setattr(reference, "dense_gram", refuse)
+    loss = LossModel("hinge")
+    cache, lam = sketched_instance(5)  # 5 * 6 <= 500: the factor route
+    assert pga_solve(cache, loss, lam).gap <= 1e-8
+    cache, lam = sketched_instance(25)  # 25 * 26 > 500: the dense route
+    with pytest.raises(AssertionError, match="dense Gram"):
+        pga_solve(cache, loss, lam)
+
+
+def test_reference_solver_size_guard_comes_first(monkeypatch):
+    def refuse(cache):
+        raise AssertionError("pga_solve gathered the columns")
+
+    monkeypatch.setattr(reference, "differences", refuse)
+    rng = np.random.default_rng(12)
+    cache = TripletCache(rng.normal(size=(4, 30)), rng.integers(0, 30, size=(DENSE_LIMIT + 1, 3)))
+    with pytest.raises(ValueError, match=f"dense Gram limited to {DENSE_LIMIT} triplets"):
+        pga_solve(cache, LossModel("hinge"), 1.0 / cache.n)
 
 
 def test_csdca_gap_tol_extension_and_failure():
