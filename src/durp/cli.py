@@ -66,6 +66,7 @@ def build_parser():
     then uses the default of the config dataclass it builds.
     """
     parser = _Parser(prog="durp", description="Metric learning by dual random projection")
+    run_defaults = RunConfig()
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
@@ -98,7 +99,7 @@ def build_parser():
     p_eval.add_argument("--metric-file")
     p_eval.add_argument("--train-file")
     p_eval.add_argument("--test-file")
-    p_eval.add_argument("--k", type=int, default=5)
+    p_eval.add_argument("--k", type=int, default=run_defaults.k)
 
     p_spec = command("spectrum", cmd_spectrum, "normalized covariance spectrum CSV")
     p_spec.add_argument("--train-file")
@@ -125,8 +126,9 @@ def build_parser():
 
     p_samp = command("sample-triplets", cmd_sample, "sample active triplets to CSV")
     p_samp.add_argument("--train-file")
-    p_samp.add_argument("--triplets", dest="n_triplets", type=int, default=100000)
-    p_samp.add_argument("--seed", type=int, default=0)
+    p_samp.add_argument("--triplets", dest="n_triplets", type=int,
+                        default=run_defaults.n_triplets)
+    p_samp.add_argument("--seed", type=int, default=run_defaults.seed)
 
     return parser
 

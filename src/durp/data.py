@@ -61,25 +61,6 @@ class LabeledDataset:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-@dataclass(frozen=True)
-class PcaBasis:
-    """Orthonormal principal directions of a dataset.
-
-    Fields
-    ------
-    basis : ndarray of shape (d, k)
-        Orthonormal columns, each with its largest-magnitude entry positive.
-    mean : ndarray of shape (d,)
-        Per-feature mean removed before the eigendecomposition.
-    eigenvalues : ndarray of shape (k,)
-        Covariance eigenvalues, nonincreasing, clamped at zero.
-    """
-
-    basis: np.ndarray
-    mean: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def parse_libsvm(text, d=None, label_map=None):
     """Parse LIBSVM-format text into a dataset.
 
@@ -209,14 +190,16 @@ def _complete_basis(partial, d, k):
 def pca_fit(data, k):
     """Top-k principal directions of the (centered) point cloud.
 
-    Uses the n x n Gram system instead of the d x d covariance whenever
-    d > n.  Rank-deficient requests are padded with an orthonormal
-    completion carrying eigenvalue 0.
+    Returns ``(basis, eigenvalues)``: ``basis`` is d x k with orthonormal
+    columns, each with its largest-magnitude entry positive, and
+    ``eigenvalues`` the k covariance eigenvalues, nonincreasing and
+    clamped at zero.  Uses the n x n Gram system instead of the d x d
+    covariance whenever d > n.  Rank-deficient requests are padded with an
+    orthonormal completion carrying eigenvalue 0.
     """
     if not 1 <= k <= min(data.d, data.n):
         raise ValueError(f"k must be in [1, min(d, n)] = [1, {min(data.d, data.n)}]")
-    mean = data.points.mean(axis=1)
-    centered = data.points - mean[:, None]
+    centered = data.points - data.points.mean(axis=1, keepdims=True)
     n = data.n
     if data.d <= n:
         cov = (centered @ centered.T) / n
@@ -245,7 +228,7 @@ def pca_fit(data, k):
         if kept < k:
             vectors = _complete_basis(vectors, data.d, k)
     vectors = _orient_columns(vectors)
-    return PcaBasis(basis=vectors, mean=mean, eigenvalues=np.maximum(values, 0.0))
+    return vectors, np.maximum(values, 0.0)
 
 
 def eigen_spectrum(data):

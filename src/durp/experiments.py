@@ -25,7 +25,7 @@ import numpy as np
 from .data import load_libsvm, pca_fit
 from .evaluate import evaluate_metric
 from .metric import assemble_subspace_metric, psd_project, recover_metric
-from .projection import GENERATOR_NAME, gaussian_matrix, pca_matrix
+from .projection import GENERATOR_NAME, gaussian_matrix
 from .solver import LossModel, csdca_solve
 from .triplets import build_cache, project_cache, sample_active_triplets
 
@@ -81,8 +81,8 @@ class TrialResult:
 def train_trial(config, train, test, trial_seed, projection_override=None):
     """Run one trial of the configured method on already-loaded datasets.
 
-    ``projection_override`` substitutes the projection used by projected
-    methods (e.g. an identity map to reduce durp to duori exactly).
+    ``projection_override`` substitutes the d x m projection array used by
+    projected methods (e.g. ``np.eye(d)`` to reduce durp to duori exactly).
     """
     started = time.perf_counter()
     triplets = sample_active_triplets(train, config.n_triplets, trial_seed)
@@ -98,7 +98,7 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
         if projection_override is not None:
             projection = projection_override
         elif method == "spca":
-            projection = pca_matrix(pca_fit(train, config.m))
+            projection = pca_fit(train, config.m)[0]
         else:
             projection = gaussian_matrix(train.d, config.m, trial_seed)
         projected = project_cache(cache, projection)

@@ -51,10 +51,16 @@ class HarnessConfig:
     seeds: tuple = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("d must be positive")
         if not 1 <= self.r <= self.d:
             raise ValueError("need 1 <= r <= d")
-        if any(m < 1 or m > self.d for m in self.m_sweep):
-            raise ValueError("every m in the sweep must lie in [1, d]")
+        outside = [m for m in self.m_sweep if not 1 <= m <= self.d]
+        if outside:
+            raise ValueError(
+                f"every m in the sweep must lie in [1, d] = [1, {self.d}]; "
+                f"out of range: {', '.join(map(str, outside))}"
+            )
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         if self.eta <= 0 or self.gamma <= 0:

@@ -35,13 +35,13 @@ def recover_metric(alpha, cache, lam):
     return -accumulator(cache, alpha) / (lam * cache.n)
 
 
-def assemble_subspace_metric(M_s, projection):
-    """Push an m x m subspace metric back to d x d: R M_s R^T."""
-    R = projection.entries
-    if M_s.shape != (projection.m, projection.m):
-        raise ValueError(
-            f"subspace metric shape {M_s.shape} does not match projection width {projection.m}"
-        )
+def assemble_subspace_metric(M_s, R):
+    """Push an m x m subspace metric back to d x d through the d x m ``R``: R M_s R^T."""
+    if R.ndim != 2:
+        raise ValueError(f"projection must be a 2-d (d, m) array, got {R.ndim}-d")
+    m = R.shape[1]
+    if M_s.shape != (m, m):
+        raise ValueError(f"subspace metric shape {M_s.shape} does not match projection width {m}")
     return symmetrize(R @ M_s @ R.T)
 
 

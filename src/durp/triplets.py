@@ -16,23 +16,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class TripletSet:
-    """Immutable (N, 3) array of point indices, one (i, j, k) row per triplet."""
-
-    triplets: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.triplets, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("triplets must be an (N, 3) index array")
-        object.__setattr__(self, "triplets", arr)
-
-    @property
-    def n(self) -> int:
-        return self.triplets.shape[0]
-
-
-@dataclass(frozen=True)
 class TripletCache:
     """A triplet set in index form over the points it indexes.
 
@@ -50,7 +33,9 @@ class TripletCache:
     anchor_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = TripletSet(self.triplets).triplets
+        t = np.asarray(self.triplets, dtype=np.int64)
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError("triplets must be an (N, 3) index array")
         if self.points.ndim != 2:
             raise ValueError("points must be a 2-d (p, n) array")
         if t.size and (t.min() < 0 or t.max() >= self.points.shape[1]):
@@ -68,7 +53,7 @@ class TripletCache:
 
 
 def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
-    """Rejection-sample ``n_triplets`` active triplets.
+    """Rejection-sample ``n_triplets`` active triplets as an (N, 3) int64 array.
 
     Each draw picks an anchor i uniformly, a same-class j != i uniformly,
     and a different-class k uniformly; the draw is kept only when the
@@ -91,7 +76,7 @@ def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
     if not np.any(counts >= 2):
         raise ValueError("need at least one class with two or more members")
     if n_triplets == 0:
-        return TripletSet(np.empty((0, 3), dtype=np.int64))
+        return np.empty((0, 3), dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     members = [np.flatnonzero(labels == c) for c in range(counts.size)]
@@ -123,17 +108,18 @@ def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
         if 1.0 + vv @ vv - uu @ uu > 0.0:
             accepted[n_accepted] = (i, j, k)
             n_accepted += 1
-    return TripletSet(accepted)
+    return accepted
 
 
-def build_cache(data, triplet_set):
-    """Index-form cache of a triplet set over ``data.points`` (not copied)."""
-    return TripletCache(data.points, triplet_set.triplets)
+def build_cache(data, triplets):
+    """Index-form cache of (N, 3) triplet rows over ``data.points`` (not copied)."""
+    return TripletCache(data.points, triplets)
 
 
-def project_cache(cache, projection):
-    """Push a cache through x -> R^T x: the n points are projected once."""
-    R = projection.entries
+def project_cache(cache, R):
+    """Push a cache through x -> R^T x for a d x m ``R``: the n points are projected once."""
+    if R.ndim != 2:
+        raise ValueError(f"projection must be a 2-d (d, m) array, got {R.ndim}-d")
     if R.shape[0] != cache.space_dim:
         raise ValueError(
             f"projection rows ({R.shape[0]}) must match cache dimension ({cache.space_dim})"
@@ -151,20 +137,27 @@ def differences(cache):
     return anchors - X.take(t[:, 2], axis=1), anchors - X.take(t[:, 1], axis=1)
 
 
-def save_triplets(path, triplet_set):
-    """Write a triplet set as ``i,j,k`` CSV (0-based indices)."""
+def save_triplets(path, triplets):
+    """Write (N, 3) triplet rows as ``i,j,k`` CSV (0-based indices)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,k\n")
-        for i, j, k in triplet_set.triplets:
+        for i, j, k in triplets:
             fh.write(f"{i},{j},{k}\n")
 
 
 def load_triplets(path):
-    """Read a triplet CSV written by :func:`save_triplets`."""
+    """Read the (N, 3) int64 triplet rows of a CSV written by :func:`save_triplets`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "i,j,k":
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != "i,j,k":
         raise ValueError("expected header line 'i,j,k'")
-    rows = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
-    arr = np.array(rows, dtype=np.int64) if rows else np.empty((0, 3), dtype=np.int64)
-    return TripletSet(arr)
+    arr = np.empty((len(lines) - 1, 3), dtype=np.int64)
+    for row, (lineno, text) in enumerate(lines[1:]):
+        try:  # unpacking raises ValueError on a wrong field count too
+            i, j, k = (int(x) for x in text.split(","))
+            arr[row] = i, j, k
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"triplet line {lineno}: expected three integers i,j,k, got {text!r}"
+            ) from None
+    return arr

@@ -23,7 +23,6 @@ from durp.experiments import RunConfig, run_method, train_trial
 from durp.gram import dense_gram, kappa
 from durp.harness import HarnessConfig, verify_theorem1, verify_theorem2
 from durp.metric import psd_project
-from durp.projection import identity_matrix
 from durp.reference import pga_solve
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs, isotropic_cloud
@@ -95,7 +94,7 @@ def test_criterion_3_identity_projection_equivalence():
     test = LabeledDataset(data.points[:, 100:], data.labels[100:])
     config = RunConfig(method="durp", m=25, n_triplets=150, epochs=3, k=5, trials=1)
     projected = train_trial(config, train, test, 4,
-                            projection_override=identity_matrix(train.d))
+                            projection_override=np.eye(train.d))
     direct = train_trial(RunConfig(method="duori", n_triplets=150, epochs=3, k=5, trials=1),
                          train, test, 4)
     assert np.array_equal(projected.alpha, direct.alpha)

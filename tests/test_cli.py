@@ -197,8 +197,7 @@ def test_sample_triplets_subcommand(datasets, tmp_path, capsys):
     code = main(["sample-triplets", "--train-file", train_path,
                  "--triplets", "25", "--out", str(out)])
     assert code == 0
-    back = load_triplets(out)
-    assert back.triplets.shape == (25, 3)
+    assert load_triplets(out).shape == (25, 3)
     # --out is mandatory here
     assert main(["sample-triplets", "--train-file", train_path,
                  "--triplets", "5"]) == 1
@@ -224,6 +223,18 @@ def test_verify_t1_over_the_dense_limit_exits_2(capsys):
                  "--m-sweep", "2,4", "--seeds", "0"])
     assert code == 2
     assert "dense Gram limited to 4000 triplets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the default sweep reaches m = 400; the message names d and each m outside it
+    (["verify-t1", "--d", "20", "--r", "2", "--n", "40", "--triplets", "30"],
+     "every m in the sweep must lie in [1, d] = [1, 20]; out of range: 50, 100, 400"),
+    # verify-t2 has no --r flag, so d is checked before r
+    (["verify-t2", "--d", "0"], "error: d must be positive"),
+])
+def test_harness_config_errors_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_t2_subcommand_tiny(tmp_path):
@@ -301,3 +312,13 @@ def test_train_defaults_are_run_config_fields(datasets, tmp_path, monkeypatch):
     for key in ("m", "n_triplets", "epochs", "loss", "gamma", "k", "seed", "trials"):
         assert report["config"][key] == getattr(defaults, key)
     assert report["config"]["lambda"] == 1.0 / defaults.n_triplets
+
+
+@pytest.mark.parametrize("command, names", [
+    ("eval", ("k",)),
+    ("sample-triplets", ("n_triplets", "seed")),
+])
+def test_subcommand_defaults_are_run_config_fields(command, names):
+    args, defaults = parse_args([command]), RunConfig()
+    for name in names:
+        assert getattr(args, name) == getattr(defaults, name)

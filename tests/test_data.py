@@ -105,16 +105,16 @@ def test_pca_primal_and_dual_paths_agree():
         points = rng.normal(size=(d, n))
         data = LabeledDataset(points, np.zeros(n, dtype=np.int64))
         k = 5
-        fit = pca_fit(data, k)
-        assert fit.basis.shape == (d, k)
-        assert np.allclose(fit.basis.T @ fit.basis, np.eye(k), atol=1e-10)
-        assert np.all(np.diff(fit.eigenvalues) <= 1e-12)
-        assert np.all(fit.eigenvalues >= 0)
+        basis, values = pca_fit(data, k)
+        assert basis.shape == (d, k) and values.shape == (k,)
+        assert np.allclose(basis.T @ basis, np.eye(k), atol=1e-10)
+        assert np.all(np.diff(values) <= 1e-12)
+        assert np.all(values >= 0)
         # eigenpairs of the centered covariance
         centered = points - points.mean(axis=1, keepdims=True)
         cov = centered @ centered.T / n
         for j in range(k):
-            residual = cov @ fit.basis[:, j] - fit.eigenvalues[j] * fit.basis[:, j]
+            residual = cov @ basis[:, j] - values[j] * basis[:, j]
             assert np.linalg.norm(residual) < 1e-8
 
 
@@ -124,10 +124,10 @@ def test_pca_recovers_planted_subspace():
     basis, _ = np.linalg.qr(rng.normal(size=(d, k)))
     latent = rng.normal(size=(k, n)) * np.array([[5.0], [3.0], [2.0]])
     points = basis @ latent + 0.01 * rng.normal(size=(d, n))
-    fit = pca_fit(LabeledDataset(points, np.zeros(n, dtype=np.int64)), k)
+    fitted, _ = pca_fit(LabeledDataset(points, np.zeros(n, dtype=np.int64)), k)
     # projector distance, invariant to basis rotation
     P_true = basis @ basis.T
-    P_fit = fit.basis @ fit.basis.T
+    P_fit = fitted @ fitted.T
     assert np.linalg.norm(P_true - P_fit) < 0.05
 
 
@@ -135,11 +135,11 @@ def test_pca_sign_convention_and_determinism():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(6, 40))
     data = LabeledDataset(points, np.zeros(40, dtype=np.int64))
-    a = pca_fit(data, 4)
-    b = pca_fit(data, 4)
-    assert np.array_equal(a.basis, b.basis)
-    for j in range(a.basis.shape[1]):
-        col = a.basis[:, j]
+    a, _ = pca_fit(data, 4)
+    b, _ = pca_fit(data, 4)
+    assert np.array_equal(a, b)
+    for j in range(a.shape[1]):
+        col = a[:, j]
         assert col[np.argmax(np.abs(col))] > 0
 
 
@@ -148,10 +148,10 @@ def test_pca_rank_deficient_completion():
     rng = np.random.default_rng(4)
     u = rng.normal(size=(8, 1))
     points = u @ rng.normal(size=(1, 20))
-    fit = pca_fit(LabeledDataset(points, np.zeros(20, dtype=np.int64)), 3)
-    assert np.allclose(fit.basis.T @ fit.basis, np.eye(3), atol=1e-10)
-    assert fit.eigenvalues[0] > 0
-    assert np.all(fit.eigenvalues[1:] < 1e-10)
+    basis, values = pca_fit(LabeledDataset(points, np.zeros(20, dtype=np.int64)), 3)
+    assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-10)
+    assert values[0] > 0
+    assert np.all(values[1:] < 1e-10)
 
 
 def test_pca_k_validation():

@@ -9,10 +9,10 @@ import pytest
 from durp.data import LabeledDataset, pca_fit, serialize_libsvm
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
 from durp.metric import recover_metric
-from durp.projection import gaussian_matrix, identity_matrix, pca_matrix
+from durp.projection import gaussian_matrix
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
-from durp.triplets import TripletSet, build_cache, project_cache
+from durp.triplets import build_cache, project_cache
 
 
 def split_blobs(d=8, n=80, seed=0):
@@ -66,8 +66,7 @@ def test_each_method_produces_a_usable_metric():
 
 def test_identity_override_reduces_durp_to_duori():
     train, test = split_blobs(seed=3)
-    identity = identity_matrix(train.d)
-    durp = train_trial(small_config("durp"), train, test, 5, projection_override=identity)
+    durp = train_trial(small_config("durp"), train, test, 5, projection_override=np.eye(train.d))
     duori = train_trial(small_config("duori"), train, test, 5)
     assert np.array_equal(durp.alpha, duori.alpha)
     assert np.array_equal(durp.metric, duori.metric)
@@ -78,7 +77,7 @@ def test_spca_default_projection_is_the_pca_basis():
     auto = train_trial(small_config("spca"), train, test, 2)
     explicit = train_trial(
         small_config("srp"), train, test, 2,
-        projection_override=pca_matrix(pca_fit(train, 4)),
+        projection_override=pca_fit(train, 4)[0],
     )
     assert np.array_equal(auto.metric, explicit.metric)
 
@@ -128,7 +127,7 @@ def test_durp_path_allocates_nothing_of_size_d_by_n():
     d, n_points, n = 512, 200, 20000
     rng = np.random.default_rng(0)
     data = LabeledDataset(rng.normal(size=(d, n_points)), np.arange(n_points) % 2)
-    triplets = TripletSet(rng.integers(0, n_points, size=(n, 3)))
+    triplets = rng.integers(0, n_points, size=(n, 3))
     tracemalloc.start()
     try:
         cache = build_cache(data, triplets)

@@ -60,14 +60,16 @@ def test_recover_metric_validation():
 
 def test_assemble_subspace_metric():
     rng = np.random.default_rng(2)
-    proj = gaussian_matrix(8, 3, seed=0)
+    R = gaussian_matrix(8, 3, seed=0)
     M_s = rng.normal(size=(3, 3))
     M_s = 0.5 * (M_s + M_s.T)
-    M = assemble_subspace_metric(M_s, proj)
-    ref = proj.entries @ M_s @ proj.entries.T
+    M = assemble_subspace_metric(M_s, R)
+    ref = R @ M_s @ R.T
     assert np.allclose(M, 0.5 * (ref + ref.T), atol=1e-12)
-    with pytest.raises(ValueError):
-        assemble_subspace_metric(np.zeros((4, 4)), proj)
+    with pytest.raises(ValueError, match="does not match projection width 3"):
+        assemble_subspace_metric(np.zeros((4, 4)), R)
+    with pytest.raises(ValueError, match="2-d"):
+        assemble_subspace_metric(M_s, np.ones(8))
 
 
 def test_psd_project_clamps_negative_eigenvalues():

@@ -1,15 +1,16 @@
 """Active-triplet sampling, the index-form cache, and the gathered differences."""
 
+import re
+
 import numpy as np
 import pytest
 
 from durp.data import LabeledDataset
 from durp.gram import accumulator, dense_gram
-from durp.projection import gaussian_matrix, identity_matrix
+from durp.projection import gaussian_matrix
 from durp.synth import gaussian_blobs
 from durp.triplets import (
     TripletCache,
-    TripletSet,
     build_cache,
     differences,
     load_triplets,
@@ -19,21 +20,11 @@ from durp.triplets import (
 )
 
 
-def test_triplet_set_validation():
-    ts = TripletSet(np.array([[0, 1, 2]]))
-    assert ts.n == 1
-    with pytest.raises(ValueError):
-        TripletSet(np.zeros((3, 2), dtype=np.int64))
-    with pytest.raises(ValueError):
-        TripletSet(np.zeros(3, dtype=np.int64))
-
-
 def test_sampled_triplets_are_valid_and_active():
     for seed in range(5):
         data = gaussian_blobs(6, 60, 3, seed=seed, noise=0.2)
-        ts = sample_active_triplets(data, 200, seed=seed)
-        tri = ts.triplets
-        assert tri.shape == (200, 3)
+        tri = sample_active_triplets(data, 200, seed=seed)
+        assert tri.shape == (200, 3) and tri.dtype == np.int64
         i, j, k = tri.T
         assert np.all(data.labels[i] == data.labels[j])
         assert np.all(data.labels[i] != data.labels[k])
@@ -49,8 +40,8 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_active_triplets(data, 50, seed=3)
     b = sample_active_triplets(data, 50, seed=3)
     c = sample_active_triplets(data, 50, seed=4)
-    assert np.array_equal(a.triplets, b.triplets)
-    assert not np.array_equal(a.triplets, c.triplets)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sampling_validates_class_structure():
@@ -76,8 +67,7 @@ def test_sampling_reports_dead_instances():
 
 def test_sampling_zero_triplets():
     data = gaussian_blobs(4, 20, 2, seed=0)
-    ts = sample_active_triplets(data, 0, seed=0)
-    assert ts.n == 0
+    assert sample_active_triplets(data, 0, seed=0).shape == (0, 3)
 
 
 def test_cache_matches_naive_differences():
@@ -86,10 +76,10 @@ def test_cache_matches_naive_differences():
     cache = build_cache(data, ts)
     assert cache.space_dim == 7 and cache.n == 80
     assert cache.points is data.points  # wrapped, not copied
-    assert np.array_equal(cache.triplets, ts.triplets)
+    assert np.array_equal(cache.triplets, ts)
     U, V = differences(cache)
     for t in range(0, 80, 7):
-        i, j, k = ts.triplets[t]
+        i, j, k = ts[t]
         u = data.points[:, i] - data.points[:, k]
         v = data.points[:, i] - data.points[:, j]
         assert np.array_equal(U[:, t], u)
@@ -99,13 +89,14 @@ def test_cache_matches_naive_differences():
 def test_cache_validation():
     with pytest.raises(ValueError, match="2-d"):
         TripletCache(np.zeros(4), np.array([[0, 1, 2]]))
-    with pytest.raises(ValueError, match="index array"):
-        TripletCache(np.zeros((3, 4)), np.array([0, 1, 2]))
+    for bad in (np.array([0, 1, 2]), np.zeros((3, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"\(N, 3\) index array"):
+            TripletCache(np.zeros((3, 4)), bad)
     with pytest.raises(ValueError, match="out of range"):
         TripletCache(np.zeros((3, 4)), np.array([[0, 1, -1]]))
     data = gaussian_blobs(4, 20, 2, seed=0)
     with pytest.raises(ValueError, match="out of range"):
-        build_cache(data, TripletSet(np.array([[0, 1, 99]])))
+        build_cache(data, np.array([[0, 1, 99]]))
 
 
 def test_cache_arrays_are_c_contiguous():
@@ -126,22 +117,24 @@ def test_project_cache_applies_projection():
     data = gaussian_blobs(8, 30, 2, seed=3)
     ts = sample_active_triplets(data, 40, seed=3)
     cache = build_cache(data, ts)
-    proj = gaussian_matrix(8, 4, seed=1)
-    projected = project_cache(cache, proj)
+    R = gaussian_matrix(8, 4, seed=1)
+    projected = project_cache(cache, R)
     assert projected.space_dim == 4 and projected.n == 40
-    assert np.allclose(projected.points, proj.entries.T @ data.points)
+    assert np.allclose(projected.points, R.T @ data.points)
     assert np.array_equal(projected.triplets, cache.triplets)
     for sketch, full in zip(differences(projected), differences(cache)):
-        assert np.allclose(sketch, proj.entries.T @ full)
-    with pytest.raises(ValueError):
+        assert np.allclose(sketch, R.T @ full)
+    with pytest.raises(ValueError, match="must match cache dimension"):
         project_cache(cache, gaussian_matrix(9, 4, seed=1))
+    with pytest.raises(ValueError, match="2-d"):
+        project_cache(cache, np.ones(8))
 
 
 def test_identity_projection_preserves_cache_bits():
     data = gaussian_blobs(6, 30, 2, seed=4)
     ts = sample_active_triplets(data, 40, seed=4)
     cache = build_cache(data, ts)
-    projected = project_cache(cache, identity_matrix(6))
+    projected = project_cache(cache, np.eye(6))
     assert np.array_equal(projected.points, cache.points)
     for sketch, full in zip(differences(projected), differences(cache)):
         assert np.array_equal(sketch, full)
@@ -152,13 +145,25 @@ def test_identity_projection_preserves_cache_bits():
 
 
 def test_triplets_csv_round_trip(tmp_path):
-    ts = TripletSet(np.array([[0, 1, 2], [3, 4, 5]]))
+    ts = np.array([[0, 1, 2], [3, 4, 5]])
     path = tmp_path / "triplets.csv"
     save_triplets(path, ts)
     text = path.read_text()
     assert text.splitlines()[0] == "i,j,k"
     back = load_triplets(path)
-    assert np.array_equal(back.triplets, ts.triplets)
+    assert back.dtype == np.int64 and np.array_equal(back, ts)
+    path.write_text("i,j,k\n")
+    assert load_triplets(path).shape == (0, 3)
     path.write_text("x,y,z\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         load_triplets(path)
+    bad_lines = {
+        "i,j,k\n0,1,2\n3,4\n": "line 3: expected three integers i,j,k, got '3,4'",  # ragged
+        "i,j,k\n0,1\n3,4\n": "line 2: expected three integers i,j,k, got '0,1'",  # two columns
+        "i,j,k\n0,1,2\n\n3,x,5\n": "line 4: expected three integers i,j,k, got '3,x,5'",
+        "i,j,k\n0,1,2.5\n": "line 2: expected three integers i,j,k, got '0,1,2.5'",
+    }
+    for text, message in bad_lines.items():
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_triplets(path)
