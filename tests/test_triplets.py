@@ -86,12 +86,16 @@ def test_cache_matches_naive_differences():
         assert np.array_equal(V[:, t], v)
 
 
-def test_cache_validation():
-    with pytest.raises(ValueError, match="2-d"):
-        TripletCache(np.zeros(4), np.array([[0, 1, 2]]))
+def test_triplet_set_validation():
+    assert TripletCache(np.zeros((3, 4)), np.array([[0, 1, 2]])).n == 1
     for bad in (np.array([0, 1, 2]), np.zeros((3, 2), dtype=np.int64)):
         with pytest.raises(ValueError, match=r"\(N, 3\) index array"):
             TripletCache(np.zeros((3, 4)), bad)
+
+
+def test_cache_validation():
+    with pytest.raises(ValueError, match="2-d"):
+        TripletCache(np.zeros(4), np.array([[0, 1, 2]]))
     with pytest.raises(ValueError, match="out of range"):
         TripletCache(np.zeros((3, 4)), np.array([[0, 1, -1]]))
     data = gaussian_blobs(4, 20, 2, seed=0)
