@@ -105,7 +105,7 @@ def knn_accuracy(M, train, test, k):
         raise ValueError(f"k must be in [1, {train.n}]")
     if train.d != test.d:
         raise ValueError("train and test dimensions differ")
-    n_classes = int(train.labels.max()) + 1
+    n_classes = train.n_classes
     correct = 0
     for rows, dist in sq_distance_blocks(M, test.points, train.points):
         nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]

@@ -83,32 +83,35 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
 
     ``projection_override`` substitutes the d x m projection array used by
     projected methods (e.g. ``np.eye(d)`` to reduce durp to duori exactly).
+    duori is durp without the projection: it solves on the cache itself.
     """
+    method = config.method
+    if method != "duori":
+        bound, name = (min(train.d, train.n), "min(d, n)") if method == "spca" else (train.d, "d")
+        if config.m > bound:
+            raise ValueError(f"{method} needs m <= {name} = {bound}, got m = {config.m}")
     started = time.perf_counter()
     triplets = sample_active_triplets(train, config.n_triplets, trial_seed)
     cache = build_cache(train, triplets)
     lam = (1.0 / cache.n) if config.lam is None else config.lam
     loss = LossModel(kind=config.loss, gamma=config.gamma)
-    method = config.method
 
-    if method == "duori":
-        solution = csdca_solve(cache, loss, lam, config.epochs, trial_seed)
-        metric = psd_project(recover_metric(solution.alpha, cache, lam))
-    else:
+    space = cache
+    if method != "duori":
         if projection_override is not None:
             projection = projection_override
         elif method == "spca":
             projection = pca_fit(train, config.m)[0]
         else:
             projection = gaussian_matrix(train.d, config.m, trial_seed)
-        projected = project_cache(cache, projection)
-        solution = csdca_solve(projected, loss, lam, config.epochs, trial_seed)
-        if method == "durp":
-            # recovery uses the original-space points
-            metric = psd_project(recover_metric(solution.alpha, cache, lam))
-        else:  # srp / spca stay in the subspace
-            m_s = recover_metric(solution.alpha, projected, lam)
-            metric = psd_project(assemble_subspace_metric(m_s, projection))
+        space = project_cache(cache, projection)
+    solution = csdca_solve(space, loss, lam, config.epochs, trial_seed)
+    if method in ("durp", "duori"):
+        # recovery uses the original-space points
+        metric = psd_project(recover_metric(solution.alpha, cache, lam))
+    else:  # srp / spca stay in the subspace
+        m_s = recover_metric(solution.alpha, space, lam)
+        metric = psd_project(assemble_subspace_metric(m_s, projection))
 
     report = evaluate_metric(metric, train, test, config.k)
     return TrialResult(
@@ -121,7 +124,7 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
     )
 
 
-def run_method(config, train=None, test=None, projection_override=None):
+def run_method(config, train=None, test=None):
     """Run all trials and aggregate mean/std of the evaluation scores.
 
     Datasets are loaded from the config paths unless passed in directly;
@@ -141,8 +144,7 @@ def run_method(config, train=None, test=None, projection_override=None):
         raise ValueError("train and test dimensions differ")
     results = []
     for t in range(config.trials):
-        results.append(train_trial(config, train, test, config.seed + t,
-                                   projection_override=projection_override))
+        results.append(train_trial(config, train, test, config.seed + t))
     maps = np.array([r.report.map_score for r in results])
     accs = np.array([r.report.knn_accuracy for r in results])
     ddof = 1 if config.trials > 1 else 0

@@ -51,8 +51,6 @@ def accumulator(cache, alpha):
     """
     if alpha.shape != (cache.n,):
         raise ValueError("alpha must have one entry per triplet")
-    if cache.n == 0:
-        raise ValueError("cannot build S from an empty triplet cache")
     X = cache.points
     n_points = X.shape[1]
     i, j, k = cache.triplets[cache.anchor_order].T
@@ -72,15 +70,15 @@ def accumulator(cache, alpha):
     return P + P.T
 
 
-def check_dense_limit(n, limit=DENSE_LIMIT):
-    """Refuse Gram work on more than ``limit`` triplet columns."""
-    if n > limit:
-        raise ValueError(f"dense Gram limited to {limit} triplets, got {n}")
+def check_dense_limit(n):
+    """Refuse Gram work on more than ``DENSE_LIMIT`` triplet columns."""
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense Gram limited to {DENSE_LIMIT} triplets, got {n}")
 
 
-def dense_gram(U, V, limit=DENSE_LIMIT):
+def dense_gram(U, V):
     """Materialize G for small N; the per-block squares keep it O(N^2 p)."""
-    check_dense_limit(U.shape[1], limit)
+    check_dense_limit(U.shape[1])
     UU = U.T @ U
     VV = V.T @ V
     UV = U.T @ V

@@ -55,6 +55,8 @@ class HarnessConfig:
             raise ValueError("d must be positive")
         if not 1 <= self.r <= self.d:
             raise ValueError("need 1 <= r <= d")
+        if self.n_triplets < 1:
+            raise ValueError("n_triplets must be positive")
         outside = [m for m in self.m_sweep if not 1 <= m <= self.d]
         if outside:
             raise ValueError(
@@ -218,9 +220,9 @@ def theorem2_csv(result):
     return "\n".join(lines) + "\n"
 
 
-def emit_spectrum(data_path, d=None):
+def emit_spectrum(data_path):
     """Spectrum CSV for a dataset on disk (see :func:`durp.data.eigen_spectrum`)."""
-    data, _ = load_libsvm(data_path, d=d)
+    data, _ = load_libsvm(data_path)
     spectrum, normalized = eigen_spectrum(data)
     if not normalized:
         raise ValueError("degenerate dataset: zero total variance")

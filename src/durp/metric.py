@@ -1,4 +1,4 @@
-"""Metric recovery, PSD projection, blocked pairwise distances, and on-disk formats.
+"""Metric recovery, PSD projection, blocked pairwise distances, and the on-disk format.
 
 Recovery rebuilds the full-dimension metric from dual variables, the
 triplet indices and the *original* points, so only one PSD projection is
@@ -21,12 +21,12 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
-def require_symmetric(M, tol=SYMMETRY_TOL):
+def require_symmetric(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
     scale = max(float(np.abs(M).max()), 1e-30) if M.size else 1.0
     skew = float(np.abs(M - M.T).max()) if M.size else 0.0
-    if skew > tol * scale:
+    if skew > SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is not symmetric (relative skew {skew / scale:.3e})")
 
 
@@ -108,39 +108,3 @@ def load_metric(path):
     M = np.frombuffer(payload, dtype="<f8").reshape(q, q).astype(np.float64)
     return M
 
-
-def save_metric_eigen(path, M, rank):
-    """Factored variant: keeps the top ``rank`` eigenpairs by eigenvalue.
-
-    Layout: q u64, r u64, r eigenvalues f64, then the q x r eigenvector
-    block row-major f64 (all little-endian).  Loading rebuilds the
-    rank-r approximation B diag(w) B^T.
-    """
-    require_symmetric(M)
-    q = M.shape[0]
-    if not 1 <= rank <= q:
-        raise ValueError("rank must be in [1, q]")
-    eigvals, eigvecs = np.linalg.eigh(symmetrize(M))
-    order = np.argsort(eigvals)[::-1][:rank]
-    w = eigvals[order]
-    B = eigvecs[:, order]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", q, rank))
-        fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(B, dtype="<f8").tobytes())
-
-
-def load_metric_eigen(path):
-    """Rebuild the rank-r approximation stored by :func:`save_metric_eigen`."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError("truncated factored-metric file")
-        q, r = struct.unpack("<QQ", header)
-        payload = fh.read()
-    expected = (r + q * r) * 8
-    if len(payload) != expected:
-        raise ValueError(f"factored-metric payload has {len(payload)} bytes, expected {expected}")
-    w = np.frombuffer(payload, dtype="<f8", count=r).astype(np.float64)
-    B = np.frombuffer(payload, dtype="<f8", offset=r * 8).reshape(q, r).astype(np.float64)
-    return symmetrize((B * w) @ B.T)

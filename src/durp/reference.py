@@ -53,8 +53,6 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     steps run out first.
     """
     n = cache.n
-    if n == 0:
-        return DualSolution(alpha=np.zeros(0), objective=0.0, gap=0.0, trace=[])
     check_dense_limit(n)
     product, top = _gram_product(cache)
     lam_n = lam * n

@@ -135,33 +135,25 @@ def init_state(cache, lam):
 
 
 def _check_feasible(alpha):
-    if alpha.size and (alpha.min() < -1.0 - FEASIBILITY_TOL or alpha.max() > FEASIBILITY_TOL):
+    if alpha.min() < -1.0 - FEASIBILITY_TOL or alpha.max() > FEASIBILITY_TOL:
         raise ValueError("alpha leaves the box [-1, 0]")
 
 
 def dual_objective(state, loss):
     """D(alpha) using the identity alpha^T G alpha = ||S||_F^2."""
     _check_feasible(state.alpha)
-    n = state.cache.n
-    if n == 0:
-        return 0.0
     quad = float(np.sum(state.S * state.S))
-    return float(-np.sum(loss.conjugate(state.alpha)) - quad / (2.0 * state.lam * n))
+    return float(-np.sum(loss.conjugate(state.alpha)) - quad / (2.0 * state.lam * state.cache.n))
 
 
 def primal_objective(U, V, M, loss, lam):
     """P(M) = lam/2 ||M||_F^2 + mean hinge-type loss over the columns U, V."""
-    reg = 0.5 * lam * float(np.sum(M * M))
-    if U.shape[1] == 0:
-        return reg
-    return reg + float(np.mean(loss.value(margins(U, V, M))))
+    return 0.5 * lam * float(np.sum(M * M)) + float(np.mean(loss.value(margins(U, V, M))))
 
 
 def duality_gap(state, loss):
     """P(M(alpha)) - D(alpha)/N, the mean-loss-scale optimality certificate."""
     n = state.cache.n
-    if n == 0:
-        return 0.0
     M = -state.S / (state.lam * n)
     return primal_objective(state.U, state.V, M, loss, state.lam) - dual_objective(state, loss) / n
 
@@ -281,8 +273,6 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
         raise ValueError("epochs must be at least 1")
     state = init_state(cache, lam)
     n = cache.n
-    if n == 0:
-        return DualSolution(alpha=state.alpha, objective=0.0, gap=0.0, trace=[])
     rng = np.random.default_rng(seed)
     trace = []
     start = time.perf_counter()

@@ -6,6 +6,8 @@ import numpy as np
 
 from .data import LabeledDataset
 
+MEAN_GAP = 3.0  # gaussian_blobs: expected distance between class means, in units of noise
+
 # margin_gapped_blobs geometry
 GAP_SCALE = 0.15  # simplex radius: close-pair margins ~ 0.6
 GAP_EDGE_MULT = 4.0  # far-class offset along an edge: its margins >= 1.9
@@ -16,16 +18,16 @@ def _round_robin_labels(n, n_classes):
     return np.arange(n, dtype=np.int64) % n_classes
 
 
-def gaussian_blobs(d, n, n_classes, seed, mean_gap=3.0, noise=1.0):
-    """Isotropic Gaussian blobs whose class means sit ``mean_gap * noise`` apart.
+def gaussian_blobs(d, n, n_classes, seed, noise=1.0):
+    """Isotropic Gaussian blobs whose class means sit ``MEAN_GAP * noise`` apart.
 
-    Means are drawn isotropically with scale mean_gap * noise / sqrt(2 d),
-    so the expected distance between two class means is mean_gap * noise.
+    Means are drawn isotropically with scale MEAN_GAP * noise / sqrt(2 d),
+    so the expected distance between two class means is MEAN_GAP * noise.
     """
     if n_classes < 2 or n < 2 * n_classes:
         raise ValueError("need at least two classes with two points each")
     rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, mean_gap * noise / np.sqrt(2 * d), size=(d, n_classes))
+    means = rng.normal(0.0, MEAN_GAP * noise / np.sqrt(2 * d), size=(d, n_classes))
     labels = _round_robin_labels(n, n_classes)
     points = means[:, labels] + rng.normal(0.0, noise, size=(d, n))
     return LabeledDataset(points, labels)

@@ -14,13 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_DRAW_FACTOR = 1000  # sampling gives up after this many draws per requested triplet
+
 
 @dataclass(frozen=True)
 class TripletCache:
     """A triplet set in index form over the points it indexes.
 
     ``points`` is p x n (one column per point, kept as given, without a
-    copy) and ``triplets`` the (N, 3) rows (i, j, k).  Nothing of size
+    copy) and ``triplets`` the (N, 3) rows (i, j, k), N >= 1: every layer
+    below the cache may assume at least one triplet.  Nothing of size
     p x N is stored: the solver gathers the difference columns of the
     space it runs in (:func:`differences`), and the accumulator rebuilds
     sum_t alpha_t A_t from the n points.  ``anchor_order`` sorts the
@@ -36,9 +39,11 @@ class TripletCache:
         t = np.asarray(self.triplets, dtype=np.int64)
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triplets must be an (N, 3) index array")
+        if t.shape[0] == 0:
+            raise ValueError("empty triplet cache: need at least one triplet")
         if self.points.ndim != 2:
             raise ValueError("points must be a 2-d (p, n) array")
-        if t.size and (t.min() < 0 or t.max() >= self.points.shape[1]):
+        if t.min() < 0 or t.max() >= self.points.shape[1]:
             raise ValueError("triplet indices out of range")
         object.__setattr__(self, "triplets", t)
         object.__setattr__(self, "anchor_order", np.argsort(t[:, 0], kind="stable"))
@@ -52,7 +57,7 @@ class TripletCache:
         return self.triplets.shape[0]
 
 
-def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
+def sample_active_triplets(data, n_triplets, seed):
     """Rejection-sample ``n_triplets`` active triplets as an (N, 3) int64 array.
 
     Each draw picks an anchor i uniformly, a same-class j != i uniformly,
@@ -65,7 +70,7 @@ def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
     ------
     ValueError
         If the label structure cannot support sampling, or more than
-        ``max_draw_factor * n_triplets`` draws were needed.
+        ``MAX_DRAW_FACTOR * n_triplets`` draws were needed.
     """
     if n_triplets < 0:
         raise ValueError("n_triplets must be nonnegative")
@@ -85,7 +90,7 @@ def sample_active_triplets(data, n_triplets, seed, max_draw_factor=1000):
     accepted = np.empty((n_triplets, 3), dtype=np.int64)
     n_accepted = 0
     draws = 0
-    cap = max_draw_factor * n_triplets
+    cap = MAX_DRAW_FACTOR * n_triplets
     while n_accepted < n_triplets:
         if draws >= cap:
             raise ValueError(

@@ -231,9 +231,26 @@ def test_verify_t1_over_the_dense_limit_exits_2(capsys):
      "every m in the sweep must lie in [1, d] = [1, 20]; out of range: 50, 100, 400"),
     # verify-t2 has no --r flag, so d is checked before r
     (["verify-t2", "--d", "0"], "error: d must be positive"),
+    # lam = 1/N needs at least one triplet
+    (["verify-t1", "--d", "20", "--r", "2", "--n", "40", "--triplets", "0",
+      "--m-sweep", "2", "--seeds", "0"], "error: n_triplets must be positive"),
+    (["verify-t2", "--d", "80", "--n", "40", "--triplets", "0", "--m", "64", "--seeds", "0"],
+     "error: n_triplets must be positive"),
 ])
 def test_harness_config_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    # the default m = 10 is more than the fixture's 6 features
+    (("--method", "spca"), "spca needs m <= min(d, n) = 6, got m = 10"),
+    # refused before a d x m projection is allocated
+    (("--m", "999999"), "durp needs m <= d = 6, got m = 999999"),
+])
+def test_m_beyond_the_data_exits_2(extra, message, datasets, capsys):
+    train_path, test_path = datasets
+    assert main(["train", "--train-file", train_path, "--test-file", test_path, *extra]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -322,3 +339,38 @@ def test_subcommand_defaults_are_run_config_fields(command, names):
     args, defaults = parse_args([command]), RunConfig()
     for name in names:
         assert getattr(args, name) == getattr(defaults, name)
+
+
+def tiny_argv(command, train_path, test_path, tmp_path):
+    """Flags for a run of ``command`` on the CLI fixture that takes well under a second."""
+    data = ["--train-file", train_path, "--test-file", test_path]
+    if command == "eval":
+        metric_path = tmp_path / "identity.bin"
+        save_metric(metric_path, np.eye(6))
+        return ["--metric-file", str(metric_path), *data]
+    return {
+        "train": [*data, "--m", "4", "--triplets", "40", "--trials", "1"],
+        "spectrum": data[:2],
+        "verify-t1": ["--d", "20", "--r", "2", "--n", "40", "--triplets", "30",
+                      "--m-sweep", "2", "--seeds", "0"],
+        "verify-t2": ["--d", "80", "--n", "40", "--triplets", "30", "--m", "64", "--seeds", "0"],
+        "sample-triplets": [*data[:2], "--triplets", "25"],
+    }[command]
+
+
+# every typed flag takes a number or a list of numbers
+NUMERIC_FLAGS = [
+    (command, action.option_strings[-1])
+    for command, p in sorted(build_parser().commands.items())
+    for action in config_keys(p).values()
+    if action.type is not None
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+def test_numeric_flags_at_zero_and_below_never_raise(command, flag, value, datasets, tmp_path):
+    # a later flag wins, so the swept value overrides the tiny run's own
+    argv = [command, *tiny_argv(command, *datasets, tmp_path), flag, value,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) in (0, 1, 2)

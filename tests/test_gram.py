@@ -94,11 +94,12 @@ def test_kron_oracle_dimension_guard():
         gram_oracle(U, V, 0, 1)
 
 
-def test_dense_gram_size_guard():
+def test_dense_gram_size_guard(monkeypatch):
     rng = np.random.default_rng(4)
     U, V = random_columns(rng, 3, 10)
-    with pytest.raises(ValueError, match="dense Gram"):
-        dense_gram(U, V, limit=5)
+    monkeypatch.setattr(gram, "DENSE_LIMIT", 5)
+    with pytest.raises(ValueError, match="dense Gram limited to 5 triplets"):
+        dense_gram(U, V)
     assert DENSE_LIMIT == 4000
 
 

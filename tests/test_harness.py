@@ -34,6 +34,8 @@ def test_smooth_recovery_m_frozen_and_monotone():
 def test_harness_config_validation():
     with pytest.raises(ValueError, match="1 <= r <= d"):
         HarnessConfig(d=5, r=6)
+    with pytest.raises(ValueError, match="n_triplets must be positive"):
+        HarnessConfig(n_triplets=0)
     with pytest.raises(ValueError, match="lie in"):
         HarnessConfig(d=10, r=2, m_sweep=(0, 5))
     with pytest.raises(ValueError, match="lie in"):

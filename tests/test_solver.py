@@ -340,7 +340,7 @@ def test_reference_solver_does_not_rebuild_the_metric(monkeypatch):
 
 
 def test_reference_solver_route_follows_the_shape(monkeypatch):
-    def refuse(U, V, limit=DENSE_LIMIT):
+    def refuse(U, V):
         raise AssertionError("pga_solve built the dense Gram")
 
     # patched where it is defined and where reference.py bound it at import

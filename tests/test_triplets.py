@@ -56,13 +56,14 @@ def test_sampling_validates_class_structure():
         sample_active_triplets(data, -1, seed=0)
 
 
-def test_sampling_reports_dead_instances():
+def test_sampling_reports_dead_instances(monkeypatch):
     # classes so far apart that no Euclidean-active triplet exists
     points = np.zeros((2, 8))
     points[0, 4:] = 100.0
     data = LabeledDataset(points, np.array([0] * 4 + [1] * 4))
-    with pytest.raises(ValueError, match="acceptance rate"):
-        sample_active_triplets(data, 10, seed=0, max_draw_factor=20)
+    monkeypatch.setattr("durp.triplets.MAX_DRAW_FACTOR", 20)
+    with pytest.raises(ValueError, match=r"exceeded 200 draws \(acceptance rate"):
+        sample_active_triplets(data, 10, seed=0)
 
 
 def test_sampling_zero_triplets():
@@ -91,6 +92,8 @@ def test_triplet_set_validation():
     for bad in (np.array([0, 1, 2]), np.zeros((3, 2), dtype=np.int64)):
         with pytest.raises(ValueError, match=r"\(N, 3\) index array"):
             TripletCache(np.zeros((3, 4)), bad)
+    with pytest.raises(ValueError, match="empty triplet cache"):
+        TripletCache(np.zeros((3, 4)), np.empty((0, 3), dtype=np.int64))
 
 
 def test_cache_validation():
