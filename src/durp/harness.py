@@ -166,6 +166,8 @@ def verify_theorem2(config, m=None):
     lipschitz = 1.0 / config.gamma
     if m is None:
         m = smooth_recovery_m(n, config.delta)
+    if m < 1:
+        raise ValueError(f"m must be positive, got m = {m}")
     if m > config.d:
         raise ValueError(f"sampling condition needs m = {m} <= d = {config.d}")
     epsilon = np.sqrt(8.0 * np.log(8.0 * n / config.delta) / m)

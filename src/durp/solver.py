@@ -152,10 +152,14 @@ def primal_objective(U, V, M, loss, lam):
 
 
 def duality_gap(state, loss):
-    """P(M(alpha)) - D(alpha)/N, the mean-loss-scale optimality certificate."""
+    """max(P(M(alpha)) - D(alpha)/N, 0), the mean-loss-scale optimality certificate.
+
+    Weak duality makes it nonnegative; the clamp removes rounding below 0.
+    """
     n = state.cache.n
     M = -state.S / (state.lam * n)
-    return primal_objective(state.U, state.V, M, loss, state.lam) - dual_objective(state, loss) / n
+    gap = primal_objective(state.U, state.V, M, loss, state.lam) - dual_objective(state, loss) / n
+    return max(gap, 0.0)
 
 
 def _sweep(state, order, step):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_DRAW_FACTOR = 1000  # sampling gives up after this many draws per requested triplet
+SAMPLE_BYTES = 512 * 1024  # size of one gathered block of point rows; sets the draws per step
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,14 @@ def sample_active_triplets(data, n_triplets, seed):
 
     Each draw picks an anchor i uniformly, a same-class j != i uniformly,
     and a different-class k uniformly; the draw is kept only when the
-    Euclidean margin 1 + ||x_i - x_j||^2 - ||x_i - x_k||^2 is positive.
-    Anchors whose class has no second member are redrawn (counted as a
-    rejected draw).  Deterministic given ``seed``.
+    Euclidean margin 1 + ||x_i - x_j||^2 - ||x_i - x_k||^2 is positive, in
+    that direct form on rows of one C-contiguous n x d copy of the points.
+    An anchor in a class of one is a rejected draw.  Draws come in blocks
+    of max(1, SAMPLE_BYTES // (8 d)); the first N kept, in draw order, are
+    returned, and only the first MAX_DRAW_FACTOR * N draws count, so a
+    smaller N gives a prefix of a larger one.  Deterministic given
+    ``seed``; the stream depends on d through the block size, and a seed's
+    triplets differ from those of earlier, one-draw-per-step versions.
 
     Raises
     ------
@@ -84,9 +90,13 @@ def sample_active_triplets(data, n_triplets, seed):
         return np.empty((0, 3), dtype=np.int64)
 
     rng = np.random.default_rng(seed)
-    members = [np.flatnonzero(labels == c) for c in range(counts.size)]
-    others = [np.flatnonzero(labels != c) for c in range(counts.size)]
-    points = data.points
+    n = data.n
+    order = np.argsort(labels, kind="stable")  # each class one block, in index order
+    start = np.cumsum(counts) - counts
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - start[labels[order]]
+    Xt = np.ascontiguousarray(data.points.T)
+    block = max(1, SAMPLE_BYTES // (8 * Xt.shape[1]))
     accepted = np.empty((n_triplets, 3), dtype=np.int64)
     n_accepted = 0
     draws = 0
@@ -97,22 +107,23 @@ def sample_active_triplets(data, n_triplets, seed):
                 "triplet sampling exceeded %d draws (acceptance rate %.4f); "
                 "check the label geometry" % (cap, n_accepted / draws)
             )
-        draws += 1
-        i = int(rng.integers(data.n))
+        i = rng.integers(n, size=block)
         c = labels[i]
-        same = members[c]
-        if same.size < 2:
-            continue
-        j = i
-        while j == i:
-            j = int(same[rng.integers(same.size)])
-        diff = others[c]
-        k = int(diff[rng.integers(diff.size)])
-        vv = points[:, i] - points[:, j]
-        uu = points[:, i] - points[:, k]
-        if 1.0 + vv @ vv - uu @ uu > 0.0:
-            accepted[n_accepted] = (i, j, k)
-            n_accepted += 1
+        count = counts[c]
+        r = rng.integers(np.maximum(count - 1, 1))  # rank in the class, skipping i's own
+        r += (r >= rank[i]) & (count > 1)  # a class of one leaves j = i: rejected below
+        j = order[start[c] + r]
+        q = rng.integers(n - count)  # position in the label order, skipping i's class
+        k = order[q + np.where(q >= start[c], count, 0)]
+        xi = Xt[i]
+        v = xi - Xt[j]
+        u = xi - Xt[k]
+        margin = 1.0 + np.einsum("td,td->t", v, v) - np.einsum("td,td->t", u, u)
+        active = ((i != j) & (margin > 0.0))[:cap - draws]  # draws past the cap go unused
+        draws += active.size
+        kept = np.flatnonzero(active)[:n_triplets - n_accepted]
+        accepted[n_accepted:n_accepted + kept.size] = np.column_stack((i[kept], j[kept], k[kept]))
+        n_accepted += kept.size
     return accepted
 
 

@@ -236,6 +236,10 @@ def test_verify_t1_over_the_dense_limit_exits_2(capsys):
       "--m-sweep", "2", "--seeds", "0"], "error: n_triplets must be positive"),
     (["verify-t2", "--d", "80", "--n", "40", "--triplets", "0", "--m", "64", "--seeds", "0"],
      "error: n_triplets must be positive"),
+    (["verify-t2", "--d", "80", "--n", "40", "--triplets", "30", "--m", "0", "--seeds", "0"],
+     "error: m must be positive, got m = 0"),
+    (["verify-t2", "--d", "80", "--n", "40", "--triplets", "30", "--m", "-1", "--seeds", "0"],
+     "error: m must be positive, got m = -1"),
 ])
 def test_harness_config_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2

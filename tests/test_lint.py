@@ -1,4 +1,4 @@
-"""Every name a module under src/durp, tests or perfbench imports is used in that module.
+"""Every name a module under src/durp, tests, perfbench or scripts imports is used there.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -10,7 +10,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CHECKED = [
     path
-    for folder in (ROOT / "src" / "durp", ROOT / "tests", ROOT / "perfbench")
+    for folder in (ROOT / "src" / "durp", ROOT / "tests", ROOT / "perfbench",
+                   ROOT / "scripts")
     for path in sorted(folder.glob("*.py"))
     if path.name != "__init__.py"
 ]

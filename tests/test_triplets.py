@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from durp import triplets
 from durp.data import LabeledDataset
 from durp.gram import accumulator, dense_gram
 from durp.projection import gaussian_matrix
@@ -64,6 +65,29 @@ def test_sampling_reports_dead_instances(monkeypatch):
     monkeypatch.setattr("durp.triplets.MAX_DRAW_FACTOR", 20)
     with pytest.raises(ValueError, match=r"exceeded 200 draws \(acceptance rate"):
         sample_active_triplets(data, 10, seed=0)
+
+
+def test_sampling_keeps_a_prefix_of_one_stream(monkeypatch):
+    data = gaussian_blobs(5, 80, 3, seed=6, noise=0.3)
+    for block_bytes in (8 * 5 * 16, triplets.SAMPLE_BYTES):  # 16 draws per step, the default
+        monkeypatch.setattr(triplets, "SAMPLE_BYTES", block_bytes)
+        full = sample_active_triplets(data, 500, seed=6)
+        for n_prefix in (1, 37, 499):
+            assert np.array_equal(sample_active_triplets(data, n_prefix, seed=6),
+                                  full[:n_prefix])
+
+
+def test_sampling_reaches_every_eligible_triplet_and_no_other():
+    # equal points make every triplet active; classes 3 and 4 have one
+    # member each, and no point has label 2
+    labels = np.array([1, 0, 3, 0, 1, 0, 1, 4])
+    data = LabeledDataset(np.zeros((2, labels.size)), labels)
+    tri = sample_active_triplets(data, 4000, seed=0)
+    eligible = [i for i in range(labels.size) if np.sum(labels == labels[i]) >= 2]
+    expected = {(i, j, k) for i in eligible for j in range(labels.size)
+                for k in range(labels.size)
+                if j != i and labels[j] == labels[i] and labels[k] != labels[i]}
+    assert set(map(tuple, tri.tolist())) == expected
 
 
 def test_sampling_zero_triplets():
