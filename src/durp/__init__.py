@@ -8,7 +8,7 @@ exhaustive-reference solver, evaluation protocols, and harnesses that
 check the method's recovery guarantees empirically.
 """
 
-from .data import LabeledDataset, ParseError, eigen_spectrum, load_libsvm, parse_libsvm, pca_fit, serialize_libsvm
+from .data import LabeledDataset, ParseError, eigen_spectrum, load_libsvm, parse_libsvm, pca_fit
 from .evaluate import EvalReport, evaluate_metric, knn_accuracy
 from .experiments import METHODS, RunConfig, run_method, train_trial
 from .gram import KappaStats, dense_gram, kappa
@@ -16,7 +16,7 @@ from .harness import HarnessConfig, verify_theorem1, verify_theorem2
 from .metric import assemble_subspace_metric, load_metric, psd_project, recover_metric, save_metric
 from .projection import gaussian_matrix
 from .reference import pga_solve
-from .solver import DualSolution, LossModel, SolverState, csdca_solve, dual_objective, duality_gap, sdca_update, sgd_epoch
+from .solver import DualSolution, LossModel, csdca_solve, duality_gap
 from .synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from .triplets import TripletCache, build_cache, differences, project_cache, sample_active_triplets
 

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import harness as harness_mod
-from .data import load_libsvm
+from .data import eigen_spectrum, load_libsvm, spectrum_csv
 from .evaluate import evaluate_metric
 from .experiments import METHODS, RunConfig, run_method
 from .metric import load_metric, save_metric
@@ -213,7 +213,8 @@ def cmd_eval(args):
 
 def cmd_spectrum(args):
     _require(args, "train_file")
-    _write_out(args, harness_mod.emit_spectrum(args.train_file))
+    data, _ = load_libsvm(args.train_file)
+    _write_out(args, spectrum_csv(eigen_spectrum(data)))
 
 
 def cmd_verify_t1(args):
@@ -246,7 +247,7 @@ def main(argv=None):
             args._run(args)
         except ConfigError:
             raise
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     except ConfigError as exc:

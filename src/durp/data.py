@@ -36,6 +36,8 @@ class LabeledDataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         if points.ndim != 2:
             raise ValueError("points must be a 2-d array (d rows, n columns)")
+        if points.shape[0] == 0:
+            raise ValueError("points have no features (d = 0)")
         if labels.ndim != 1 or labels.shape[0] != points.shape[1]:
             raise ValueError(
                 "labels must be 1-d with one entry per point column "
@@ -143,18 +145,6 @@ def parse_libsvm(text, d=None, label_map=None):
     return LabeledDataset(points, labels), label_map
 
 
-def serialize_libsvm(data):
-    """Render a dataset as LIBSVM text (zero entries omitted, 1-based indices)."""
-    lines = []
-    for col in range(data.n):
-        x = data.points[:, col]
-        nz = np.nonzero(x)[0]
-        parts = [str(int(data.labels[col]))]
-        parts.extend("%d:%.17g" % (i + 1, x[i]) for i in nz)
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 def load_libsvm(path, d=None, label_map=None):
     """Read a LIBSVM file from disk; see :func:`parse_libsvm`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -234,20 +224,16 @@ def pca_fit(data, k):
 def eigen_spectrum(data):
     """Normalized covariance spectrum of the centered point cloud.
 
-    Returns
-    -------
-    (ndarray, bool)
-        Nonincreasing eigenvalue vector summing to 1, and True when the
-        normalization was applied.  All-zero (degenerate) data yields an
-        all-zero vector and False.
+    Returns the nonincreasing eigenvalue vector, summing to 1.  Raises
+    ValueError when the centered data is all zero.
     """
     centered = data.points - data.points.mean(axis=1, keepdims=True)
     singular = np.linalg.svd(centered, compute_uv=False)
     spectrum = singular**2
     total = spectrum.sum()
     if total <= 0.0:
-        return np.zeros_like(spectrum), False
-    return spectrum / total, True
+        raise ValueError("degenerate dataset: zero total variance")
+    return spectrum / total
 
 
 def spectrum_csv(spectrum):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import eigen_spectrum, load_libsvm, spectrum_csv
 from .gram import kappa
 from .metric import psd_project, recover_metric
 from .projection import gaussian_matrix
@@ -34,6 +33,7 @@ from .triplets import build_cache, differences, project_cache, sample_active_tri
 T1_ORACLE_GAP = 1e-9  # gap of the original-space solve the sweep is measured against
 T1_RUN_GAP = 1e-8  # gap of each projected solve
 T2_ORACLE_GAP_SCALE = 0.01  # oracle gap as a fraction of the eta it certifies against
+T2_EPSILON = 0.5  # target epsilon of the smooth-case sampling condition that picks the default m
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,9 @@ def theorem1_csv(result):
     return "\n".join(lines) + "\n"
 
 
-def smooth_recovery_m(n_triplets, delta, epsilon=0.5):
-    """Smallest m meeting the smooth-case sampling condition for a target epsilon."""
-    return int(np.ceil(8.0 / epsilon**2 * np.log(8.0 * n_triplets / delta)))
+def smooth_recovery_m(n_triplets, delta):
+    """Smallest m meeting the smooth-case sampling condition at epsilon = ``T2_EPSILON``."""
+    return int(np.ceil(8.0 / T2_EPSILON**2 * np.log(8.0 * n_triplets / delta)))
 
 
 def verify_theorem2(config, m=None):
@@ -221,11 +221,3 @@ def theorem2_csv(result):
         )
     return "\n".join(lines) + "\n"
 
-
-def emit_spectrum(data_path):
-    """Spectrum CSV for a dataset on disk (see :func:`durp.data.eigen_spectrum`)."""
-    data, _ = load_libsvm(data_path)
-    spectrum, normalized = eigen_spectrum(data)
-    if not normalized:
-        raise ValueError("degenerate dataset: zero total variance")
-    return spectrum_csv(spectrum)

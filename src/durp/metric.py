@@ -106,5 +106,6 @@ def load_metric(path):
     if len(payload) != expected:
         raise ValueError(f"metric payload has {len(payload)} bytes, expected {expected}")
     M = np.frombuffer(payload, dtype="<f8").reshape(q, q).astype(np.float64)
+    require_symmetric(M)
     return M
 

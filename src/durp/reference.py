@@ -28,10 +28,6 @@ MAX_ITERS = 200000
 CHECK_EVERY = 50
 
 
-def _clip_box(alpha):
-    return np.clip(alpha, -1.0, 0.0)
-
-
 def _gram_product(cache):
     """(alpha -> G alpha, lambda_max(G)) on the thinner of G and its factor."""
     U, V = differences(cache)
@@ -83,9 +79,9 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     iters_done = 0
     while gap > gap_tol and iters_done < MAX_ITERS:
         iters_done += 1
-        new = _clip_box(momentum + step * grad(momentum))
+        new = np.clip(momentum + step * grad(momentum), -1.0, 0.0)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_accel * t_accel))
-        momentum = _clip_box(new + ((t_accel - 1.0) / t_next) * (new - alpha))
+        momentum = np.clip(new + ((t_accel - 1.0) / t_next) * (new - alpha), -1.0, 0.0)
         t_accel = t_next
         alpha = new
         if iters_done % CHECK_EVERY == 0:

@@ -220,12 +220,6 @@ def _check_permutation(order, n):
     return order
 
 
-def sdca_update(state, loss, t):
-    """Exact coordinate maximization of the dual at coordinate t: a sweep over t alone."""
-    _sweep(state, np.array([t]), _sdca_step(state, loss))
-    return state
-
-
 def sdca_epoch(state, loss, order):
     """One exact coordinate-ascent pass over ``order``; returns the accumulator drift."""
     _sweep(state, _check_permutation(order, state.cache.n), _sdca_step(state, loss))

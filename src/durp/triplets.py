@@ -160,20 +160,3 @@ def save_triplets(path, triplets):
         for i, j, k in triplets:
             fh.write(f"{i},{j},{k}\n")
 
-
-def load_triplets(path):
-    """Read the (N, 3) int64 triplet rows of a CSV written by :func:`save_triplets`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines or lines[0][1] != "i,j,k":
-        raise ValueError("expected header line 'i,j,k'")
-    arr = np.empty((len(lines) - 1, 3), dtype=np.int64)
-    for row, (lineno, text) in enumerate(lines[1:]):
-        try:  # unpacking raises ValueError on a wrong field count too
-            i, j, k = (int(x) for x in text.split(","))
-            arr[row] = i, j, k
-        except (ValueError, OverflowError):
-            raise ValueError(
-                f"triplet line {lineno}: expected three integers i,j,k, got {text!r}"
-            ) from None
-    return arr

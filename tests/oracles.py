@@ -6,7 +6,8 @@ compare the fast production paths against these.  Independent routes the
 package itself does not need (single Gram entries, the Kronecker
 embedding, the matrix-free Gram product and dual objective, kappa by power
 iteration, the primal form of the subgradient seed epoch, the array form
-of the loss derivative) live here too.
+of the loss derivative) live here too, with the LIBSVM writer that makes
+the test files.
 """
 
 import numpy as np
@@ -15,6 +16,18 @@ from durp import metric
 from durp.data import LabeledDataset
 from durp.gram import accumulator
 from durp.triplets import differences
+
+
+def serialize_libsvm(data):
+    """Render a dataset as LIBSVM text (zero entries omitted, 1-based indices)."""
+    lines = []
+    for col in range(data.n):
+        x = data.points[:, col]
+        nz = np.nonzero(x)[0]
+        parts = [str(int(data.labels[col]))]
+        parts.extend("%d:%.17g" % (i + 1, x[i]) for i in nz)
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def triplet_matrix(u, v):
@@ -278,9 +291,9 @@ def sequential_sdca_epoch(state, loss, order):
     """One coordinate-ascent pass over ``order``, one coordinate at a time.
 
     Each visit reads its margin u^T S u - v^T S v from the current S, takes
-    the closed-form step of :func:`durp.solver.sdca_update` and adds the
-    change to S as two rank-one updates: the per-coordinate loop the block
-    sweep must reproduce.  Updates ``state`` in place (no drift refresh).
+    the closed-form coordinate maximizer and adds the change to S as two
+    rank-one updates: the per-coordinate loop the block sweep must
+    reproduce.  Updates ``state`` in place (no drift refresh).
     """
     lam_n = state.lam * state.cache.n
     for t in order:

@@ -1,18 +1,20 @@
 """Command-line entry points: exit codes, config precedence, all subcommands."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from durp import experiments
 from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, read_config_file
-from durp.data import LabeledDataset, serialize_libsvm
+from durp.data import LabeledDataset, eigen_spectrum, spectrum_csv
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
 from durp.metric import save_metric
 from durp.synth import gaussian_blobs
-from durp.triplets import load_triplets
+
+from oracles import serialize_libsvm
 
 
 @pytest.fixture()
@@ -191,13 +193,33 @@ def test_spectrum_subcommand(datasets, tmp_path):
     assert len(lines) == 7  # header + d rows
 
 
+def test_spectrum_output_equals_direct_call(tmp_path):
+    data = gaussian_blobs(7, 25, 2, seed=5)
+    path, out = tmp_path / "data.svm", tmp_path / "spectrum.csv"
+    path.write_text(serialize_libsvm(data))
+    assert main(["spectrum", "--train-file", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == spectrum_csv(eigen_spectrum(data))
+
+
+def test_spectrum_of_constant_data_exits_2(tmp_path, capsys):
+    path = tmp_path / "flat.svm"
+    path.write_text("1 1:2 2:3\n2 1:2 2:3\n1 1:2 2:3\n")
+    assert main(["spectrum", "--train-file", str(path)]) == 2
+    assert "error: degenerate dataset: zero total variance" in capsys.readouterr().err
+
+
 def test_sample_triplets_subcommand(datasets, tmp_path, capsys):
     train_path, _ = datasets
     out = tmp_path / "triplets.csv"
     code = main(["sample-triplets", "--train-file", train_path,
                  "--triplets", "25", "--out", str(out)])
     assert code == 0
-    assert load_triplets(out).shape == (25, 3)
+    assert out.read_text().splitlines()[0] == "i,j,k"
+    back = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    assert back.shape == (25, 3)
+    assert main(["sample-triplets", "--train-file", train_path,
+                 "--triplets", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "i,j,k\n"
     # --out is mandatory here
     assert main(["sample-triplets", "--train-file", train_path,
                  "--triplets", "5"]) == 1
@@ -293,6 +315,32 @@ def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert all(message in err for message in messages)
+
+
+def test_eval_refuses_a_non_symmetric_metric(datasets, tmp_path, capsys):
+    train_path, test_path = datasets
+    metric_path = tmp_path / "upper.bin"
+    upper = np.triu(np.ones((6, 6)))  # save_metric refuses it, so write the bytes directly
+    metric_path.write_bytes(struct.pack("<Q", 6) + upper.astype("<f8").tobytes())
+    code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
+                 "--test-file", test_path])
+    assert code == 2
+    assert "not symmetric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "spectrum", "sample-triplets"])
+@pytest.mark.parametrize("text, message", [
+    ("1\n2\n1\n2\n", "error: points have no features (d = 0)"),
+    # 10**15 rows of float64 exceed any address space, so nothing is allocated
+    ("1 1:1\n2 1000000000000000:1\n", "error: Unable to allocate"),
+])
+def test_unusable_data_file_exits_2(command, text, message, tmp_path, capsys):
+    path = tmp_path / "data.svm"
+    path.write_text(text)
+    extra = {"train": ["--method", "duori", "--test-file", str(path)], "spectrum": [],
+             "sample-triplets": ["--out", str(tmp_path / "t.csv")]}[command]
+    assert main([command, "--train-file", str(path), *extra]) == 2
+    assert message in capsys.readouterr().err
 
 
 SAMPLE_VALUES = {int: "3", float: "0.25", None: "x.svm"}

@@ -9,9 +9,10 @@ from durp.data import (
     eigen_spectrum,
     parse_libsvm,
     pca_fit,
-    serialize_libsvm,
     spectrum_csv,
 )
+
+from oracles import serialize_libsvm
 
 
 def test_dataset_validation():
@@ -21,6 +22,8 @@ def test_dataset_validation():
         LabeledDataset(np.zeros(3), np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 4)), np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="no features"):
+        LabeledDataset(np.zeros((0, 4)), np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError):
         LabeledDataset(np.full((2, 2), np.nan), np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
@@ -164,16 +167,14 @@ def test_pca_k_validation():
 def test_eigen_spectrum_normalization():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(5, 30))
-    spectrum, normalized = eigen_spectrum(LabeledDataset(points, np.zeros(30, dtype=np.int64)))
-    assert normalized
+    spectrum = eigen_spectrum(LabeledDataset(points, np.zeros(30, dtype=np.int64)))
     assert spectrum.shape == (5,)
     assert np.all(np.diff(spectrum) <= 1e-12)
     assert abs(spectrum.sum() - 1.0) < 1e-12
 
     flat = LabeledDataset(np.ones((3, 4)), np.zeros(4, dtype=np.int64))
-    spectrum, normalized = eigen_spectrum(flat)  # centered data is all zero
-    assert not normalized
-    assert np.all(spectrum == 0)
+    with pytest.raises(ValueError, match="zero total variance"):
+        eigen_spectrum(flat)  # centered data is all zero
 
 
 def test_spectrum_csv_format():

@@ -6,13 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from durp.data import LabeledDataset, pca_fit, serialize_libsvm
+from durp.data import LabeledDataset, pca_fit
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
 from durp.metric import recover_metric
 from durp.projection import gaussian_matrix
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, project_cache
+
+from oracles import serialize_libsvm
 
 
 def split_blobs(d=8, n=80, seed=0):

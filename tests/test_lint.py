@@ -1,4 +1,5 @@
-"""Every name a module under src/durp, tests, perfbench or scripts imports is used there.
+"""Every name a module under src/durp, tests, perfbench or scripts imports is used there,
+and every public name src/durp defines is used outside the tests.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -42,3 +43,40 @@ def test_no_module_imports_an_unused_name():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+REACHING = [
+    path
+    for folder in (ROOT / "src" / "durp", ROOT / "perfbench", ROOT / "scripts")
+    for path in sorted(folder.glob("*.py"))
+    if path.name != "__init__.py"
+]
+
+
+def unreached_public_names():
+    """Public top-level defs and classes of src/durp that no program file refers to.
+
+    A reference is an ``ast.Name`` or ``ast.Attribute`` naming it anywhere in
+    src/durp, perfbench or scripts; imports and tests do not count, so a
+    name that only tests call is reported.
+    """
+    referenced = set()
+    for path in REACHING:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path in sorted((ROOT / "src" / "durp").glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    ]
+
+
+def test_every_public_name_in_src_is_reached_outside_tests():
+    assert unreached_public_names() == []

@@ -17,7 +17,6 @@ from durp.solver import (
     init_state,
     primal_objective,
     sdca_epoch,
-    sdca_update,
     sgd_epoch,
     trace_csv,
 )
@@ -179,7 +178,7 @@ def test_sdca_update_is_exact_coordinate_maximizer():
         grid = np.linspace(-1.0, 0.0, 2001)
         for t in rng.integers(0, n, size=8):
             t = int(t)
-            sdca_update(state, loss, t)
+            sequential_sdca_epoch(state, loss, [t])
             base = state.alpha.copy()
             # dual objective as a function of this coordinate alone
             values = []
@@ -197,7 +196,7 @@ def test_sdca_update_keeps_s_consistent():
     loss = LossModel("hinge")
     state = init_state(cache, lam)
     for t in range(min(25, cache.n)):
-        sdca_update(state, loss, t)
+        sequential_sdca_epoch(state, loss, [t])
     rebuilt = accumulator(cache, state.alpha)
     assert np.allclose(state.S, rebuilt, atol=1e-10 * (np.abs(rebuilt).max() + 1.0))
 

@@ -1,7 +1,5 @@
 """Active-triplet sampling, the index-form cache, and the gathered differences."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from durp.triplets import (
     TripletCache,
     build_cache,
     differences,
-    load_triplets,
     project_cache,
     sample_active_triplets,
     save_triplets,
@@ -179,22 +176,8 @@ def test_triplets_csv_round_trip(tmp_path):
     ts = np.array([[0, 1, 2], [3, 4, 5]])
     path = tmp_path / "triplets.csv"
     save_triplets(path, ts)
-    text = path.read_text()
-    assert text.splitlines()[0] == "i,j,k"
-    back = load_triplets(path)
-    assert back.dtype == np.int64 and np.array_equal(back, ts)
-    path.write_text("i,j,k\n")
-    assert load_triplets(path).shape == (0, 3)
-    path.write_text("x,y,z\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        load_triplets(path)
-    bad_lines = {
-        "i,j,k\n0,1,2\n3,4\n": "line 3: expected three integers i,j,k, got '3,4'",  # ragged
-        "i,j,k\n0,1\n3,4\n": "line 2: expected three integers i,j,k, got '0,1'",  # two columns
-        "i,j,k\n0,1,2\n\n3,x,5\n": "line 4: expected three integers i,j,k, got '3,x,5'",
-        "i,j,k\n0,1,2.5\n": "line 2: expected three integers i,j,k, got '0,1,2.5'",
-    }
-    for text, message in bad_lines.items():
-        path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_triplets(path)
+    assert path.read_text().splitlines()[0] == "i,j,k"
+    back = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    assert np.array_equal(back, ts)
+    save_triplets(path, np.empty((0, 3), dtype=np.int64))
+    assert path.read_text() == "i,j,k\n"
