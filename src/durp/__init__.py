@@ -16,7 +16,7 @@ from .harness import HarnessConfig, verify_theorem1, verify_theorem2
 from .metric import assemble_subspace_metric, load_metric, psd_project, recover_metric, save_metric
 from .projection import gaussian_matrix
 from .reference import pga_solve
-from .solver import DualSolution, LossModel, csdca_solve, duality_gap
+from .solver import DualSolution, LossModel, certificate, csdca_solve
 from .synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from .triplets import TripletCache, build_cache, differences, project_cache, sample_active_triplets
 

@@ -164,6 +164,10 @@ def parse_args(argv=None):
             action.default = action.type(raw) if action.type else raw
         except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
+        try:  # the choices check argparse runs on flags but skips on defaults
+            parser._check_value(action, action.default)
+        except argparse.ArgumentError as exc:
+            raise ConfigError(str(exc)) from None
     return parser.parse_args(argv)
 
 

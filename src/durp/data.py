@@ -191,32 +191,20 @@ def pca_fit(data, k):
         raise ValueError(f"k must be in [1, min(d, n)] = [1, {min(data.d, data.n)}]")
     centered = data.points - data.points.mean(axis=1, keepdims=True)
     n = data.n
-    if data.d <= n:
-        cov = (centered @ centered.T) / n
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1][:k]
-        values = eigvals[order]
-        vectors = eigvecs[:, order]
-        cutoff = max(values[0], 0.0) * 1e-12
-        keep = values > cutoff
-        values = np.where(keep, values, 0.0)
-        if not np.all(keep):
-            vectors = _complete_basis(vectors[:, keep], data.d, k)
-    else:
-        gram = (centered.T @ centered) / n
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order]
-        eigvecs = eigvecs[:, order]
-        cutoff = max(eigvals[0], 0.0) * 1e-12
-        keep = eigvals > cutoff
-        kept = min(int(keep.sum()), k)
+    wide = data.d > n
+    system = centered.T @ centered if wide else centered @ centered.T
+    eigvals, eigvecs = np.linalg.eigh(system / n)
+    order = np.argsort(eigvals)[::-1][:k]
+    values = eigvals[order]
+    cutoff = max(values[0], 0.0) * 1e-12
+    keep = values > cutoff
+    values = np.where(keep, values, 0.0)
+    vectors = eigvecs[:, order[keep]]
+    if wide:
         # covariance eigenvector recovered as centered @ w / sqrt(n * eigval)
-        vectors = centered @ eigvecs[:, :kept]
-        vectors /= np.sqrt(n * eigvals[:kept])
-        values = np.concatenate([eigvals[:kept], np.zeros(k - kept)])
-        if kept < k:
-            vectors = _complete_basis(vectors, data.d, k)
+        vectors = centered @ vectors / np.sqrt(n * values[keep])
+    if not np.all(keep):
+        vectors = _complete_basis(vectors, data.d, k)
     vectors = _orient_columns(vectors)
     return vectors, np.maximum(values, 0.0)
 

@@ -64,6 +64,7 @@ class RunConfig:
             raise ValueError("trials must be at least 1")
         if self.k < 1:
             raise ValueError("k must be positive")
+        LossModel(kind=self.loss, gamma=self.gamma)  # refuses a bad loss before any data loads
 
 
 @dataclass

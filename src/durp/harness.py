@@ -7,9 +7,10 @@ regimes than any desk run, so alongside the measured errors the outputs
 carry the literal bound curves for reference; headers say so explicitly.
 
 Scaled vs mean-loss-scale gaps: the dual objective reported everywhere
-is the N-scaled form, while ``duality_gap`` is per-triplet (mean-loss
-scale).  Suboptimality targets ``eta`` are in the scaled form, so a run
-certifies eta by driving the per-triplet gap below eta / N.
+is the N-scaled form, while the gap of ``solver.certificate`` is
+per-triplet (mean-loss scale).  Suboptimality targets ``eta`` are in the
+scaled form, so a run certifies eta by driving the per-triplet gap below
+eta / N.
 
 Smoothness convention: ``gamma`` in a :class:`LossModel` is the smoothing
 width, making the loss derivative (1/gamma)-Lipschitz.  The recovery

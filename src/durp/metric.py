@@ -24,6 +24,8 @@ def symmetrize(M):
 def require_symmetric(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(M).all():  # NaN would pass the skew test below
+        raise ValueError("metric has non-finite entries")
     scale = max(float(np.abs(M).max()), 1e-30) if M.size else 1.0
     skew = float(np.abs(M - M.T).max()) if M.size else 0.0
     if skew > SYMMETRY_TOL * scale:

@@ -9,11 +9,9 @@ r = p(p + 1)/2, and lambda_max(G) is that of the r x r matrix Phi Phi^T;
 otherwise it materializes G with :func:`durp.gram.dense_gram`.  It steps
 with 1/L where L = lambda_max(G) / (lam N), and adds Nesterov momentum
 with objective restarts (same fixed point as plain projected gradient,
-faster tail).  The duality gap is read from the same product: with
-M = -S / (lam N), the margins are <A_t, M> = -(G alpha)_t / (lam N) and
-||M||_F^2 = alpha^T G alpha / (lam N)^2.  The check never forms a metric,
-so it does not go through the accumulator or the coordinate-ascent
-solver's gap.
+faster tail).  The duality gap is :func:`durp.solver.certificate` on
+the same product G alpha, so the check never forms S or a metric and does
+not go through the accumulator.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gram import check_dense_limit, dense_gram, gram_factor
-from .solver import DualSolution
+from .solver import DualSolution, certificate
 from .triplets import differences
 
 MAX_ITERS = 200000
@@ -52,30 +50,20 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     check_dense_limit(n)
     product, top = _gram_product(cache)
     lam_n = lam * n
-    lipschitz = top / lam_n
-    if loss.kind == "smoothed_hinge":
-        lipschitz += loss.gamma
-    step = 1.0 / max(lipschitz, 1e-30)
+    width = loss.width
+    step = 1.0 / max(top / lam_n + width, 1e-30)
 
     def grad(a):
         g = -1.0 - product(a) / lam_n
-        if loss.kind == "smoothed_hinge":
-            g = g - loss.gamma * a
+        if width:
+            g = g - width * a
         return g
-
-    def certify(a):
-        """Dual objective D(a) and the gap P(M(a)) - D(a)/N, from one product G a."""
-        Ga = product(a)
-        quad = float(a @ Ga)
-        obj = float(-np.sum(loss.conjugate(a)) - quad / (2.0 * lam_n))
-        primal = 0.5 * lam * quad / lam_n**2 + float(np.mean(loss.value(-Ga / lam_n)))
-        return obj, primal - obj / n
 
     alpha = np.zeros(n)
     momentum = alpha.copy()
     t_accel = 1.0
     best_obj = -np.inf
-    obj, gap = certify(alpha)
+    obj, gap = certificate(alpha, product(alpha), loss, lam)
     iters_done = 0
     while gap > gap_tol and iters_done < MAX_ITERS:
         iters_done += 1
@@ -85,7 +73,7 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
         t_accel = t_next
         alpha = new
         if iters_done % CHECK_EVERY == 0:
-            obj, gap = certify(alpha)
+            obj, gap = certificate(alpha, product(alpha), loss, lam)
             if obj < best_obj:
                 # objective went backwards under momentum: restart it
                 momentum = alpha.copy()
@@ -93,5 +81,4 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
             best_obj = max(best_obj, obj)
     if gap > gap_tol:
         raise ValueError(f"reference solve stalled at gap {gap:.3e} > {gap_tol:.1e}")
-    return DualSolution(alpha=alpha, objective=obj, gap=float(gap),
-                        trace=[(iters_done, obj, float(gap), 0.0)])
+    return DualSolution(alpha=alpha, objective=obj, gap=gap, trace=[(iters_done, obj, gap, 0.0)])

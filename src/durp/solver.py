@@ -9,7 +9,8 @@ Dual (reported in the N-scaled form, variables boxed to [-1, 0]):
     D(alpha) = -sum_t conj(alpha_t) - (1/(2 lam N)) alpha^T G alpha
 
 linked by M(alpha) = -S / (lam N) with S = sum_t alpha_t A_t.  The solver
-keeps S (p x p) instead of G, and alpha^T G alpha = ||S||_F^2.
+keeps S (p x p) instead of G.  Both dual solvers read D(alpha) and the
+duality gap off the margins G alpha = (<A_t, S>)_t, in :func:`certificate`.
 
 Both phases run on one state (alpha, S) and one block sweep.  A step at
 coordinate t reads the margin <A_t, S> = u^T S u - v^T S v and G[t, t]
@@ -54,8 +55,10 @@ class LossModel:
     """Unit-margin loss: plain hinge or its quadratically smoothed variant.
 
     ``gamma`` is the smoothing width (the loss derivative is 1/gamma-
-    Lipschitz); it is ignored for the plain hinge.  Derivatives live in
-    [-1, 0], which is why the dual box is [-1, 0].
+    Lipschitz); it is ignored for the plain hinge.  ``width`` is the width
+    in force: gamma for the smoothed hinge, 0 for the plain hinge, whose
+    conjugate and coordinate step are the smoothed ones at width 0.
+    Derivatives live in [-1, 0], which is why the dual box is [-1, 0].
     """
 
     kind: str = "hinge"
@@ -66,6 +69,10 @@ class LossModel:
             raise ValueError(f"loss kind must be one of {_LOSS_KINDS}, got {self.kind!r}")
         if self.kind == "smoothed_hinge" and self.gamma <= 0:
             raise ValueError("gamma must be positive for the smoothed hinge")
+
+    @property
+    def width(self):
+        return self.gamma if self.kind == "smoothed_hinge" else 0.0
 
     def value(self, z):
         z = np.asarray(z, dtype=np.float64)
@@ -92,9 +99,7 @@ class LossModel:
     def conjugate(self, alpha):
         """Fenchel conjugate on the box [-1, 0] (infinite elsewhere)."""
         alpha = np.asarray(alpha, dtype=np.float64)
-        if self.kind == "hinge":
-            return alpha
-        return alpha + 0.5 * self.gamma * alpha**2
+        return alpha + 0.5 * self.width * alpha**2
 
 
 @dataclass
@@ -134,32 +139,22 @@ def init_state(cache, lam):
     return SolverState(cache=cache, U=U, V=V, lam=lam, alpha=np.zeros(cache.n), S=np.zeros((p, p)))
 
 
-def _check_feasible(alpha):
+def certificate(alpha, r, loss, lam):
+    """(D(alpha), max(P(M(alpha)) - D(alpha)/N, 0)) from the margins r = G alpha.
+
+    r_t = <A_t, S>, so alpha^T G alpha = alpha . r, the margins of
+    M = -S / (lam N) are -r / (lam N) and ||M||_F^2 = alpha . r / (lam N)^2.
+    The gap is the mean-loss-scale optimality certificate; weak duality
+    makes it nonnegative, and the clamp removes rounding below 0.
+    """
     if alpha.min() < -1.0 - FEASIBILITY_TOL or alpha.max() > FEASIBILITY_TOL:
         raise ValueError("alpha leaves the box [-1, 0]")
-
-
-def dual_objective(state, loss):
-    """D(alpha) using the identity alpha^T G alpha = ||S||_F^2."""
-    _check_feasible(state.alpha)
-    quad = float(np.sum(state.S * state.S))
-    return float(-np.sum(loss.conjugate(state.alpha)) - quad / (2.0 * state.lam * state.cache.n))
-
-
-def primal_objective(U, V, M, loss, lam):
-    """P(M) = lam/2 ||M||_F^2 + mean hinge-type loss over the columns U, V."""
-    return 0.5 * lam * float(np.sum(M * M)) + float(np.mean(loss.value(margins(U, V, M))))
-
-
-def duality_gap(state, loss):
-    """max(P(M(alpha)) - D(alpha)/N, 0), the mean-loss-scale optimality certificate.
-
-    Weak duality makes it nonnegative; the clamp removes rounding below 0.
-    """
-    n = state.cache.n
-    M = -state.S / (state.lam * n)
-    gap = primal_objective(state.U, state.V, M, loss, state.lam) - dual_objective(state, loss) / n
-    return max(gap, 0.0)
+    n = len(alpha)
+    lam_n = lam * n
+    quad = float(alpha @ r)
+    dual = float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam_n))
+    primal = 0.5 * lam * quad / lam_n**2 + float(np.mean(loss.value(-r / lam_n)))
+    return dual, max(primal - dual / n, 0.0)
 
 
 def _sweep(state, order, step):
@@ -192,23 +187,20 @@ def _sdca_step(state, loss):
     """Exact coordinate maximization of the dual at coordinate t, O(1) given its margin.
 
     With c_t = <A_t, S> - alpha_t G[t, t], the stationary point is
-    -(lam N + c_t) / (G[t, t])           for the hinge, and
-    -(lam N + c_t) / (gamma lam N + G[t, t])  for the smoothed hinge,
-    clipped to [-1, 0].  A zero diagonal makes the hinge subproblem
-    linear: the coordinate goes to -1 when the slope is negative, else 0.
+    -(lam N + c_t) / (width lam N + G[t, t]), clipped to [-1, 0].  When
+    that denominator is zero (the hinge at a zero diagonal) the subproblem
+    is linear: the coordinate goes to -1 when the slope is negative, else 0.
     """
     alpha = state.alpha
     lam_n = state.lam * state.cache.n
-    hinge = loss.kind == "hinge"
+    width = loss.width
 
     def step(s, t, margin, g_tt):
         c_t = margin - alpha[t] * g_tt
-        if hinge:
-            if g_tt > 0.0:
-                return min(0.0, max(-1.0, -(lam_n + c_t) / g_tt))
-            return -1.0 if -(1.0 + c_t / lam_n) < 0.0 else 0.0
-        denom = loss.gamma * lam_n + max(g_tt, 0.0)
-        return min(0.0, max(-1.0, -(lam_n + c_t) / denom))
+        denom = width * lam_n + max(g_tt, 0.0)
+        if denom > 0.0:
+            return min(0.0, max(-1.0, -(lam_n + c_t) / denom))
+        return -1.0 if -(1.0 + c_t / lam_n) < 0.0 else 0.0
 
     return step
 
@@ -265,7 +257,8 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
         Total passes (the first is the subgradient seed pass).
     gap_tol : float, optional
         When set, keep adding coordinate-ascent epochs past ``epochs``
-        until ``duality_gap <= gap_tol`` or ``max_epochs`` is hit.
+        until the gap of :func:`certificate` is at most ``gap_tol`` or
+        ``max_epochs`` is hit.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -276,8 +269,7 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     start = time.perf_counter()
 
     def record(epoch, drift):
-        obj = dual_objective(state, loss)
-        gap = duality_gap(state, loss)
+        obj, gap = certificate(state.alpha, margins(state.U, state.V, state.S), loss, lam)
         trace.append((epoch, obj, gap, time.perf_counter() - start, drift))
         return gap
 

@@ -155,8 +155,5 @@ def differences(cache):
 
 def save_triplets(path, triplets):
     """Write (N, 3) triplet rows as ``i,j,k`` CSV (0-based indices)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,k\n")
-        for i, j, k in triplets:
-            fh.write(f"{i},{j},{k}\n")
+    np.savetxt(path, triplets, fmt="%d", delimiter=",", header="i,j,k", comments="")
 

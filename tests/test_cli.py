@@ -116,6 +116,28 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [("method", "bogus"), ("loss", "logistic")])
+def test_config_file_value_outside_choices_exits_1(key, value, datasets, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert main(["train", f"--{key}", value]) == 1
+    flag_err = capsys.readouterr().err
+    assert "invalid choice" in flag_err
+    assert main(["train", "--config", str(config), "--train-file", datasets[0],
+                 "--test-file", datasets[1]]) == 1
+    assert capsys.readouterr().err == flag_err
+
+
+def test_bad_smoothing_width_fails_before_sampling(datasets, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(experiments, "sample_active_triplets", refuse)
+    code = main(train_args(*datasets, "--loss", "smoothed_hinge", "--gamma", "0"))
+    assert code == 2
+    assert "gamma must be positive" in capsys.readouterr().err
+
+
 def test_train_eval_round_trip(datasets, tmp_path):
     train_path, test_path = datasets
     metric_path = tmp_path / "metric.bin"
@@ -309,7 +331,8 @@ def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
         (not_finite, ("metric has non-finite entries",)),
     )
     for metric, messages in cases:
-        save_metric(metric_path, metric)
+        # save_metric refuses the NaN metric, so write the bytes directly
+        metric_path.write_bytes(struct.pack("<Q", len(metric)) + metric.astype("<f8").tobytes())
         code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
                      "--test-file", test_path])
         assert code == 2

@@ -147,14 +147,18 @@ def test_pca_sign_convention_and_determinism():
 
 
 def test_pca_rank_deficient_completion():
-    # rank-1 data, ask for 3 directions: completion must stay orthonormal
+    # rank-1 data, ask for 3 directions: completion must stay orthonormal,
+    # on the covariance route (d <= n) and on the Gram route (d > n)
     rng = np.random.default_rng(4)
-    u = rng.normal(size=(8, 1))
-    points = u @ rng.normal(size=(1, 20))
-    basis, values = pca_fit(LabeledDataset(points, np.zeros(20, dtype=np.int64)), 3)
-    assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-10)
-    assert values[0] > 0
-    assert np.all(values[1:] < 1e-10)
+    for d, n in ((8, 20), (20, 8)):
+        u = rng.normal(size=(d, 1))
+        points = u @ rng.normal(size=(1, n))
+        basis, values = pca_fit(LabeledDataset(points, np.zeros(n, dtype=np.int64)), 3)
+        assert basis.shape == (d, 3)
+        assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-10)
+        assert abs(abs(basis[:, 0] @ u[:, 0]) - np.linalg.norm(u)) < 1e-10
+        assert values[0] > 0
+        assert np.all(values[1:] == 0.0)
 
 
 def test_pca_k_validation():

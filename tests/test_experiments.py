@@ -47,6 +47,10 @@ def test_run_config_validation():
         small_config("durp", trials=0)
     with pytest.raises(ValueError, match="k must be positive"):
         small_config("durp", k=0)
+    with pytest.raises(ValueError, match="loss kind"):
+        small_config("durp", loss="logistic")
+    with pytest.raises(ValueError, match="gamma"):
+        small_config("durp", loss="smoothed_hinge", gamma=0.0)
 
 
 def test_each_method_produces_a_usable_metric():

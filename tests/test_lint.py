@@ -1,11 +1,13 @@
 """Every name a module under src/durp, tests, perfbench or scripts imports is used there,
-and every public name src/durp defines is used outside the tests.
+every public name src/durp defines is used outside the tests, and src/durp
+imports nothing at run time but numpy and the standard library.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,3 +82,33 @@ def unreached_public_names():
 
 def test_every_public_name_in_src_is_reached_outside_tests():
     assert unreached_public_names() == []
+
+
+def foreign_imports(source):
+    """Absolute imports of modules that are neither numpy nor in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    return found
+
+
+def test_foreign_imports_detected():
+    source = ("import os, scipy.linalg\nfrom numpy import linalg\nfrom . import gram\n"
+              "from sklearn import svm\n")
+    assert foreign_imports(source) == [(1, "scipy.linalg"), (4, "sklearn")]
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "durp").glob("*.py"))
+        for line, name in foreign_imports(path.read_text())
+    ]
+    assert found == []

@@ -34,6 +34,11 @@ def test_symmetrize_and_require_symmetric():
         require_symmetric(A)
     with pytest.raises(ValueError, match="square"):
         require_symmetric(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            require_symmetric(np.array([[0.0, 1.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            require_symmetric(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_recover_metric_matches_naive():

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from durp import gram, metric, reference, solver
-from durp.gram import DENSE_LIMIT, accumulator, dense_gram
+from durp.gram import DENSE_LIMIT, accumulator, dense_gram, margins
 from durp.projection import gaussian_matrix
 from durp.reference import pga_solve
 from durp.solver import (
     LossModel,
+    certificate,
     csdca_solve,
-    dual_objective,
-    duality_gap,
     init_state,
-    primal_objective,
     sdca_epoch,
     sgd_epoch,
     trace_csv,
@@ -134,36 +132,26 @@ def test_init_state_validation():
     assert np.all(state.alpha == 0)
 
 
+def production_certificate(cache, alpha, loss, lam):
+    """certificate() on the coordinate-ascent route: margins read off S rebuilt from alpha."""
+    U, V = differences(cache)
+    return certificate(alpha, margins(U, V, accumulator(cache, alpha)), loss, lam)
+
+
 def test_dual_objective_routes_agree():
     cache, lam = solver_instance(1, "hinge")
-    loss = LossModel("hinge")
     rng = np.random.default_rng(0)
-    state = init_state(cache, lam)
-    state.alpha = -rng.random(cache.n)
-    state.S = accumulator(cache, state.alpha)
-    a = dual_objective(state, loss)
-    b = dual_objective_from_alpha(cache, state.alpha, loss, lam)
-    assert abs(a - b) < 1e-8 * (abs(a) + 1.0)
+    alpha = -rng.random(cache.n)
+    for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=0.5)):
+        a = production_certificate(cache, alpha, loss, lam)[0]
+        b = dual_objective_from_alpha(cache, alpha, loss, lam)
+        assert abs(a - b) < 1e-8 * (abs(a) + 1.0)
 
 
 def test_dual_objective_rejects_infeasible_alpha():
-    cache, lam = solver_instance(0, "hinge")
-    state = init_state(cache, lam)
-    state.alpha = np.full(cache.n, 0.5)
-    with pytest.raises(ValueError, match="box"):
-        dual_objective(state, LossModel("hinge"))
-
-
-def test_primal_objective_matches_naive():
-    cache, lam = solver_instance(2, "hinge")
-    loss = LossModel("hinge")
-    rng = np.random.default_rng(1)
-    M = rng.normal(size=(cache.space_dim, cache.space_dim))
-    M = 0.5 * (M + M.T)
-    U, V = differences(cache)
-    mine = primal_objective(U, V, M, loss, lam)
-    ref = naive_primal(M, U, V, lambda z: float(loss.value(z)), lam)
-    assert abs(mine - ref) < 1e-10 * (abs(ref) + 1.0)
+    for bad in (0.5, -1.5):
+        with pytest.raises(ValueError, match="box"):
+            certificate(np.full(5, bad), np.zeros(5), LossModel("hinge"), 0.1)
 
 
 def test_sdca_update_is_exact_coordinate_maximizer():
@@ -316,7 +304,7 @@ def test_csdca_matches_reference_solver():
 
 
 def test_reference_gap_matches_production_gap():
-    # pga_solve reads its gap off G alpha; duality_gap reads it off S and U, V.
+    # pga_solve reads its margins off G alpha; csdca_solve reads them off S and U, V.
     # solver_instance has p(p + 1) > N (dense G), factor_instance p(p + 1) <= N.
     for kind in ("hinge", "smoothed_hinge"):
         loss = LossModel(kind, gamma=1.0)
@@ -324,9 +312,8 @@ def test_reference_gap_matches_production_gap():
         instances += [factor_instance(seed) for seed in range(3)]
         for cache, lam in instances:
             oracle = pga_solve(cache, loss, lam)
-            state = replace(init_state(cache, lam), alpha=oracle.alpha,
-                            S=accumulator(cache, oracle.alpha))
-            assert abs(oracle.gap - duality_gap(state, loss)) <= 1e-12
+            _, gap = production_certificate(cache, oracle.alpha, loss, lam)
+            assert abs(oracle.gap - gap) <= 1e-12
 
 
 def test_reference_solver_does_not_rebuild_the_metric(monkeypatch):
@@ -377,16 +364,19 @@ def test_csdca_gap_tol_extension_and_failure():
 
 
 def test_duality_gap_definition():
+    # the gap against the primal P(M) of the naively recovered metric,
+    # evaluated term by term on the explicit margins
     cache, lam = solver_instance(10, "hinge")
-    loss = LossModel("hinge")
-    state = init_state(cache, lam)
-    sgd_epoch(state, loss, list(np.random.default_rng(3).permutation(cache.n)))
-    gap = duality_gap(state, loss)
     U, V = differences(cache)
-    M = naive_recover(state.alpha, U, V, lam)
-    expected = primal_objective(U, V, M, loss, lam) - dual_objective(state, loss) / cache.n
-    assert abs(gap - expected) < 1e-10 * (abs(expected) + 1.0)
-    assert gap >= 0.0
+    for loss in (LossModel("hinge"), LossModel("smoothed_hinge", gamma=0.5)):
+        state = init_state(cache, lam)
+        sgd_epoch(state, loss, list(np.random.default_rng(3).permutation(cache.n)))
+        dual, gap = production_certificate(cache, state.alpha, loss, lam)
+        M = naive_recover(state.alpha, U, V, lam)
+        primal = naive_primal(M, U, V, lambda z: float(loss.value(z)), lam)
+        expected = primal - dual / cache.n
+        assert abs(gap - expected) < 1e-10 * (abs(expected) + 1.0)
+        assert gap >= 0.0
 
 
 def test_trace_csv_format():
