@@ -143,32 +143,28 @@ def config_keys(command_parser):
 
 
 def parse_args(argv=None):
-    """Parse the command line, filling the flags it leaves unset from ``--config``.
+    """Parse the command line, reading each ``--config`` entry as a flag.
 
-    File values become the parser's defaults for a second parse, so flags
-    win over the file and the file wins over built-in defaults.
+    The file's entries for the command become ``--flag=value`` tokens put
+    after the command and before the command line's own flags, so one
+    parse checks them as it checks flags, and the later flag wins:
+    flag > file > built-in default.
     """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if not args.config:
         return args
     known = {key for p in parser.commands.values() for key in config_keys(p)}
     table = config_keys(parser.commands[args.command])
+    tokens = []
     for key, raw in read_config_file(args.config).items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        action = table.get(key)
-        if action is None:
-            continue  # keys for other subcommands are tolerated
-        try:
-            action.default = action.type(raw) if action.type else raw
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-        try:  # the choices check argparse runs on flags but skips on defaults
-            parser._check_value(action, action.default)
-        except argparse.ArgumentError as exc:
-            raise ConfigError(str(exc)) from None
-    return parser.parse_args(argv)
+        if key in table:  # keys for other subcommands are tolerated
+            tokens.append(f"{table[key].option_strings[-1]}={raw}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _fields(args, cls):
@@ -203,7 +199,7 @@ def cmd_train(args):
         if args.trace_out:
             with open(args.trace_out + suffix, "w", encoding="utf-8") as fh:
                 fh.write(trace_csv(res.solver_trace))
-    _write_out(args, json.dumps(report, indent=2) + "\n")
+    _write_out(args, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_eval(args):

@@ -41,6 +41,7 @@ class EvalReport:
                 "excluded_queries": self.excluded_queries,
             },
             indent=2,
+            allow_nan=False,
         )
 
 

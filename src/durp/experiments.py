@@ -18,7 +18,7 @@ solver), so extending the trial count preserves earlier trials.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class RunConfig:
             raise ValueError("n_triplets must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.k < 1:
@@ -79,11 +79,9 @@ class TrialResult:
     seconds: float
 
 
-def train_trial(config, train, test, trial_seed, projection_override=None):
+def train_trial(config, train, test, trial_seed):
     """Run one trial of the configured method on already-loaded datasets.
 
-    ``projection_override`` substitutes the d x m projection array used by
-    projected methods (e.g. ``np.eye(d)`` to reduce durp to duori exactly).
     duori is durp without the projection: it solves on the cache itself.
     """
     method = config.method
@@ -99,9 +97,7 @@ def train_trial(config, train, test, trial_seed, projection_override=None):
 
     space = cache
     if method != "duori":
-        if projection_override is not None:
-            projection = projection_override
-        elif method == "spca":
+        if method == "spca":
             projection = pca_fit(train, config.m)[0]
         else:
             projection = gaussian_matrix(train.d, config.m, trial_seed)
@@ -152,15 +148,8 @@ def run_method(config, train=None, test=None):
     report = {
         "method": config.method,
         "config": {
-            "m": config.m,
-            "n_triplets": config.n_triplets,
-            "epochs": config.epochs,
-            "lambda": (1.0 / config.n_triplets) if config.lam is None else config.lam,
-            "loss": config.loss,
-            "gamma": config.gamma,
-            "k": config.k,
-            "seed": config.seed,
-            "trials": config.trials,
+            **asdict(config),
+            "lam": (1.0 / config.n_triplets) if config.lam is None else config.lam,
             "generator": GENERATOR_NAME,
         },
         "map_mean": float(maps.mean()),

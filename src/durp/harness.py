@@ -58,6 +58,8 @@ class HarnessConfig:
             raise ValueError("need 1 <= r <= d")
         if self.n_triplets < 1:
             raise ValueError("n_triplets must be positive")
+        if not self.m_sweep:
+            raise ValueError("need at least one m in the sweep")
         outside = [m for m in self.m_sweep if not 1 <= m <= self.d]
         if outside:
             raise ValueError(
@@ -66,10 +68,18 @@ class HarnessConfig:
             )
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.eta <= 0 or self.gamma <= 0:
-            raise ValueError("eta and gamma must be positive")
+        for name in ("eta", "gamma"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not self.seeds:
             raise ValueError("need at least one seed")
+
+
+def _rows_csv(comments, fmt, rows):
+    """``#`` comment lines, a header of the first row's keys, then ``fmt`` of each row's values."""
+    lines = ["# " + text for text in comments] + [",".join(rows[0])]
+    lines.extend(fmt % tuple(row.values()) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _sq_error(M_ref, M_hat):
@@ -126,18 +136,10 @@ def verify_theorem1(config):
 
 
 def theorem1_csv(result):
-    lines = [
-        "# low-rank recovery trend; bound columns are the literal sampling-condition",
-        "# curve (c=1/3), quoted for reference only -- desk-scale m cannot meet it",
-        "m,e_median,e_q25,e_q75,eps_ref,bound_ref",
-    ]
-    for row in result["rows"]:
-        lines.append(
-            "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-            % (row["m"], row["e_median"], row["e_q25"], row["e_q75"],
-               row["eps_ref"], row["bound_ref"])
-        )
-    return "\n".join(lines) + "\n"
+    return _rows_csv(
+        ["low-rank recovery trend; bound columns are the literal sampling-condition",
+         "curve (c=1/3), quoted for reference only -- desk-scale m cannot meet it"],
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g", result["rows"])
 
 
 def smooth_recovery_m(n_triplets, delta):
@@ -207,18 +209,6 @@ def verify_theorem2(config, m=None):
 
 
 def theorem2_csv(result):
-    lines = [
-        "# smooth-loss dual recovery; bound = max(eps term, eta term) per seed",
-        "m,seed,epsilon,kappa,eta,alpha_norm,measured,eps_term,eta_term,bound,satisfied",
-    ]
-    for row in result["rows"]:
-        lines.append(
-            "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
-            % (
-                row["m"], row["seed"], row["epsilon"], row["kappa"], row["eta"],
-                row["alpha_norm"], row["measured"], row["eps_term"], row["eta_term"],
-                row["bound"], int(row["satisfied"]),
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _rows_csv(["smooth-loss dual recovery; bound = max(eps term, eta term) per seed"],
+                     "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d", result["rows"])
 

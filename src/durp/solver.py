@@ -67,6 +67,8 @@ class LossModel:
     def __post_init__(self):
         if self.kind not in _LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {_LOSS_KINDS}, got {self.kind!r}")
+        if not np.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
         if self.kind == "smoothed_hinge" and self.gamma <= 0:
             raise ValueError("gamma must be positive for the smoothed hinge")
 
@@ -132,8 +134,8 @@ class DualSolution:
 
 def init_state(cache, lam):
     """The zero iterate alpha = 0, S = 0 on ``cache``, whose columns it gathers once."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     p = cache.space_dim
     U, V = differences(cache)
     return SolverState(cache=cache, U=U, V=V, lam=lam, alpha=np.zeros(cache.n), S=np.zeros((p, p)))
@@ -160,9 +162,10 @@ def certificate(alpha, r, loss, lam):
 def _sweep(state, order, step):
     """Visit ``order`` in blocks of ``BLOCK`` coordinates (see the module docstring).
 
-    ``step(s, t, r, g)`` returns the new alpha_t at visit s of the epoch,
-    given the current margin r = <A_t, S> of its coordinate t and
-    g = G[t, t], read from the block Gram.
+    ``step(s, a_t, r, g)`` returns the new alpha_t at visit s of the epoch,
+    given the value a_t and margin r = <A_t, S> of its coordinate t and
+    g = G[t, t], read as Python floats once per block (t occurs once in
+    an epoch, so a_t is still current at its step).
     """
     alpha, S = state.alpha, state.S
     for b in range(0, len(order), BLOCK):
@@ -172,9 +175,10 @@ def _sweep(state, order, step):
         r = margins(U_B, V_B, S)
         G_B = dense_gram(U_B, V_B)
         deltas = np.zeros(len(block))
-        for q, t in enumerate(block.tolist()):
-            new = step(b + q, t, float(r[q]), G_B[q, q])
-            delta = new - alpha[t]
+        current = zip(block.tolist(), alpha[block].tolist(), G_B.diagonal().tolist())
+        for q, (t, a_t, g) in enumerate(current):
+            new = step(b + q, a_t, float(r[q]), g)
+            delta = new - a_t
             if delta != 0.0:
                 alpha[t] = new
                 deltas[q] = delta
@@ -191,12 +195,11 @@ def _sdca_step(state, loss):
     that denominator is zero (the hinge at a zero diagonal) the subproblem
     is linear: the coordinate goes to -1 when the slope is negative, else 0.
     """
-    alpha = state.alpha
     lam_n = state.lam * state.cache.n
     width = loss.width
 
-    def step(s, t, margin, g_tt):
-        c_t = margin - alpha[t] * g_tt
+    def step(s, a_t, margin, g_tt):
+        c_t = margin - a_t * g_tt
         denom = width * lam_n + max(g_tt, 0.0)
         if denom > 0.0:
             return min(0.0, max(-1.0, -(lam_n + c_t) / denom))
@@ -230,7 +233,7 @@ def sgd_epoch(state, loss, order):
     """
     lam = state.lam
 
-    def step(s, t, margin, g_tt):
+    def step(s, a_t, margin, g_tt):
         return loss.derivative(-margin / (lam * s) if s else 0.0)
 
     _sweep(state, _check_permutation(order, state.cache.n), step)

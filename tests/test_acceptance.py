@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from durp import experiments
 from durp.data import LabeledDataset, load_libsvm
 from durp.evaluate import knn_accuracy, ranking_map
 from durp.experiments import RunConfig, run_method, train_trial
@@ -87,14 +88,14 @@ def test_criterion_2_solver_near_optimal_in_three_epochs():
     _report(2, 30.0, started, f"20 instances, worst objective difference {worst_diff:.2e}")
 
 
-def test_criterion_3_identity_projection_equivalence():
+def test_criterion_3_identity_projection_equivalence(monkeypatch):
     started = time.perf_counter()
     data = gaussian_blobs(25, 150, 3, seed=2)
     train = LabeledDataset(data.points[:, :100], data.labels[:100])
     test = LabeledDataset(data.points[:, 100:], data.labels[100:])
     config = RunConfig(method="durp", m=25, n_triplets=150, epochs=3, k=5, trials=1)
-    projected = train_trial(config, train, test, 4,
-                            projection_override=np.eye(train.d))
+    monkeypatch.setattr(experiments, "gaussian_matrix", lambda d, m, seed: np.eye(d))
+    projected = train_trial(config, train, test, 4)
     direct = train_trial(RunConfig(method="duori", n_triplets=150, epochs=3, k=5, trials=1),
                          train, test, 4)
     assert np.array_equal(projected.alpha, direct.alpha)

@@ -1,12 +1,13 @@
 """Command-line entry points: exit codes, config precedence, all subcommands."""
 
+import functools
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from durp import experiments
+from durp import experiments, harness
 from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, read_config_file
 from durp.data import LabeledDataset, eigen_spectrum, spectrum_csv
 from durp.evaluate import EvalReport, evaluate_metric
@@ -111,9 +112,17 @@ def test_config_file_errors(tmp_path, capsys):
     bad_value = tmp_path / "value.cfg"
     bad_value.write_text("m = ten\n")
     assert main(["train", "--config", str(bad_value)]) == 1
-    assert "bad value" in capsys.readouterr().err
+    assert "argument --m: invalid int value: 'ten'" in capsys.readouterr().err
 
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+def test_config_file_value_is_one_token(tmp_path):
+    # a value with spaces or a leading '-' stays one flag value
+    config = tmp_path / "run.cfg"
+    config.write_text("train_file = my data.svm\nseed = -3\nlambda = -1e-5\n")
+    args = parse_args(["train", "--config", str(config)])
+    assert (args.train_file, args.seed, args.lam) == ("my data.svm", -3, -1e-5)
 
 
 @pytest.mark.parametrize("key, value", [("method", "bogus"), ("loss", "logistic")])
@@ -284,10 +293,48 @@ def test_verify_t1_over_the_dense_limit_exits_2(capsys):
      "error: m must be positive, got m = 0"),
     (["verify-t2", "--d", "80", "--n", "40", "--triplets", "30", "--m", "-1", "--seeds", "0"],
      "error: m must be positive, got m = -1"),
+    (["verify-t1", "--m-sweep", ""], "error: need at least one m in the sweep"),
+    (["verify-t1", "--m-sweep", ","], "error: need at least one m in the sweep"),
 ])
 def test_harness_config_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--lambda"], "error: lambda must be positive and finite"),
+    ("train", ["--gamma"], "error: gamma must be finite"),  # printed even for the hinge
+    ("train", ["--loss", "smoothed_hinge", "--gamma"], "error: gamma must be finite"),
+    ("verify-t1", ["--delta"], "error: delta must be in (0, 1)"),
+    ("verify-t2", ["--delta"], "error: delta must be in (0, 1)"),
+    ("verify-t2", ["--eta"], "error: eta must be positive and finite"),
+    ("verify-t2", ["--gamma"], "error: gamma must be positive and finite"),
+])
+def test_non_finite_float_flags_exit_2(command, flags, message, value, datasets, tmp_path,
+                                       monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data loaded")
+
+    # refused before any data loads or any triplet is drawn
+    monkeypatch.setattr(experiments, "load_libsvm", refuse)
+    monkeypatch.setattr(harness, "sample_active_triplets", refuse)
+    argv = [command, *tiny_argv(command, *datasets, tmp_path), *flags, value]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def fake_trial(config, train, test, seed, map_score=0.5):
+    """A ``train_trial`` stand-in: no full-size run."""
+    trace = [(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
+    return TrialResult(seed, EvalReport(map_score, 0.5, config.k, 1, 0), None, np.zeros(1),
+                       trace, 0.0)
+
+
+def test_train_report_refuses_nan(datasets, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "train_trial", functools.partial(fake_trial, map_score=np.nan))
+    assert main(["train", "--train-file", datasets[0], "--test-file", datasets[1]]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -390,11 +437,6 @@ def test_seed_flag_only_where_read(command, capsys):
 
 
 def test_train_defaults_are_run_config_fields(datasets, tmp_path, monkeypatch):
-    def fake_trial(config, train, test, seed, projection_override=None):  # no full-size run
-        trace = [(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
-        alpha = np.zeros(1)
-        return TrialResult(seed, EvalReport(0.5, 0.5, config.k, 1, 0), None, alpha, trace, 0.0)
-
     monkeypatch.setattr(experiments, "train_trial", fake_trial)
     out = tmp_path / "report.json"
     assert main(["train", "--train-file", datasets[0], "--test-file", datasets[1],
@@ -403,7 +445,7 @@ def test_train_defaults_are_run_config_fields(datasets, tmp_path, monkeypatch):
     assert report["method"] == defaults.method
     for key in ("m", "n_triplets", "epochs", "loss", "gamma", "k", "seed", "trials"):
         assert report["config"][key] == getattr(defaults, key)
-    assert report["config"]["lambda"] == 1.0 / defaults.n_triplets
+    assert report["config"]["lam"] == 1.0 / defaults.n_triplets
 
 
 @pytest.mark.parametrize("command, names", [

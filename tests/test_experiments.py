@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from durp import experiments
 from durp.data import LabeledDataset, pca_fit
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
 from durp.metric import recover_metric
@@ -41,8 +42,9 @@ def test_run_config_validation():
         small_config("durp", n_triplets=0)
     with pytest.raises(ValueError, match="epochs"):
         small_config("durp", epochs=0)
-    with pytest.raises(ValueError, match="lambda must be positive"):
-        small_config("durp", lam=0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            small_config("durp", lam=lam)
     with pytest.raises(ValueError, match="trials"):
         small_config("durp", trials=0)
     with pytest.raises(ValueError, match="k must be positive"):
@@ -70,21 +72,20 @@ def test_each_method_produces_a_usable_metric():
             assert rank <= 4
 
 
-def test_identity_override_reduces_durp_to_duori():
+def test_identity_override_reduces_durp_to_duori(monkeypatch):
     train, test = split_blobs(seed=3)
-    durp = train_trial(small_config("durp"), train, test, 5, projection_override=np.eye(train.d))
+    monkeypatch.setattr(experiments, "gaussian_matrix", lambda d, m, seed: np.eye(d))
+    durp = train_trial(small_config("durp"), train, test, 5)
     duori = train_trial(small_config("duori"), train, test, 5)
     assert np.array_equal(durp.alpha, duori.alpha)
     assert np.array_equal(durp.metric, duori.metric)
 
 
-def test_spca_default_projection_is_the_pca_basis():
+def test_spca_default_projection_is_the_pca_basis(monkeypatch):
     train, test = split_blobs(seed=4)
     auto = train_trial(small_config("spca"), train, test, 2)
-    explicit = train_trial(
-        small_config("srp"), train, test, 2,
-        projection_override=pca_fit(train, 4)[0],
-    )
+    monkeypatch.setattr(experiments, "gaussian_matrix", lambda d, m, seed: pca_fit(train, m)[0])
+    explicit = train_trial(small_config("srp"), train, test, 2)
     assert np.array_equal(auto.metric, explicit.metric)
 
 
@@ -97,7 +98,7 @@ def test_run_method_aggregates_trials():
     maps = [t["map"] for t in report["trials"]]
     assert report["map_mean"] == pytest.approx(np.mean(maps), abs=1e-12)
     assert report["map_std"] == pytest.approx(np.std(maps, ddof=1), abs=1e-12)
-    assert report["config"]["lambda"] == pytest.approx(1.0 / config.n_triplets)
+    assert report["config"]["lam"] == pytest.approx(1.0 / config.n_triplets)
     assert len(results) == 3
     # trial seeds are seed + t, so adding trials preserves earlier ones
     shorter, _ = run_method(small_config("srp", trials=2, seed=11), train=train, test=test)

@@ -43,6 +43,12 @@ def test_harness_config_validation():
         HarnessConfig(eta=0.0)
     with pytest.raises(ValueError, match="seed"):
         HarnessConfig(seeds=())
+    with pytest.raises(ValueError, match="at least one m"):
+        HarnessConfig(m_sweep=())
+    for name in ("eta", "gamma"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                HarnessConfig(**{name: value})
 
 
 def tiny_t1_config():
@@ -76,6 +82,35 @@ def test_theorem1_csv_round_trips_rows():
         assert int(fields[0]) == row["m"]
         assert float(fields[1]) == row["e_median"]  # %.17g round-trips exactly
         assert float(fields[4]) == row["eps_ref"]
+
+
+def test_theorem1_csv_bytes():
+    rows = [
+        {"m": 5, "e_median": 0.5, "e_q25": 0.25, "e_q75": 0.75, "eps_ref": 1.5,
+         "bound_ref": np.inf},
+        {"m": 400, "e_median": 0.1, "e_q25": 1e-20, "e_q75": 3.0, "eps_ref": 0.125,
+         "bound_ref": 2.0},
+    ]
+    assert theorem1_csv({"rows": rows}) == (
+        "# low-rank recovery trend; bound columns are the literal sampling-condition\n"
+        "# curve (c=1/3), quoted for reference only -- desk-scale m cannot meet it\n"
+        "m,e_median,e_q25,e_q75,eps_ref,bound_ref\n"
+        "5,0.5,0.25,0.75,1.5,inf\n"
+        "400,0.10000000000000001,9.9999999999999995e-21,3,0.125,2\n"
+    )
+
+
+def test_theorem2_csv_bytes():
+    row = {"m": 64, "seed": 0, "epsilon": 0.5, "kappa": 2.0, "eta": 1e-6, "alpha_norm": 3.0,
+           "measured": 0.25, "eps_term": 8.0, "eta_term": 0.001, "bound": 8.0,
+           "satisfied": True}
+    rows = [row, {**row, "seed": 1, "measured": 9.0, "satisfied": False}]
+    assert theorem2_csv({"rows": rows}) == (
+        "# smooth-loss dual recovery; bound = max(eps term, eta term) per seed\n"
+        "m,seed,epsilon,kappa,eta,alpha_norm,measured,eps_term,eta_term,bound,satisfied\n"
+        "64,0,0.5,2,9.9999999999999995e-07,3,0.25,8,0.001,8,1\n"
+        "64,1,0.5,2,9.9999999999999995e-07,3,9,8,0.001,8,0\n"
+    )
 
 
 def tiny_t2_config():

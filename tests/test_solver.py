@@ -71,6 +71,10 @@ def test_loss_model_validation():
         LossModel(kind="logistic")
     with pytest.raises(ValueError, match="gamma"):
         LossModel(kind="smoothed_hinge", gamma=0.0)
+    for kind in ("hinge", "smoothed_hinge"):
+        for gamma in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                LossModel(kind=kind, gamma=gamma)
     assert LossModel().kind == "hinge"
 
 
@@ -125,8 +129,9 @@ def test_conjugate_is_fenchel_dual_on_the_box():
 
 def test_init_state_validation():
     cache, _ = solver_instance(0, "hinge")
-    with pytest.raises(ValueError, match="lam"):
-        init_state(cache, 0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            init_state(cache, lam)
     state = init_state(cache, 0.1)
     assert state.alpha.shape == (cache.n,)
     assert np.all(state.alpha == 0)
