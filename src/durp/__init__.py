@@ -13,7 +13,7 @@ from .evaluate import EvalReport, evaluate_metric, knn_accuracy
 from .experiments import METHODS, RunConfig, run_method, train_trial
 from .gram import KappaStats, dense_gram, kappa
 from .harness import HarnessConfig, verify_theorem1, verify_theorem2
-from .metric import assemble_subspace_metric, load_metric, psd_project, recover_metric, save_metric
+from .metric import load_metric, psd_project, recover_metric, save_metric
 from .projection import gaussian_matrix
 from .reference import pga_solve
 from .solver import DualSolution, LossModel, certificate, csdca_solve

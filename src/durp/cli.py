@@ -92,8 +92,9 @@ def build_parser():
     p_train.add_argument("--train-file")
     p_train.add_argument("--test-file")
     p_train.add_argument("--save-metric",
-                         help="write per-trial metric binaries to PATH[.trialT].bin")
-    p_train.add_argument("--trace-out", help="write per-trial solver trace CSVs")
+                         help="write the metric binary to PATH, or to PATH.trialT for each "
+                              "trial T when --trials > 1")
+    p_train.add_argument("--trace-out", help="write the solver trace CSV, named as --save-metric")
 
     p_eval = command("eval", cmd_eval, "evaluate a stored metric")
     p_eval.add_argument("--metric-file")

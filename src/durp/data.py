@@ -151,41 +151,15 @@ def load_libsvm(path, d=None, label_map=None):
         return parse_libsvm(fh.read(), d=d, label_map=label_map)
 
 
-def _orient_columns(basis):
-    # sign convention: largest-magnitude entry of every column is positive
-    flips = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])] < 0
-    basis = basis.copy()
-    basis[:, flips] *= -1.0
-    return basis
-
-
-def _complete_basis(partial, d, k):
-    """Extend ``partial`` (d x j, orthonormal) to d x k with canonical directions."""
-    columns = [partial[:, i] for i in range(partial.shape[1])]
-    for axis in range(d):
-        if len(columns) == k:
-            break
-        e = np.zeros(d)
-        e[axis] = 1.0
-        for c in columns:
-            e -= (c @ e) * c
-        norm = np.linalg.norm(e)
-        if norm > 1e-8:
-            columns.append(e / norm)
-    if len(columns) < k:
-        raise ValueError("could not complete an orthonormal basis")
-    return np.column_stack(columns)
-
-
 def pca_fit(data, k):
-    """Top-k principal directions of the (centered) point cloud.
+    """Top principal directions of the (centered) point cloud.
 
-    Returns ``(basis, eigenvalues)``: ``basis`` is d x k with orthonormal
-    columns, each with its largest-magnitude entry positive, and
-    ``eigenvalues`` the k covariance eigenvalues, nonincreasing and
-    clamped at zero.  Uses the n x n Gram system instead of the d x d
-    covariance whenever d > n.  Rank-deficient requests are padded with an
-    orthonormal completion carrying eigenvalue 0.
+    Returns ``(basis, eigenvalues)`` for those of the top k covariance
+    eigenpairs whose eigenvalue exceeds 1e-12 of the largest: ``basis`` is
+    d x r with r <= k orthonormal columns, and ``eigenvalues`` the r
+    positive eigenvalues, nonincreasing.  Uses the n x n Gram system
+    instead of the d x d covariance whenever d > n.  Raises ValueError
+    when the centered data is all zero.
     """
     if not 1 <= k <= min(data.d, data.n):
         raise ValueError(f"k must be in [1, min(d, n)] = [1, {min(data.d, data.n)}]")
@@ -195,18 +169,15 @@ def pca_fit(data, k):
     system = centered.T @ centered if wide else centered @ centered.T
     eigvals, eigvecs = np.linalg.eigh(system / n)
     order = np.argsort(eigvals)[::-1][:k]
-    values = eigvals[order]
-    cutoff = max(values[0], 0.0) * 1e-12
-    keep = values > cutoff
-    values = np.where(keep, values, 0.0)
-    vectors = eigvecs[:, order[keep]]
+    cutoff = max(eigvals[order[0]], 0.0) * 1e-12
+    order = order[eigvals[order] > cutoff]
+    if order.size == 0:
+        raise ValueError("degenerate dataset: zero total variance")
+    values, vectors = eigvals[order], eigvecs[:, order]
     if wide:
         # covariance eigenvector recovered as centered @ w / sqrt(n * eigval)
-        vectors = centered @ vectors / np.sqrt(n * values[keep])
-    if not np.all(keep):
-        vectors = _complete_basis(vectors, data.d, k)
-    vectors = _orient_columns(vectors)
-    return vectors, np.maximum(values, 0.0)
+        vectors = centered @ vectors / np.sqrt(n * values)
+    return vectors, values
 
 
 def eigen_spectrum(data):

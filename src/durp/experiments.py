@@ -9,7 +9,8 @@ duori : solve in the original space directly (no projection).
 srp   : solve the projected dual, recover the subspace metric M_s from
         the *projected* points, push it back as R M_s R^T,
         PSD-project.
-spca  : srp with the projection replaced by the top-m PCA basis.
+spca  : srp with the projection replaced by the top-m PCA basis (fewer
+        columns when the data has fewer than m directions of variance).
 
 Trial t runs with seed ``seed + t`` throughout (triplets, projection,
 solver), so extending the trial count preserves earlier trials.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import load_libsvm, pca_fit
 from .evaluate import evaluate_metric
-from .metric import assemble_subspace_metric, psd_project, recover_metric
+from .metric import psd_project, recover_metric
 from .projection import GENERATOR_NAME, gaussian_matrix
 from .solver import LossModel, csdca_solve
 from .triplets import build_cache, project_cache, sample_active_triplets
@@ -108,7 +109,7 @@ def train_trial(config, train, test, trial_seed):
         metric = psd_project(recover_metric(solution.alpha, cache, lam))
     else:  # srp / spca stay in the subspace
         m_s = recover_metric(solution.alpha, space, lam)
-        metric = psd_project(assemble_subspace_metric(m_s, projection))
+        metric = psd_project(projection @ m_s @ projection.T)
 
     report = evaluate_metric(metric, train, test, config.k)
     return TrialResult(

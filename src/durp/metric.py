@@ -37,16 +37,6 @@ def recover_metric(alpha, cache, lam):
     return -accumulator(cache, alpha) / (lam * cache.n)
 
 
-def assemble_subspace_metric(M_s, R):
-    """Push an m x m subspace metric back to d x d through the d x m ``R``: R M_s R^T."""
-    if R.ndim != 2:
-        raise ValueError(f"projection must be a 2-d (d, m) array, got {R.ndim}-d")
-    m = R.shape[1]
-    if M_s.shape != (m, m):
-        raise ValueError(f"subspace metric shape {M_s.shape} does not match projection width {m}")
-    return symmetrize(R @ M_s @ R.T)
-
-
 def psd_project(M):
     """Nearest positive-semidefinite matrix in Frobenius norm.
 

@@ -259,9 +259,10 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     epochs : int
         Total passes (the first is the subgradient seed pass).
     gap_tol : float, optional
-        When set, keep adding coordinate-ascent epochs past ``epochs``
-        until the gap of :func:`certificate` is at most ``gap_tol`` or
-        ``max_epochs`` is hit.
+        When set, stop after the first epoch from ``epochs`` on (the seed
+        pass included) whose :func:`certificate` gap is at most
+        ``gap_tol``, adding coordinate-ascent epochs past ``epochs`` up to
+        ``max_epochs``.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -279,11 +280,9 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     gap = record(1, sgd_epoch(state, loss, rng.permutation(n)))
     limit = epochs if max_epochs is None else max(epochs, max_epochs)
     epoch = 1
-    while epoch < limit:
+    while epoch < limit and (epoch < epochs or gap_tol is None or gap > gap_tol):
         epoch += 1
         gap = record(epoch, sdca_epoch(state, loss, rng.permutation(n)))
-        if epoch >= epochs and gap_tol is not None and gap <= gap_tol:
-            break
     if gap_tol is not None and gap > gap_tol:
         raise ValueError(f"solver stopped at gap {gap:.3e} > tolerance {gap_tol:.1e}")
     return DualSolution(alpha=state.alpha, objective=trace[-1][1], gap=gap, trace=trace)

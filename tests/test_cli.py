@@ -12,7 +12,7 @@ from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, r
 from durp.data import LabeledDataset, eigen_spectrum, spectrum_csv
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
-from durp.metric import save_metric
+from durp.metric import load_metric, save_metric
 from durp.synth import gaussian_blobs
 
 from oracles import serialize_libsvm
@@ -201,6 +201,19 @@ def test_train_trace_out(datasets, tmp_path):
     assert len(lines) == 4  # header + three epochs
 
 
+def test_save_metric_writes_one_file_per_trial(datasets, tmp_path):
+    train_path, test_path = datasets
+    metric_path = tmp_path / "m.bin"
+    code = main(train_args(train_path, test_path, "--save-metric", str(metric_path)))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.glob("m.bin*")) == ["m.bin.trial0", "m.bin.trial1"]
+    config = RunConfig(method="srp", m=4, n_triplets=40, trials=2,
+                       train_file=train_path, test_file=test_path)
+    _, results = experiments.run_method(config)
+    for i, result in enumerate(results):
+        assert np.array_equal(load_metric(tmp_path / f"m.bin.trial{i}"), result.metric)
+
+
 def test_train_report_gives_each_trial_its_gap(datasets, tmp_path):
     train_path, test_path = datasets
     out, trace_path = tmp_path / "report.json", tmp_path / "trace.csv"
@@ -236,6 +249,15 @@ def test_spectrum_of_constant_data_exits_2(tmp_path, capsys):
     path = tmp_path / "flat.svm"
     path.write_text("1 1:2 2:3\n2 1:2 2:3\n1 1:2 2:3\n")
     assert main(["spectrum", "--train-file", str(path)]) == 2
+    assert "error: degenerate dataset: zero total variance" in capsys.readouterr().err
+
+
+def test_spca_on_constant_data_exits_2(tmp_path, capsys):
+    path = tmp_path / "flat.svm"
+    path.write_text("1 1:2 2:3\n2 1:2 2:3\n1 1:2 2:3\n2 1:2 2:3\n")
+    code = main(["train", "--method", "spca", "--m", "1", "--triplets", "4", "--trials", "1",
+                 "--train-file", str(path), "--test-file", str(path)])
+    assert code == 2
     assert "error: degenerate dataset: zero total variance" in capsys.readouterr().err
 
 

@@ -134,31 +134,27 @@ def test_pca_recovers_planted_subspace():
     assert np.linalg.norm(P_true - P_fit) < 0.05
 
 
-def test_pca_sign_convention_and_determinism():
-    rng = np.random.default_rng(3)
-    points = rng.normal(size=(6, 40))
-    data = LabeledDataset(points, np.zeros(40, dtype=np.int64))
-    a, _ = pca_fit(data, 4)
-    b, _ = pca_fit(data, 4)
-    assert np.array_equal(a, b)
-    for j in range(a.shape[1]):
-        col = a[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
-
-
-def test_pca_rank_deficient_completion():
-    # rank-1 data, ask for 3 directions: completion must stay orthonormal,
+def test_pca_rank_deficient_data_keeps_only_directions_of_variance():
+    # rank-1 data, ask for 3 directions: one column with a positive eigenvalue,
     # on the covariance route (d <= n) and on the Gram route (d > n)
     rng = np.random.default_rng(4)
     for d, n in ((8, 20), (20, 8)):
         u = rng.normal(size=(d, 1))
         points = u @ rng.normal(size=(1, n))
-        basis, values = pca_fit(LabeledDataset(points, np.zeros(n, dtype=np.int64)), 3)
-        assert basis.shape == (d, 3)
-        assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-10)
-        assert abs(abs(basis[:, 0] @ u[:, 0]) - np.linalg.norm(u)) < 1e-10
+        data = LabeledDataset(points, np.zeros(n, dtype=np.int64))
+        basis, values = pca_fit(data, 3)
+        assert basis.shape == (d, 1) and values.shape == (1,)
         assert values[0] > 0
-        assert np.all(values[1:] == 0.0)
+        assert abs(np.linalg.norm(basis[:, 0]) - 1.0) < 1e-10
+        assert abs(abs(basis[:, 0] @ u[:, 0]) - np.linalg.norm(u)) < 1e-10
+        again, _ = pca_fit(data, 3)
+        assert np.array_equal(basis, again)
+
+
+def test_pca_refuses_zero_variance_data():
+    data = LabeledDataset(np.full((3, 5), 2.0), np.zeros(5, dtype=np.int64))
+    with pytest.raises(ValueError, match="degenerate dataset: zero total variance"):
+        pca_fit(data, 2)
 
 
 def test_pca_k_validation():

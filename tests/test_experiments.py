@@ -9,11 +9,11 @@ import pytest
 from durp import experiments
 from durp.data import LabeledDataset, pca_fit
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
-from durp.metric import recover_metric
+from durp.metric import psd_project, recover_metric
 from durp.projection import gaussian_matrix
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
-from durp.triplets import build_cache, project_cache
+from durp.triplets import build_cache, project_cache, sample_active_triplets
 
 from oracles import serialize_libsvm
 
@@ -87,6 +87,36 @@ def test_spca_default_projection_is_the_pca_basis(monkeypatch):
     monkeypatch.setattr(experiments, "gaussian_matrix", lambda d, m, seed: pca_fit(train, m)[0])
     explicit = train_trial(small_config("srp"), train, test, 2)
     assert np.array_equal(auto.metric, explicit.metric)
+
+
+def test_subspace_metric_is_the_pushed_back_subspace_solve():
+    train, test = split_blobs(seed=9)
+    config = small_config("srp")
+    result = train_trial(config, train, test, 6)
+    cache = build_cache(train, sample_active_triplets(train, config.n_triplets, 6))
+    R = gaussian_matrix(train.d, config.m, 6)
+    space = project_cache(cache, R)
+    solution = csdca_solve(space, LossModel("hinge"), 1.0 / cache.n, config.epochs, 6)
+    M_s = recover_metric(solution.alpha, space, 1.0 / cache.n)
+    assert np.array_equal(result.alpha, solution.alpha)
+    assert np.array_equal(result.metric, psd_project(R @ M_s @ R.T))
+
+
+def test_subspace_metric_ignores_the_signs_of_the_basis_columns(monkeypatch):
+    # negating a column of R negates one row of the projected points exactly,
+    # so neither the dual solution nor R M_s R^T moves by a bit
+    train, test = split_blobs(seed=10)
+    signs = np.array([-1.0, 1.0, -1.0, -1.0])
+    fit, draw = experiments.pca_fit, experiments.gaussian_matrix
+    for method in ("srp", "spca"):
+        plain = train_trial(small_config(method), train, test, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "pca_fit", lambda data, k: (fit(data, k)[0] * signs, None))
+            patch.setattr(experiments, "gaussian_matrix",
+                          lambda d, m, seed: draw(d, m, seed) * signs)
+            flipped = train_trial(small_config(method), train, test, 4)
+        assert np.array_equal(plain.alpha, flipped.alpha)
+        assert np.array_equal(plain.metric, flipped.metric)
 
 
 def test_run_method_aggregates_trials():

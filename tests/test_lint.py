@@ -1,6 +1,6 @@
 """Every name a module under src/durp, tests, perfbench or scripts imports is used there,
-every public name src/durp defines is used outside the tests, and src/durp
-imports nothing at run time but numpy and the standard library.
+every top-level function and class src/durp defines is used outside the tests,
+and src/durp imports nothing at run time but numpy and the standard library.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -55,12 +55,13 @@ REACHING = [
 ]
 
 
-def unreached_public_names():
-    """Public top-level defs and classes of src/durp that no program file refers to.
+def unreached_names():
+    """Top-level defs and classes of src/durp, private ones too, that no program file uses.
 
     A reference is an ``ast.Name`` or ``ast.Attribute`` naming it anywhere in
     src/durp, perfbench or scripts; imports and tests do not count, so a
-    name that only tests call is reported.
+    name that only tests call is reported, and so is a helper left behind
+    when its last caller goes.
     """
     referenced = set()
     for path in REACHING:
@@ -75,13 +76,12 @@ def unreached_public_names():
         if path.name != "__init__.py"
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
         and node.name not in referenced
     ]
 
 
-def test_every_public_name_in_src_is_reached_outside_tests():
-    assert unreached_public_names() == []
+def test_every_name_in_src_is_reached_outside_tests():
+    assert unreached_names() == []
 
 
 def foreign_imports(source):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from durp.metric import (
-    assemble_subspace_metric,
     load_metric,
     psd_project,
     recover_metric,
@@ -13,7 +12,6 @@ from durp.metric import (
     sq_distance_blocks,
     symmetrize,
 )
-from durp.projection import gaussian_matrix
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 
@@ -60,20 +58,6 @@ def test_recover_metric_validation():
     with pytest.raises(ValueError, match="empty triplet cache"):
         empty = TripletCache(np.zeros((3, 4)), np.empty((0, 3), dtype=np.int64))
         recover_metric(np.zeros(0), empty, 0.1)
-
-
-def test_assemble_subspace_metric():
-    rng = np.random.default_rng(2)
-    R = gaussian_matrix(8, 3, seed=0)
-    M_s = rng.normal(size=(3, 3))
-    M_s = 0.5 * (M_s + M_s.T)
-    M = assemble_subspace_metric(M_s, R)
-    ref = R @ M_s @ R.T
-    assert np.allclose(M, 0.5 * (ref + ref.T), atol=1e-12)
-    with pytest.raises(ValueError, match="does not match projection width 3"):
-        assemble_subspace_metric(np.zeros((4, 4)), R)
-    with pytest.raises(ValueError, match="2-d"):
-        assemble_subspace_metric(M_s, np.ones(8))
 
 
 def test_psd_project_clamps_negative_eigenvalues():

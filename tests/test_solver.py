@@ -368,6 +368,17 @@ def test_csdca_gap_tol_extension_and_failure():
         csdca_solve(cache, loss, lam, epochs=0, seed=0)
 
 
+def test_csdca_gap_tol_applies_from_the_seed_epoch():
+    # with epochs=1 the stopping test runs after the seed pass too
+    cache, lam = solver_instance(9, "hinge")
+    loss = LossModel("hinge")
+    met = csdca_solve(cache, loss, lam, epochs=1, seed=0, gap_tol=1e9, max_epochs=5)
+    assert [row[0] for row in met.trace] == [1]
+    unmet = csdca_solve(cache, loss, lam, epochs=1, seed=0, gap_tol=1e-6, max_epochs=60)
+    assert len(unmet.trace) > 1
+    assert unmet.gap <= 1e-6 < min(row[2] for row in unmet.trace[:-1])
+
+
 def test_duality_gap_definition():
     # the gap against the primal P(M) of the naively recovered metric,
     # evaluated term by term on the explicit margins
