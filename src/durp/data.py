@@ -151,52 +151,50 @@ def load_libsvm(path, d=None, label_map=None):
         return parse_libsvm(fh.read(), d=d, label_map=label_map)
 
 
+def _covariance_eigh(data):
+    """Covariance eigenpairs of the point cloud, eigenvalues ascending.
+
+    Runs ``eigh`` on the smaller of the d x d covariance and the n x n Gram
+    system of the centered points, and returns ``(centered, eigvals,
+    eigvecs)``; the eigenvectors are the Gram system's when d > n.  Raises
+    ValueError when the variance underflows or no feature varies, decided on
+    the points: a constant feature can center to rounding noise, not zeros.
+    """
+    centered = data.points - data.points.mean(axis=1, keepdims=True)
+    system = centered.T @ centered if data.d > data.n else centered @ centered.T
+    eigvals, eigvecs = np.linalg.eigh(system / data.n)
+    if not (np.ptp(data.points, axis=1).any() and eigvals[-1] > 0.0):
+        raise ValueError("degenerate dataset: zero total variance")
+    return centered, eigvals, eigvecs
+
+
 def pca_fit(data, k):
     """Top principal directions of the (centered) point cloud.
 
     Returns ``(basis, eigenvalues)`` for those of the top k covariance
     eigenpairs whose eigenvalue exceeds 1e-12 of the largest: ``basis`` is
     d x r with r <= k orthonormal columns, and ``eigenvalues`` the r
-    positive eigenvalues, nonincreasing.  Uses the n x n Gram system
-    instead of the d x d covariance whenever d > n.  Raises ValueError
-    when the centered data is all zero.
+    positive eigenvalues, nonincreasing.  Raises ValueError when no
+    feature varies.
     """
     if not 1 <= k <= min(data.d, data.n):
         raise ValueError(f"k must be in [1, min(d, n)] = [1, {min(data.d, data.n)}]")
-    centered = data.points - data.points.mean(axis=1, keepdims=True)
-    n = data.n
-    wide = data.d > n
-    system = centered.T @ centered if wide else centered @ centered.T
-    eigvals, eigvecs = np.linalg.eigh(system / n)
+    centered, eigvals, eigvecs = _covariance_eigh(data)
     order = np.argsort(eigvals)[::-1][:k]
-    cutoff = max(eigvals[order[0]], 0.0) * 1e-12
-    order = order[eigvals[order] > cutoff]
-    if order.size == 0:
-        raise ValueError("degenerate dataset: zero total variance")
+    order = order[eigvals[order] > eigvals[order[0]] * 1e-12]
     values, vectors = eigvals[order], eigvecs[:, order]
-    if wide:
+    if data.d > data.n:
         # covariance eigenvector recovered as centered @ w / sqrt(n * eigval)
-        vectors = centered @ vectors / np.sqrt(n * values)
+        vectors = centered @ vectors / np.sqrt(data.n * values)
     return vectors, values
 
 
 def eigen_spectrum(data):
     """Normalized covariance spectrum of the centered point cloud.
 
-    Returns the nonincreasing eigenvalue vector, summing to 1.  Raises
-    ValueError when the centered data is all zero.
+    Returns the min(d, n) eigenvalues, nonincreasing and summing to 1, with
+    rounding-size negatives set to 0.  Raises ValueError when no feature
+    varies.
     """
-    centered = data.points - data.points.mean(axis=1, keepdims=True)
-    singular = np.linalg.svd(centered, compute_uv=False)
-    spectrum = singular**2
-    total = spectrum.sum()
-    if total <= 0.0:
-        raise ValueError("degenerate dataset: zero total variance")
-    return spectrum / total
-
-
-def spectrum_csv(spectrum):
-    """Render a spectrum as ``rank,normalized_eigenvalue`` CSV text."""
-    lines = ["rank,normalized_eigenvalue"]
-    lines.extend("%d,%.17g" % (i + 1, v) for i, v in enumerate(spectrum))
-    return "\n".join(lines) + "\n"
+    spectrum = np.maximum(_covariance_eigh(data)[1][::-1], 0.0)
+    return spectrum / spectrum.sum()

@@ -13,7 +13,6 @@ bounded by a few blocks whatever the number of queries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +30,6 @@ class EvalReport:
     n_queries: int
     excluded_queries: int
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "map": self.map_score,
-                "knn_accuracy": self.knn_accuracy,
-                "k": self.k,
-                "n_queries": self.n_queries,
-                "excluded_queries": self.excluded_queries,
-            },
-            indent=2,
-            allow_nan=False,
-        )
 
 
 def _stable_argsort(dist):

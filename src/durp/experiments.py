@@ -90,6 +90,8 @@ def train_trial(config, train, test, trial_seed):
         bound, name = (min(train.d, train.n), "min(d, n)") if method == "spca" else (train.d, "d")
         if config.m > bound:
             raise ValueError(f"{method} needs m <= {name} = {bound}, got m = {config.m}")
+    if config.k > train.n:
+        raise ValueError(f"k must be in [1, {train.n}]")
     started = time.perf_counter()
     triplets = sample_active_triplets(train, config.n_triplets, trial_seed)
     cache = build_cache(train, triplets)

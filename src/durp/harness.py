@@ -75,13 +75,6 @@ class HarnessConfig:
             raise ValueError("need at least one seed")
 
 
-def _rows_csv(comments, fmt, rows):
-    """``#`` comment lines, a header of the first row's keys, then ``fmt`` of each row's values."""
-    lines = ["# " + text for text in comments] + [",".join(rows[0])]
-    lines.extend(fmt % tuple(row.values()) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _sq_error(M_ref, M_hat):
     return float(np.linalg.norm(M_ref - M_hat)) / max(float(np.linalg.norm(M_ref)), 1e-30)
 
@@ -133,13 +126,6 @@ def verify_theorem1(config):
         )
         errors[m] = errs
     return {"rows": rows, "errors": errors, "oracle_gap": oracle.gap}
-
-
-def theorem1_csv(result):
-    return _rows_csv(
-        ["low-rank recovery trend; bound columns are the literal sampling-condition",
-         "curve (c=1/3), quoted for reference only -- desk-scale m cannot meet it"],
-        "%d,%.17g,%.17g,%.17g,%.17g,%.17g", result["rows"])
 
 
 def smooth_recovery_m(n_triplets, delta):
@@ -206,9 +192,3 @@ def verify_theorem2(config, m=None):
             }
         )
     return {"rows": rows, "kappa_stats": stats, "oracle_gap": oracle.gap, "m": m}
-
-
-def theorem2_csv(result):
-    return _rows_csv(["smooth-loss dual recovery; bound = max(eps term, eta term) per seed"],
-                     "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d", result["rows"])
-

@@ -286,10 +286,3 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     if gap_tol is not None and gap > gap_tol:
         raise ValueError(f"solver stopped at gap {gap:.3e} > tolerance {gap_tol:.1e}")
     return DualSolution(alpha=state.alpha, objective=trace[-1][1], gap=gap, trace=trace)
-
-
-def trace_csv(trace):
-    """Render per-epoch trace rows as ``epoch,dual_objective,duality_gap,seconds,accumulator_drift``."""
-    lines = ["epoch,dual_objective,duality_gap,seconds,accumulator_drift"]
-    lines.extend("%d,%.17g,%.17g,%.6f,%.3e" % row for row in trace)
-    return "\n".join(lines) + "\n"

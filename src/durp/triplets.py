@@ -151,9 +151,3 @@ def differences(cache):
     X, t = cache.points, cache.triplets
     anchors = X.take(t[:, 0], axis=1)
     return anchors - X.take(t[:, 2], axis=1), anchors - X.take(t[:, 1], axis=1)
-
-
-def save_triplets(path, triplets):
-    """Write (N, 3) triplet rows as ``i,j,k`` CSV (0-based indices)."""
-    np.savetxt(path, triplets, fmt="%d", delimiter=",", header="i,j,k", comments="")
-

@@ -9,7 +9,7 @@ import pytest
 
 from durp import experiments, harness
 from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, read_config_file
-from durp.data import LabeledDataset, eigen_spectrum, spectrum_csv
+from durp.data import LabeledDataset, eigen_spectrum
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
 from durp.metric import load_metric, save_metric
@@ -242,7 +242,9 @@ def test_spectrum_output_equals_direct_call(tmp_path):
     path, out = tmp_path / "data.svm", tmp_path / "spectrum.csv"
     path.write_text(serialize_libsvm(data))
     assert main(["spectrum", "--train-file", str(path), "--out", str(out)]) == 0
-    assert out.read_text() == spectrum_csv(eigen_spectrum(data))
+    ranks, values = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    assert ranks.tolist() == list(range(1, data.d + 1))
+    assert values.tolist() == eigen_spectrum(data).tolist()
 
 
 def test_spectrum_of_constant_data_exits_2(tmp_path, capsys):
@@ -256,7 +258,7 @@ def test_spca_on_constant_data_exits_2(tmp_path, capsys):
     path = tmp_path / "flat.svm"
     path.write_text("1 1:2 2:3\n2 1:2 2:3\n1 1:2 2:3\n2 1:2 2:3\n")
     code = main(["train", "--method", "spca", "--m", "1", "--triplets", "4", "--trials", "1",
-                 "--train-file", str(path), "--test-file", str(path)])
+                 "--k", "1", "--train-file", str(path), "--test-file", str(path)])
     assert code == 2
     assert "error: degenerate dataset: zero total variance" in capsys.readouterr().err
 
@@ -273,10 +275,12 @@ def test_sample_triplets_subcommand(datasets, tmp_path, capsys):
     assert main(["sample-triplets", "--train-file", train_path,
                  "--triplets", "0", "--out", str(out)]) == 0
     assert out.read_text() == "i,j,k\n"
-    # --out is mandatory here
-    assert main(["sample-triplets", "--train-file", train_path,
-                 "--triplets", "5"]) == 1
-    assert "--out is required" in capsys.readouterr().err
+    # without --out the same bytes go to stdout
+    argv = ["sample-triplets", "--train-file", train_path, "--triplets", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_verify_t1_subcommand_tiny(tmp_path):

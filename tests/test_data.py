@@ -1,16 +1,10 @@
-"""Dataset container, LIBSVM round trips, and PCA."""
+"""Dataset container, LIBSVM round trips, PCA, and the covariance spectrum."""
 
 import numpy as np
 import pytest
 
-from durp.data import (
-    LabeledDataset,
-    ParseError,
-    eigen_spectrum,
-    parse_libsvm,
-    pca_fit,
-    spectrum_csv,
-)
+from durp import cli
+from durp.data import LabeledDataset, ParseError, eigen_spectrum, parse_libsvm, pca_fit
 
 from oracles import serialize_libsvm
 
@@ -157,6 +151,19 @@ def test_pca_refuses_zero_variance_data():
         pca_fit(data, 2)
 
 
+def test_constant_features_are_refused_whatever_their_mean_rounds_to():
+    # constant 0.1 or 1/3 centers to rounding noise rather than zeros, and the
+    # refusal must not depend on that; variance that underflows is refused too
+    cases = [np.full((3, n), v) for v in (0.1, 1.0 / 3.0, 2.0, 0.3) for n in (7, 100, 1000)]
+    cases.append(np.random.default_rng(6).normal(size=(4, 10)) * 1e-170)
+    for points in cases:
+        data = LabeledDataset(points, np.zeros(points.shape[1], dtype=np.int64))
+        with pytest.raises(ValueError, match="degenerate dataset: zero total variance"):
+            pca_fit(data, 2)
+        with pytest.raises(ValueError, match="degenerate dataset: zero total variance"):
+            eigen_spectrum(data)
+
+
 def test_pca_k_validation():
     data = LabeledDataset(np.ones((4, 6)), np.zeros(6, dtype=np.int64))
     for bad in (0, 5, -1):
@@ -177,8 +184,31 @@ def test_eigen_spectrum_normalization():
         eigen_spectrum(flat)  # centered data is all zero
 
 
-def test_spectrum_csv_format():
-    text = spectrum_csv(np.array([0.75, 0.25]))
+def test_eigen_spectrum_matches_the_singular_values_and_pca():
+    # one covariance eigensolve for both: squared singular values of the
+    # centered points, normalized, and pca_fit's eigenvalues up to scale
+    rng = np.random.default_rng(7)
+    for d, n in ((12, 40), (40, 12)):
+        points = rng.normal(size=(d, n)) * rng.uniform(0.1, 3.0, size=(d, 1))
+        data = LabeledDataset(points, np.zeros(n, dtype=np.int64))
+        spectrum = eigen_spectrum(data)
+        singular = np.linalg.svd(points - points.mean(axis=1, keepdims=True), compute_uv=False)
+        reference = singular**2 / np.sum(singular**2)
+        assert spectrum.shape == reference.shape == (min(d, n),)
+        large = reference > 1e-12
+        assert np.allclose(spectrum[large], reference[large], rtol=1e-13, atol=0)
+        assert np.all(spectrum >= 0)
+        values = pca_fit(data, 5)[1]
+        assert np.allclose(spectrum[:5], values / values.sum() * spectrum[:5].sum(), rtol=1e-13)
+
+
+def test_spectrum_csv_format(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "eigen_spectrum", lambda data: np.array([0.75, 0.25]))
+    path = tmp_path / "data.svm"
+    path.write_text("1 1:0 2:1\n2 1:1 2:0\n")
+    assert cli.main(["spectrum", "--train-file", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert text == "rank,normalized_eigenvalue\n1,0.75\n2,0.25\n"
     lines = text.strip().splitlines()
     assert lines[0] == "rank,normalized_eigenvalue"
     assert lines[1].startswith("1,")

@@ -6,11 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from durp.cli import main
 from durp.data import LabeledDataset
 from durp.evaluate import evaluate_metric, knn_accuracy, ranking_map
+from durp.metric import save_metric
 from durp.synth import gaussian_blobs
 
-from oracles import cap_block_rows, lattice_problem, naive_knn, naive_map, with_copies
+from oracles import (
+    cap_block_rows,
+    lattice_problem,
+    naive_knn,
+    naive_map,
+    serialize_libsvm,
+    with_copies,
+)
 
 BLOCK_ROWS = (None, 1, 3)  # None: the default cap; 1 and 3 rows split every query set
 
@@ -121,11 +130,17 @@ def test_knn_validation():
         knn_accuracy(np.eye(3), train, wide, 1)
 
 
-def test_eval_report_round_trip():
+def test_eval_report_round_trip(tmp_path):
     train = gaussian_blobs(4, 30, 3, seed=3)
     test = gaussian_blobs(4, 12, 3, seed=4)
     report = evaluate_metric(np.eye(4), train, test, k=3)
-    back = json.loads(report.to_json())
+    train_path, test_path, out = tmp_path / "train.svm", tmp_path / "test.svm", tmp_path / "out"
+    train_path.write_text(serialize_libsvm(train))
+    test_path.write_text(serialize_libsvm(test))
+    save_metric(tmp_path / "M.bin", np.eye(4))
+    assert main(["eval", "--metric-file", str(tmp_path / "M.bin"), "--train-file", str(train_path),
+                 "--test-file", str(test_path), "--k", "3", "--out", str(out)]) == 0
+    back = json.loads(out.read_text())
     assert back == {"map": report.map_score, "knn_accuracy": report.knn_accuracy, "k": 3,
                     "n_queries": report.n_queries, "excluded_queries": report.excluded_queries}
     assert report.n_queries + report.excluded_queries == test.n

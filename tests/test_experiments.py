@@ -202,3 +202,15 @@ def test_run_method_rejects_dimension_mismatch():
     bad_test = gaussian_blobs(5, 20, 2, seed=7)
     with pytest.raises(ValueError, match="dimensions differ"):
         run_method(small_config("duori"), train=train, test=bad_test)
+
+
+def test_k_above_the_training_set_is_refused_before_sampling(monkeypatch):
+    train, test = split_blobs(seed=8)
+
+    def never(*args):
+        raise AssertionError("sampled before the k check")
+
+    monkeypatch.setattr(experiments, "sample_active_triplets", never)
+    for method in METHODS:
+        with pytest.raises(ValueError, match=rf"k must be in \[1, {train.n}\]"):
+            train_trial(small_config(method, k=train.n + 1), train, test, 0)

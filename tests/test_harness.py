@@ -1,19 +1,14 @@
-"""Verification harnesses: config validation, row shapes, CSV rendering."""
+"""Verification harnesses: config validation, row shapes, and the CSVs the CLI writes of them."""
 
 import math
 
 import numpy as np
 import pytest
 
+from durp import harness
+from durp.cli import main
 from durp.gram import kappa
-from durp.harness import (
-    HarnessConfig,
-    smooth_recovery_m,
-    theorem1_csv,
-    theorem2_csv,
-    verify_theorem1,
-    verify_theorem2,
-)
+from durp.harness import HarnessConfig, smooth_recovery_m, verify_theorem1, verify_theorem2
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, differences, sample_active_triplets
 
@@ -71,9 +66,18 @@ def test_verify_theorem1_rows_and_errors():
         assert row["eps_ref"] == pytest.approx(eps, rel=1e-12)
 
 
-def test_theorem1_csv_round_trips_rows():
+def harness_csv(monkeypatch, tmp_path, command, result):
+    """What ``durp <command>`` writes when its harness returns ``result``."""
+    name = {"verify-t1": "verify_theorem1", "verify-t2": "verify_theorem2"}[command]
+    monkeypatch.setattr(harness, name, lambda config, m=None: result)
+    out = tmp_path / "out.csv"
+    assert main([command, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def test_theorem1_csv_round_trips_rows(monkeypatch, tmp_path):
     result = verify_theorem1(tiny_t1_config())
-    lines = theorem1_csv(result).splitlines()
+    lines = harness_csv(monkeypatch, tmp_path, "verify-t1", result).splitlines()
     data_lines = [l for l in lines if not l.startswith("#")]
     assert data_lines[0] == "m,e_median,e_q25,e_q75,eps_ref,bound_ref"
     assert len(data_lines) == 1 + 3
@@ -84,14 +88,14 @@ def test_theorem1_csv_round_trips_rows():
         assert float(fields[4]) == row["eps_ref"]
 
 
-def test_theorem1_csv_bytes():
+def test_theorem1_csv_bytes(monkeypatch, tmp_path):
     rows = [
         {"m": 5, "e_median": 0.5, "e_q25": 0.25, "e_q75": 0.75, "eps_ref": 1.5,
          "bound_ref": np.inf},
         {"m": 400, "e_median": 0.1, "e_q25": 1e-20, "e_q75": 3.0, "eps_ref": 0.125,
          "bound_ref": 2.0},
     ]
-    assert theorem1_csv({"rows": rows}) == (
+    assert harness_csv(monkeypatch, tmp_path, "verify-t1", {"rows": rows}) == (
         "# low-rank recovery trend; bound columns are the literal sampling-condition\n"
         "# curve (c=1/3), quoted for reference only -- desk-scale m cannot meet it\n"
         "m,e_median,e_q25,e_q75,eps_ref,bound_ref\n"
@@ -100,12 +104,12 @@ def test_theorem1_csv_bytes():
     )
 
 
-def test_theorem2_csv_bytes():
+def test_theorem2_csv_bytes(monkeypatch, tmp_path):
     row = {"m": 64, "seed": 0, "epsilon": 0.5, "kappa": 2.0, "eta": 1e-6, "alpha_norm": 3.0,
            "measured": 0.25, "eps_term": 8.0, "eta_term": 0.001, "bound": 8.0,
            "satisfied": True}
     rows = [row, {**row, "seed": 1, "measured": 9.0, "satisfied": False}]
-    assert theorem2_csv({"rows": rows}) == (
+    assert harness_csv(monkeypatch, tmp_path, "verify-t2", {"rows": rows}) == (
         "# smooth-loss dual recovery; bound = max(eps term, eta term) per seed\n"
         "m,seed,epsilon,kappa,eta,alpha_norm,measured,eps_term,eta_term,bound,satisfied\n"
         "64,0,0.5,2,9.9999999999999995e-07,3,0.25,8,0.001,8,1\n"
@@ -143,9 +147,9 @@ def test_verify_theorem2_auto_m_respects_dimension():
         verify_theorem2(tiny_t2_config())
 
 
-def test_theorem2_csv_shape():
+def test_theorem2_csv_shape(monkeypatch, tmp_path):
     result = verify_theorem2(tiny_t2_config(), m=64)
-    lines = theorem2_csv(result).splitlines()
+    lines = harness_csv(monkeypatch, tmp_path, "verify-t2", result).splitlines()
     data_lines = [l for l in lines if not l.startswith("#")]
     assert data_lines[0].split(",")[:4] == ["m", "seed", "epsilon", "kappa"]
     assert len(data_lines) == 1 + 2

@@ -1,6 +1,7 @@
 """Every name a module under src/durp, tests, perfbench or scripts imports is used there,
 every top-level function and class src/durp defines is used outside the tests,
-and src/durp imports nothing at run time but numpy and the standard library.
+src/durp imports nothing at run time but numpy and the standard library, and
+only its ``cli`` module renders output files.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -110,5 +111,42 @@ def test_src_imports_only_numpy_and_the_standard_library():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
         for line, name in foreign_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def rendering(source):
+    """(line, what) for each json import, savetxt call and ``*_csv``/``*to_json`` function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "json") for alias in node.names
+                      if alias.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "json":
+                found.append((node.lineno, "json"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "savetxt":
+                found.append((node.lineno, "savetxt"))
+        elif isinstance(node, ast.FunctionDef) and node.name.endswith(("_csv", "to_json")):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_rendering_detected():
+    source = ("import json\nfrom json import dumps\nimport numpy as np\n"
+              "np.savetxt('t', x)\ndef table_csv(): pass\nclass R:\n    def to_json(self): pass\n"
+              "def csv_rows(): pass\n")
+    assert rendering(source) == [(1, "json"), (2, "json"), (4, "savetxt"), (5, "table_csv"),
+                                 (7, "to_json")]
+
+
+def test_only_the_cli_renders_output():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted((ROOT / "src" / "durp").glob("*.py"))
+        if path.name != "cli.py"
+        for line, what in rendering(path.read_text())
     ]
     assert found == []

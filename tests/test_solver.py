@@ -1,11 +1,12 @@
 """Loss models, coordinate updates, the seeded first epoch, and the full solver."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from durp import gram, metric, reference, solver
+from durp import cli, gram, metric, reference, solver
 from durp.gram import DENSE_LIMIT, accumulator, dense_gram, margins
 from durp.projection import gaussian_matrix
 from durp.reference import pga_solve
@@ -16,7 +17,6 @@ from durp.solver import (
     init_state,
     sdca_epoch,
     sgd_epoch,
-    trace_csv,
 )
 from durp.synth import gaussian_blobs, margin_gapped_blobs
 from durp.triplets import (
@@ -395,9 +395,14 @@ def test_duality_gap_definition():
         assert gap >= 0.0
 
 
-def test_trace_csv_format():
+def test_trace_csv_format(monkeypatch, tmp_path):
     cache, lam = solver_instance(0, "hinge")
     solution = csdca_solve(cache, LossModel("hinge"), lam, epochs=2, seed=0)
-    lines = trace_csv(solution.trace).strip().splitlines()
+    trial = SimpleNamespace(solver_trace=solution.trace)
+    monkeypatch.setattr(cli, "run_method", lambda config: ({}, [trial]))
+    path = tmp_path / "trace.csv"
+    assert cli.main(["train", "--trials", "1", "--train-file", "unread", "--test-file", "unread",
+                     "--trace-out", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,dual_objective,duality_gap,seconds,accumulator_drift"
     assert len(lines) == 3

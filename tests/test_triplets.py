@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from durp import triplets
+from durp import cli, triplets
 from durp.data import LabeledDataset
 from durp.gram import accumulator, dense_gram
 from durp.projection import gaussian_matrix
@@ -14,7 +14,6 @@ from durp.triplets import (
     differences,
     project_cache,
     sample_active_triplets,
-    save_triplets,
 )
 
 
@@ -172,12 +171,18 @@ def test_identity_projection_preserves_cache_bits():
     assert np.array_equal(accumulator(projected, alpha), accumulator(cache, alpha))
 
 
-def test_triplets_csv_round_trip(tmp_path):
+def test_triplets_csv_round_trip(monkeypatch, tmp_path):
     ts = np.array([[0, 1, 2], [3, 4, 5]])
-    path = tmp_path / "triplets.csv"
-    save_triplets(path, ts)
+    path, data = tmp_path / "triplets.csv", tmp_path / "data.svm"
+    data.write_text("1 1:0\n2 1:1\n")
+
+    def write_through_cli(path, sampled):
+        monkeypatch.setattr(cli, "sample_active_triplets", lambda train, n, seed: sampled)
+        assert cli.main(["sample-triplets", "--train-file", str(data), "--out", str(path)]) == 0
+
+    write_through_cli(path, ts)
     assert path.read_text().splitlines()[0] == "i,j,k"
     back = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
     assert np.array_equal(back, ts)
-    save_triplets(path, np.empty((0, 3), dtype=np.int64))
+    write_through_cli(path, np.empty((0, 3), dtype=np.int64))
     assert path.read_text() == "i,j,k\n"
