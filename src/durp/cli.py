@@ -16,10 +16,11 @@ import json
 import sys
 
 from . import harness as harness_mod
-from .data import eigen_spectrum, load_libsvm
+from .data import eigen_spectrum, load_libsvm, load_split
 from .evaluate import evaluate_metric
 from .experiments import METHODS, RunConfig, run_method
 from .metric import load_metric, save_metric
+from .solver import LOSS_KINDS
 from .triplets import sample_active_triplets
 
 
@@ -83,7 +84,7 @@ def build_parser():
     p_train.add_argument("--triplets", dest="n_triplets", type=int)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--lambda", dest="lam", type=float)
-    p_train.add_argument("--loss", choices=("hinge", "smoothed_hinge"))
+    p_train.add_argument("--loss", choices=LOSS_KINDS)
     p_train.add_argument("--gamma", type=float)
     p_train.add_argument("--k", type=int)
     p_train.add_argument("--seed", type=int)
@@ -203,7 +204,7 @@ def _write(path, text):
 def cmd_train(args):
     _require(args, "train_file", "test_file")
     config = RunConfig(**_fields(args, RunConfig))
-    report, results = run_method(config)
+    report, results = run_method(config, *load_split(args.train_file, args.test_file))
     for i, res in enumerate(results):
         suffix = "" if config.trials == 1 else f".trial{i}"
         if args.save_metric:
@@ -218,16 +219,8 @@ def cmd_train(args):
 def cmd_eval(args):
     _require(args, "metric_file", "train_file", "test_file")
     metric = load_metric(args.metric_file)
-    train, label_map = load_libsvm(args.train_file)
-    test, _ = load_libsvm(args.test_file, d=train.d, label_map=label_map)
-    report = evaluate_metric(metric, train, test, args.k)
-    _write(args.out, _json({
-        "map": report.map_score,
-        "knn_accuracy": report.knn_accuracy,
-        "k": report.k,
-        "n_queries": report.n_queries,
-        "excluded_queries": report.excluded_queries,
-    }))
+    report = evaluate_metric(metric, *load_split(args.train_file, args.test_file), args.k)
+    _write(args.out, _json({**report.scores(), "k": report.k}))
 
 
 def cmd_spectrum(args):

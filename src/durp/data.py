@@ -2,11 +2,13 @@
 
 Points are stored column-wise: ``points[:, i]`` is the i-th example.  Labels are
 contiguous 0-based integer class ids; :func:`parse_libsvm` remaps whatever label
-values appear in the input and returns the mapping it used.
+values appear in the input and returns the mapping it used; :func:`load_split`
+reads a train/test pair that shares the training file's map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,20 +90,19 @@ def parse_libsvm(text, d=None, label_map=None):
         The dataset and the mapping from original label value to class id.
     """
     raw_labels = []
-    rows = []  # per line: list of (0-based index, value)
+    rows, cols, values = [], [], []  # one entry per stored feature value
     max_index = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = stripped.split()
         try:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
-        if not np.isfinite(label):
+        if not math.isfinite(label):
             raise ParseError(f"line {lineno}: label must be finite")
-        entries = []
+        col = len(raw_labels)
         prev_index = 0
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
@@ -119,23 +120,22 @@ def parse_libsvm(text, d=None, label_map=None):
                     f"line {lineno}: indices must be strictly increasing "
                     f"({index} after {prev_index})"
                 )
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(f"line {lineno}: non-finite value in {token!r}")
             prev_index = index
-            entries.append((index - 1, value))
+            rows.append(index - 1)
+            cols.append(col)
+            values.append(value)
         max_index = max(max_index, prev_index)
         raw_labels.append(label)
-        rows.append(entries)
-    if not rows:
+    if not raw_labels:
         raise ParseError("no data lines found")
     if d is None:
         d = max_index
     elif d < max_index:
         raise ParseError(f"d override {d} is smaller than largest index {max_index}")
-    points = np.zeros((d, len(rows)))
-    for col, entries in enumerate(rows):
-        for idx, value in entries:
-            points[idx, col] = value
+    points = np.zeros((d, len(raw_labels)))
+    points[rows, cols] = values
     label_map = dict(label_map or {})
     next_id = max(label_map.values(), default=-1) + 1
     for value in sorted(set(raw_labels) - set(label_map)):
@@ -149,6 +149,13 @@ def load_libsvm(path, d=None, label_map=None):
     """Read a LIBSVM file from disk; see :func:`parse_libsvm`."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_libsvm(fh.read(), d=d, label_map=label_map)
+
+
+def load_split(train_path, test_path):
+    """Read a train/test pair of LIBSVM files; the test file takes the training d and label map."""
+    train, label_map = load_libsvm(train_path)
+    test, _ = load_libsvm(test_path, d=train.d, label_map=label_map)
+    return train, test
 
 
 def _covariance_eigh(data):

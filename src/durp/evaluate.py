@@ -30,6 +30,10 @@ class EvalReport:
     n_queries: int
     excluded_queries: int
 
+    def scores(self):
+        """The report's JSON entries; ``k`` is left to the caller."""
+        return {"map": self.map_score, "knn_accuracy": self.knn_accuracy,
+                "n_queries": self.n_queries, "excluded_queries": self.excluded_queries}
 
 
 def _stable_argsort(dist):

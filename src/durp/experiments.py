@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import load_libsvm, pca_fit
+from .data import pca_fit
 from .evaluate import evaluate_metric
 from .metric import psd_project, recover_metric
 from .projection import GENERATOR_NAME, gaussian_matrix
@@ -124,22 +124,16 @@ def train_trial(config, train, test, trial_seed):
     )
 
 
-def run_method(config, train=None, test=None):
-    """Run all trials and aggregate mean/std of the evaluation scores.
+def run_method(config, train, test):
+    """Run all trials on already-loaded datasets and aggregate mean/std of the scores.
 
-    Datasets are loaded from the config paths unless passed in directly;
-    a test file loaded after a training file shares its class ids.
-    Returns a JSON-ready dict; per-trial metrics are kept on the side in
-    the ``trials`` entries only as scores, each with the duality gap and
-    epoch count its solve reached, the largest accumulator drift of its
-    epochs, and how many dual variables sit at -1, inside the box and at 0
-    (matrices are not serialized).
+    Files are read by :func:`durp.data.load_split`; ``config.train_file``
+    and ``config.test_file`` are only reported.  Returns a JSON-ready dict;
+    per-trial metrics are kept on the side in the ``trials`` entries only
+    as scores, each with the duality gap and epoch count its solve reached,
+    the largest accumulator drift of its epochs, and how many dual variables
+    sit at -1, inside the box and at 0 (matrices are not serialized).
     """
-    label_map = None
-    if train is None:
-        train, label_map = load_libsvm(config.train_file)
-    if test is None:
-        test, _ = load_libsvm(config.test_file, d=train.d, label_map=label_map)
     if test.d != train.d:
         raise ValueError("train and test dimensions differ")
     results = []
@@ -162,10 +156,7 @@ def run_method(config, train=None, test=None):
         "trials": [
             {
                 "seed": r.seed,
-                "map": r.report.map_score,
-                "knn_accuracy": r.report.knn_accuracy,
-                "n_queries": r.report.n_queries,
-                "excluded_queries": r.report.excluded_queries,
+                **r.report.scores(),
                 "final_gap": float(r.solver_trace[-1][2]),
                 "epochs": int(r.solver_trace[-1][0]),
                 "max_drift": max(row[4] for row in r.solver_trace),

@@ -47,7 +47,7 @@ FEASIBILITY_TOL = 1e-12
 DRIFT_TOL = 1e-6
 BLOCK = 64  # coordinates per sweep block; measured, see CHANGES.md
 
-_LOSS_KINDS = ("hinge", "smoothed_hinge")
+LOSS_KINDS = ("hinge", "smoothed_hinge")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class LossModel:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _LOSS_KINDS:
-            raise ValueError(f"loss kind must be one of {_LOSS_KINDS}, got {self.kind!r}")
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if not np.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if self.kind == "smoothed_hinge" and self.gamma <= 0:

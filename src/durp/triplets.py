@@ -86,8 +86,6 @@ def sample_active_triplets(data, n_triplets, seed):
     counts = np.bincount(labels)
     if not np.any(counts >= 2):
         raise ValueError("need at least one class with two or more members")
-    if n_triplets == 0:
-        return np.empty((0, 3), dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     n = data.n

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from durp import experiments
-from durp.data import LabeledDataset, load_libsvm
+from durp.data import LabeledDataset, load_split
 from durp.evaluate import knn_accuracy, ranking_map
 from durp.experiments import RunConfig, run_method, train_trial
 from durp.gram import dense_gram, kappa
@@ -151,8 +151,7 @@ def test_criterion_6_retrieval_beats_subspace_baseline():
     started = time.perf_counter()
     paths = _usps_paths()
     if paths is not None:
-        train, label_map = load_libsvm(paths[0])
-        test, _ = load_libsvm(paths[1], d=train.d, label_map=label_map)
+        train, test = load_split(*paths)
         base = dict(m=10, n_triplets=100000, epochs=3, loss="hinge", k=5,
                     seed=0, trials=5)
         durp, _ = run_method(RunConfig(method="durp", **base), train=train, test=test)

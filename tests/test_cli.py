@@ -7,9 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from durp import experiments, harness
+from durp import cli, experiments, harness
 from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, read_config_file
-from durp.data import LabeledDataset, eigen_spectrum
+from durp.data import LabeledDataset, eigen_spectrum, load_split
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
 from durp.metric import load_metric, save_metric
@@ -209,7 +209,7 @@ def test_save_metric_writes_one_file_per_trial(datasets, tmp_path):
     assert sorted(p.name for p in tmp_path.glob("m.bin*")) == ["m.bin.trial0", "m.bin.trial1"]
     config = RunConfig(method="srp", m=4, n_triplets=40, trials=2,
                        train_file=train_path, test_file=test_path)
-    _, results = experiments.run_method(config)
+    _, results = experiments.run_method(config, *load_split(train_path, test_path))
     for i, result in enumerate(results):
         assert np.array_equal(load_metric(tmp_path / f"m.bin.trial{i}"), result.metric)
 
@@ -343,7 +343,7 @@ def test_non_finite_float_flags_exit_2(command, flags, message, value, datasets,
         raise AssertionError("data loaded")
 
     # refused before any data loads or any triplet is drawn
-    monkeypatch.setattr(experiments, "load_libsvm", refuse)
+    monkeypatch.setattr(cli, "load_split", refuse)
     monkeypatch.setattr(harness, "sample_active_triplets", refuse)
     argv = [command, *tiny_argv(command, *datasets, tmp_path), *flags, value]
     assert main(argv) == 2

@@ -50,6 +50,15 @@ def test_parse_extends_a_training_label_map():
     assert train_map == {3.0: 0, 7.0: 1, 9.0: 2}
 
 
+def test_parse_blank_and_label_only_lines():
+    data, _ = parse_libsvm("\n1 1:2 3:4\n  \n2\n\n1 2:5\n")
+    assert data.labels.tolist() == [0, 1, 0]
+    # the label-only line is a zero column; blank lines are no column at all
+    assert np.array_equal(data.points, [[2.0, 0.0, 0.0], [0.0, 0.0, 5.0], [4.0, 0.0, 0.0]])
+    with pytest.raises(ParseError, match="line 4: indices are 1-based"):
+        parse_libsvm("\n1 1:1\n\n2 0:3\n")
+
+
 def test_parse_d_override():
     data, _ = parse_libsvm("1 1:1\n", d=5)
     assert data.d == 5

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from durp import experiments
-from durp.data import LabeledDataset, pca_fit
+from durp.data import LabeledDataset, load_split, pca_fit
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
 from durp.metric import psd_project, recover_metric
 from durp.projection import gaussian_matrix
@@ -178,23 +178,28 @@ def test_durp_path_allocates_nothing_of_size_d_by_n():
     assert peak < d * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_run_method_loads_datasets_from_files(tmp_path):
+def test_load_split_shares_the_training_label_map(tmp_path):
     train, full_test = split_blobs(seed=6)
     # a test file without class 0 must keep the training ids of the others
     keep = full_test.labels != 0
     without_0 = LabeledDataset(full_test.points[:, keep], full_test.labels[keep])
+    train_path = tmp_path / "train.svm"
+    test_path = tmp_path / "test.svm"
+    train_path.write_text(serialize_libsvm(train))
     for test in (full_test, without_0):
-        train_path = tmp_path / "train.svm"
-        test_path = tmp_path / "test.svm"
-        train_path.write_text(serialize_libsvm(train))
         test_path.write_text(serialize_libsvm(test))
-        config = small_config(
-            "duori", trials=1, train_file=str(train_path), test_file=str(test_path)
-        )
-        from_files, _ = run_method(config)
-        in_memory, _ = run_method(config, train=train, test=test)
+        loaded = load_split(train_path, test_path)
+        assert np.array_equal(loaded[1].labels, test.labels)
+        config = small_config("duori", trials=1)
+        from_files, _ = run_method(config, *loaded)
+        in_memory, _ = run_method(config, train, test)
         assert from_files["map_mean"] == in_memory["map_mean"]
         assert from_files["knn_mean"] == in_memory["knn_mean"]
+    # a label the training file lacks takes the next free id
+    test_path.write_text("7 1:1\n1 2:1\n")
+    _, unseen = load_split(train_path, test_path)
+    assert unseen.labels.tolist() == [3, 1]
+    assert unseen.d == train.d
 
 
 def test_run_method_rejects_dimension_mismatch():

@@ -1,7 +1,8 @@
 """Every name a module under src/durp, tests, perfbench or scripts imports is used there,
 every top-level function and class src/durp defines is used outside the tests,
-src/durp imports nothing at run time but numpy and the standard library, and
-only its ``cli`` module renders output files.
+src/durp imports nothing at run time but numpy and the standard library,
+only its ``cli`` module renders output files, and only ``data`` and ``cli``
+read LIBSVM text.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -148,5 +149,32 @@ def test_only_the_cli_renders_output():
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
         if path.name != "cli.py"
         for line, what in rendering(path.read_text())
+    ]
+    assert found == []
+
+
+def file_loading(source):
+    """(line, name) for each call of ``load_libsvm`` or ``parse_libsvm``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("load_libsvm", "parse_libsvm"):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_file_loading_detected():
+    source = ("from .data import load_libsvm\nimport durp\nload_libsvm('a')\n"
+              "durp.data.parse_libsvm(text)\nload_split('a', 'b')\n")
+    assert file_loading(source) == [(3, "load_libsvm"), (4, "parse_libsvm")]
+
+
+def test_only_data_and_cli_load_files():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "durp").glob("*.py"))
+        if path.name not in ("data.py", "cli.py")
+        for line, name in file_loading(path.read_text())
     ]
     assert found == []

@@ -399,7 +399,8 @@ def test_trace_csv_format(monkeypatch, tmp_path):
     cache, lam = solver_instance(0, "hinge")
     solution = csdca_solve(cache, LossModel("hinge"), lam, epochs=2, seed=0)
     trial = SimpleNamespace(solver_trace=solution.trace)
-    monkeypatch.setattr(cli, "run_method", lambda config: ({}, [trial]))
+    monkeypatch.setattr(cli, "load_split", lambda *paths: (None, None))
+    monkeypatch.setattr(cli, "run_method", lambda config, train, test: ({}, [trial]))
     path = tmp_path / "trace.csv"
     assert cli.main(["train", "--trials", "1", "--train-file", "unread", "--test-file", "unread",
                      "--trace-out", str(path), "--out", str(tmp_path / "report.json")]) == 0
