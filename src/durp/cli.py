@@ -38,9 +38,9 @@ def read_config_file(path):
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+            lines = fh.read().split("\n")  # one decode: a codec error gives its file offset
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,24 +106,19 @@ def build_parser():
     p_spec.add_argument("--train-file")
 
     p_t1 = command("verify-t1", cmd_verify_t1, "low-rank recovery trend harness")
-    p_t1.add_argument("--d", type=int)
-    p_t1.add_argument("--r", type=int)
-    p_t1.add_argument("--n", type=int)
-    p_t1.add_argument("--triplets", dest="n_triplets", type=int)
-    p_t1.add_argument("--m-sweep", type=_int_list, help="comma-separated list of m values")
-    p_t1.add_argument("--delta", type=float)
-    p_t1.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
-
     p_t2 = command("verify-t2", cmd_verify_t2, "smooth-loss dual recovery harness")
-    p_t2.add_argument("--d", type=int, default=500)
-    p_t2.add_argument("--n", type=int, default=250)
-    p_t2.add_argument("--triplets", dest="n_triplets", type=int, default=200)
+    for p_harness in (p_t1, p_t2):
+        p_harness.add_argument("--d", type=int)
+        p_harness.add_argument("--n", type=int)
+        p_harness.add_argument("--triplets", dest="n_triplets", type=int)
+        p_harness.add_argument("--delta", type=float)
+        p_harness.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
+    p_t1.add_argument("--r", type=int)
+    p_t1.add_argument("--m-sweep", type=_int_list, help="comma-separated list of m values")
     p_t2.add_argument("--m", type=int,
                       help="projection width (default: smallest m passing the sampling condition)")
-    p_t2.add_argument("--delta", type=float)
     p_t2.add_argument("--eta", type=float)
     p_t2.add_argument("--gamma", type=float)
-    p_t2.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
 
     p_samp = command("sample-triplets", cmd_sample, "sample active triplets to CSV")
     p_samp.add_argument("--train-file")
@@ -240,8 +235,7 @@ def cmd_verify_t1(args):
 
 
 def cmd_verify_t2(args):
-    config = harness_mod.HarnessConfig(r=1, m_sweep=(1,),
-                                       **_fields(args, harness_mod.HarnessConfig))
+    config = dataclasses.replace(harness_mod.T2_CONFIG, **_fields(args, harness_mod.HarnessConfig))
     rows = harness_mod.verify_theorem2(config, m=args.m)["rows"]
     _write(args.out, _csv(
         ",".join(rows[0]), "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d",

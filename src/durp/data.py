@@ -77,7 +77,7 @@ def parse_libsvm(text, d=None, label_map=None):
     text : str
         The file contents.
     d : int, optional
-        Feature-dimension override.  Defaults to the largest index seen;
+        Feature dimension.  Defaults to the largest index seen;
         must be at least that large when given.
     label_map : dict, optional
         A mapping to extend, e.g. the training file's, so that a test file
@@ -133,7 +133,7 @@ def parse_libsvm(text, d=None, label_map=None):
     if d is None:
         d = max_index
     elif d < max_index:
-        raise ParseError(f"d override {d} is smaller than largest index {max_index}")
+        raise ParseError(f"feature index {max_index} exceeds d = {d}")
     points = np.zeros((d, len(raw_labels)))
     points[rows, cols] = values
     label_map = dict(label_map or {})
@@ -146,9 +146,12 @@ def parse_libsvm(text, d=None, label_map=None):
 
 
 def load_libsvm(path, d=None, label_map=None):
-    """Read a LIBSVM file from disk; see :func:`parse_libsvm`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh.read(), d=d, label_map=label_map)
+    """Read a LIBSVM file from disk; see :func:`parse_libsvm`.  Its ParseErrors name the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_libsvm(fh.read(), d=d, label_map=label_map)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_split(train_path, test_path):

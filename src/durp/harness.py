@@ -39,7 +39,7 @@ T2_EPSILON = 0.5  # target epsilon of the smooth-case sampling condition that pi
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Shared knobs for both verification harnesses."""
+    """Shared knobs for both verification harnesses; only verify_theorem1 reads r and m_sweep."""
 
     d: int = 400
     r: int = 3
@@ -54,18 +54,8 @@ class HarnessConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be positive")
-        if not 1 <= self.r <= self.d:
-            raise ValueError("need 1 <= r <= d")
         if self.n_triplets < 1:
             raise ValueError("n_triplets must be positive")
-        if not self.m_sweep:
-            raise ValueError("need at least one m in the sweep")
-        outside = [m for m in self.m_sweep if not 1 <= m <= self.d]
-        if outside:
-            raise ValueError(
-                f"every m in the sweep must lie in [1, d] = [1, {self.d}]; "
-                f"out of range: {', '.join(map(str, outside))}"
-            )
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         for name in ("eta", "gamma"):
@@ -73,6 +63,9 @@ class HarnessConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not self.seeds:
             raise ValueError("need at least one seed")
+
+
+T2_CONFIG = HarnessConfig(d=500, n=250, n_triplets=200)  # verify_theorem2's experiment
 
 
 def _sq_error(M_ref, M_hat):
@@ -90,6 +83,14 @@ def verify_theorem1(config):
 
     Returns a dict with per-m summaries and all raw errors.
     """
+    if not config.m_sweep:
+        raise ValueError("need at least one m in the sweep")
+    outside = [m for m in config.m_sweep if not 1 <= m <= config.d]
+    if outside:
+        raise ValueError(
+            f"every m in the sweep must lie in [1, d] = [1, {config.d}]; "
+            f"out of range: {', '.join(map(str, outside))}"
+        )
     # margin-gapped data keeps the optimal active set stable under the
     # sketch distortion, so the error curve reflects m rather than noise
     data = margin_gapped_blobs(config.d, config.r, config.n, seed=config.seeds[0])
@@ -133,8 +134,8 @@ def smooth_recovery_m(n_triplets, delta):
     return int(np.ceil(8.0 / T2_EPSILON**2 * np.log(8.0 * n_triplets / delta)))
 
 
-def verify_theorem2(config, m=None):
-    """Smooth-loss dual recovery: measured ||alpha* - alpha_hat|| vs its bound.
+def verify_theorem2(config=T2_CONFIG, m=None):
+    """Smooth-loss dual recovery: per seed, measured ||alpha* - alpha_hat|| vs its bound.
 
     Fixes one full-rank dataset and triplet set, solves the original dual
     (smoothed hinge, lam = 1/N) to well below eta, then for each seed
@@ -191,4 +192,4 @@ def verify_theorem2(config, m=None):
                 "satisfied": bool(measured <= bound),
             }
         )
-    return {"rows": rows, "kappa_stats": stats, "oracle_gap": oracle.gap, "m": m}
+    return {"rows": rows, "oracle_gap": oracle.gap}

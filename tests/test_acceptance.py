@@ -22,7 +22,7 @@ from durp.data import LabeledDataset, load_split
 from durp.evaluate import knn_accuracy, ranking_map
 from durp.experiments import RunConfig, run_method, train_trial
 from durp.gram import dense_gram, kappa
-from durp.harness import HarnessConfig, verify_theorem1, verify_theorem2
+from durp.harness import T2_CONFIG, HarnessConfig, verify_theorem1, verify_theorem2
 from durp.metric import psd_project
 from durp.reference import pga_solve
 from durp.solver import LossModel, csdca_solve
@@ -119,8 +119,9 @@ def test_criterion_4_low_rank_recovery_trend():
 
 def test_criterion_5_smooth_recovery_bound():
     started = time.perf_counter()
-    config = HarnessConfig(d=500, r=1, n=250, n_triplets=200, m_sweep=(1,),
-                           eta=1e-6, gamma=1.0, seeds=tuple(range(10)))
+    config = T2_CONFIG
+    assert (config.d, config.n, config.n_triplets, config.eta, config.gamma, config.seeds) == (
+        500, 250, 200, 1e-6, 1.0, tuple(range(10)))
     result = verify_theorem2(config)
     satisfied = sum(row["satisfied"] for row in result["rows"])
     assert satisfied >= 9, f"bound held in only {satisfied}/10 seeds"
@@ -135,7 +136,7 @@ def test_criterion_5_smooth_recovery_bound():
     for a, b in zip(closed, powered):
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
     _report(5, 300.0, started,
-            f"bound held {satisfied}/10 at m={result['m']}, kappa routes agree")
+            f"bound held {satisfied}/10 at m={result['rows'][0]['m']}, kappa routes agree")
 
 
 def _usps_paths():

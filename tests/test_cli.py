@@ -117,6 +117,16 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
 
 
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"m = 4\n# caf\xe9\n")
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config file {config}: 'utf-8' codec can't decode "
+        "byte 0xe9 in position 11: invalid continuation byte\n"
+    )
+
+
 def test_config_file_value_is_one_token(tmp_path):
     # a value with spaces or a leading '-' stays one flag value
     config = tmp_path / "run.cfg"
@@ -308,8 +318,10 @@ def test_verify_t1_over_the_dense_limit_exits_2(capsys):
     # the default sweep reaches m = 400; the message names d and each m outside it
     (["verify-t1", "--d", "20", "--r", "2", "--n", "40", "--triplets", "30"],
      "every m in the sweep must lie in [1, d] = [1, 20]; out of range: 50, 100, 400"),
-    # verify-t2 has no --r flag, so d is checked before r
     (["verify-t2", "--d", "0"], "error: d must be positive"),
+    # the data generator refuses r
+    (["verify-t1", "--r", "1"], "error: need 2 <= r <= d"),
+    (["verify-t1", "--d", "20", "--r", "21", "--m-sweep", "2"], "error: need 2 <= r <= d"),
     # lam = 1/N needs at least one triplet
     (["verify-t1", "--d", "20", "--r", "2", "--n", "40", "--triplets", "0",
       "--m-sweep", "2", "--seeds", "0"], "error: n_triplets must be positive"),
@@ -440,6 +452,24 @@ def test_unusable_data_file_exits_2(command, text, message, tmp_path, capsys):
 
 
 SAMPLE_VALUES = {int: "3", float: "0.25", None: "x.svm"}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("bad, content, message", [
+    ("test", b"0 1:1 9:2\n", "feature index 9 exceeds d = 6"),
+    ("test", b"0 1:1\nx 1:1\n", "line 2: bad label 'x'"),
+    ("train", b"0 1:1\nx 1:1\n", "line 2: bad label 'x'"),
+    ("test", b"0 1:\xff\n", "'utf-8' codec can't decode byte 0xff in position 4"),
+    ("train", b"0 1:\xff\n", "'utf-8' codec can't decode byte 0xff in position 4"),
+])
+def test_data_file_errors_name_the_file(command, bad, content, message, datasets, tmp_path,
+                                        capsys):
+    path = tmp_path / f"bad-{bad}.svm"
+    path.write_bytes(content)
+    train_path, test_path = datasets
+    files = (str(path), test_path) if bad == "train" else (train_path, str(path))
+    assert main([command, *tiny_argv(command, *files, tmp_path)]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(build_parser().commands))

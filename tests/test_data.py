@@ -62,7 +62,7 @@ def test_parse_blank_and_label_only_lines():
 def test_parse_d_override():
     data, _ = parse_libsvm("1 1:1\n", d=5)
     assert data.d == 5
-    with pytest.raises(ParseError, match="d override"):
+    with pytest.raises(ParseError, match="feature index 4 exceeds d = 3"):
         parse_libsvm("1 1:1 4:2\n", d=3)
 
 

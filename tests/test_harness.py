@@ -1,6 +1,7 @@
 """Verification harnesses: config validation, row shapes, and the CSVs the CLI writes of them."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from durp import harness
 from durp.cli import main
 from durp.gram import kappa
-from durp.harness import HarnessConfig, smooth_recovery_m, verify_theorem1, verify_theorem2
-from durp.synth import gaussian_blobs
+from durp.harness import (T2_CONFIG, HarnessConfig, smooth_recovery_m, verify_theorem1,
+                          verify_theorem2)
+from durp.synth import gaussian_blobs, isotropic_cloud
 from durp.triplets import build_cache, differences, sample_active_triplets
 
 from oracles import kappa_power_check
@@ -23,23 +25,30 @@ def test_smooth_recovery_m_frozen_and_monotone():
     assert smooth_recovery_m(200, 0.01) > smooth_recovery_m(200, 0.1)
 
 
-def test_harness_config_validation():
-    with pytest.raises(ValueError, match="1 <= r <= d"):
-        HarnessConfig(d=5, r=6)
+def test_harness_config_validation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("triplets sampled before the config was checked")
+
+    monkeypatch.setattr(harness, "sample_active_triplets", refuse)
+    for config, message in [
+        (HarnessConfig(d=5, r=6, m_sweep=(5,)), "need 2 <= r <= d"),
+        (HarnessConfig(r=1), "need 2 <= r <= d"),
+        (HarnessConfig(d=10, r=2, m_sweep=(0, 5)), "lie in"),
+        (HarnessConfig(d=10, r=2, m_sweep=(5, 11)), "lie in"),
+        (HarnessConfig(m_sweep=()), "at least one m"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            verify_theorem1(config)
+    # r and the sweep are verify_theorem1's fields, so a T2 config needs neither
+    assert HarnessConfig(d=80).d == 80
     with pytest.raises(ValueError, match="n_triplets must be positive"):
         HarnessConfig(n_triplets=0)
-    with pytest.raises(ValueError, match="lie in"):
-        HarnessConfig(d=10, r=2, m_sweep=(0, 5))
-    with pytest.raises(ValueError, match="lie in"):
-        HarnessConfig(d=10, r=2, m_sweep=(5, 11))
     with pytest.raises(ValueError, match="delta"):
         HarnessConfig(delta=1.0)
     with pytest.raises(ValueError, match="positive"):
         HarnessConfig(eta=0.0)
     with pytest.raises(ValueError, match="seed"):
         HarnessConfig(seeds=())
-    with pytest.raises(ValueError, match="at least one m"):
-        HarnessConfig(m_sweep=())
     for name in ("eta", "gamma"):
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
@@ -118,20 +127,23 @@ def test_theorem2_csv_bytes(monkeypatch, tmp_path):
 
 
 def tiny_t2_config():
-    return HarnessConfig(d=80, r=1, n=40, n_triplets=30, m_sweep=(1,), seeds=(0, 1))
+    return replace(T2_CONFIG, d=80, n=40, n_triplets=30, seeds=(0, 1))
 
 
 def test_verify_theorem2_rows():
     config = tiny_t2_config()
     result = verify_theorem2(config, m=64)
-    assert result["m"] == 64
+    assert set(result) == {"rows", "oracle_gap"}
     assert len(result["rows"]) == 2
+    data = isotropic_cloud(config.d, config.n, n_classes=4, seed=0)
+    expected_kappa = kappa(*differences(
+        build_cache(data, sample_active_triplets(data, config.n_triplets, seed=0)))).kappa
     eps = math.sqrt(8.0 * math.log(8.0 * 30 / 0.1) / 64)
     for row, seed in zip(result["rows"], (0, 1)):
         assert row["seed"] == seed
         assert row["m"] == 64
         assert row["epsilon"] == pytest.approx(eps, rel=1e-12)
-        assert row["kappa"] == result["kappa_stats"].kappa
+        assert row["kappa"] == expected_kappa
         assert row["eps_term"] == pytest.approx(
             8.0 * row["epsilon"] * row["kappa"] * row["alpha_norm"], rel=1e-12
         )
@@ -154,6 +166,16 @@ def test_theorem2_csv_shape(monkeypatch, tmp_path):
     assert data_lines[0].split(",")[:4] == ["m", "seed", "epsilon", "kappa"]
     assert len(data_lines) == 1 + 2
     assert data_lines[1].split(",")[-1] in ("0", "1")
+
+
+def test_verify_theorem2_default_is_the_flagless_command(tmp_path):
+    out = tmp_path / "t2.csv"
+    assert main(["verify-t2", "--out", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = verify_theorem2()["rows"]
+    assert lines[0].split(",") == list(rows[0])
+    assert [[float(v) for v in l.split(",")] for l in lines[1:]] == [
+        [float(v) for v in row.values()] for row in rows]  # %.17g round-trips exactly
 
 
 def test_kappa_power_check_matches_closed_form():

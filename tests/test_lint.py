@@ -1,8 +1,8 @@
 """Every name a module under src/durp, tests, perfbench or scripts imports is used there,
 every top-level function and class src/durp defines is used outside the tests,
 src/durp imports nothing at run time but numpy and the standard library,
-only its ``cli`` module renders output files, and only ``data`` and ``cli``
-read LIBSVM text.
+only its ``cli`` module renders output files, only ``data`` and ``cli``
+read LIBSVM text, and no flag of ``cli`` has a literal default.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -178,3 +178,24 @@ def test_only_data_and_cli_load_files():
         for line, name in file_loading(path.read_text())
     ]
     assert found == []
+
+
+def literal_defaults(source):
+    """(line, flag) for each ``add_argument`` call whose ``default=`` is a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            found += [(node.lineno, node.args[0].value) for kw in node.keywords
+                      if kw.arg == "default" and isinstance(kw.value, ast.Constant)]
+    return found
+
+
+def test_literal_defaults_detected():
+    source = ('p.add_argument("--d", type=int, default=500)\n'
+              'p.add_argument("--k", type=int, default=run_defaults.k)\n'
+              'p.add_argument("--m", type=int)\nq.set_defaults(default=1)\n')
+    assert literal_defaults(source) == [(1, "--d")]
+
+
+def test_cli_flags_take_their_defaults_from_the_config_dataclasses():
+    assert literal_defaults((ROOT / "src" / "durp" / "cli.py").read_text()) == []
