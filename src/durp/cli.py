@@ -19,7 +19,7 @@ from . import harness as harness_mod
 from .data import eigen_spectrum, load_libsvm, load_split
 from .evaluate import evaluate_metric
 from .experiments import METHODS, RunConfig, run_method
-from .metric import load_metric, save_metric
+from .metric import load_metric, psd_project, save_metric
 from .solver import LOSS_KINDS
 from .triplets import sample_active_triplets
 
@@ -213,8 +213,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     _require(args, "metric_file", "train_file", "test_file")
-    metric = load_metric(args.metric_file)
-    report = evaluate_metric(metric, *load_split(args.train_file, args.test_file), args.k)
+    factor = psd_project(load_metric(args.metric_file))  # scores the metric's PSD projection
+    report = evaluate_metric(factor, *load_split(args.train_file, args.test_file), args.k)
     _write(args.out, _json({**report.scores(), "k": report.k}))
 
 

@@ -146,12 +146,14 @@ def parse_libsvm(text, d=None, label_map=None):
 
 
 def load_libsvm(path, d=None, label_map=None):
-    """Read a LIBSVM file from disk; see :func:`parse_libsvm`.  Its ParseErrors name the file."""
+    """Read a LIBSVM file; see :func:`parse_libsvm`.  Errors its contents cause name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_libsvm(fh.read(), d=d, label_map=label_map)
-    except (ParseError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # ParseError, UnicodeDecodeError, LabeledDataset's checks
         raise ParseError(f"{path}: {exc}") from None
+    except MemoryError as exc:
+        raise MemoryError(f"{path}: {exc}") from None
 
 
 def load_split(train_path, test_path):

@@ -6,9 +6,9 @@ class.  Queries with no relevant candidates are dropped from the average.
 Ties are deterministic: equal distances keep index order (stable sort),
 k-NN vote ties go to the smallest class id.
 
-Distances arrive in query blocks from :func:`durp.metric.sq_distance_blocks`,
-and each block is scored with whole-block array operations, so memory is
-bounded by a few blocks whatever the number of queries.
+Distances between the embedded points L^T x of a metric's factor L arrive
+in query blocks from :func:`durp.metric.sq_distance_blocks`, each scored with
+whole-block array operations, so memory is bounded by a few blocks.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def _stable_argsort(dist):
     return order
 
 
-def ranking_map(M, test):
-    """Mean average precision plus query bookkeeping.
+def ranking_map(L, test):
+    """Mean average precision of the metric L L^T, plus query bookkeeping.
 
     Returns
     -------
@@ -59,21 +59,22 @@ def ranking_map(M, test):
     """
     if test.n < 2:
         raise ValueError("retrieval evaluation needs at least two test points")
+    if not np.isfinite(L).all():
+        raise ValueError("metric has non-finite entries")
     labels = test.labels
     ap_values = []
     excluded = 0
-    for rows, dist in sq_distance_blocks(M, test.points):
+    for rows, dist in sq_distance_blocks(L.T @ test.points):
         queries = np.arange(test.n)[rows]
-        order = _stable_argsort(dist)
-        # dropping the query from its sorted row gives the stable order of the
-        # row without the query
-        order = order[order != queries[:, None]].reshape(queries.size, test.n - 1)
-        hits = labels[order] == labels[queries, None]
-        found = np.cumsum(hits, axis=1)
-        _, rank = np.nonzero(hits)
-        precisions = (found[hits] / (rank + 1)).tolist()
+        # each query sorts first in its own row, ahead of the others' stable order
+        dist[np.arange(queries.size), queries] = -np.inf
+        hits = labels[_stable_argsort(dist)[:, 1:]] == labels[queries, None]
+        row, rank = np.nonzero(hits)
+        counts = np.count_nonzero(hits, axis=1)
+        found = np.arange(row.size) - (np.cumsum(counts) - counts)[row]  # hits before it
+        precisions = ((found + 1) / (rank + 1)).tolist()
         start = 0
-        for count in found[:, -1].tolist():
+        for count in counts.tolist():
             if count == 0:
                 excluded += 1
                 continue
@@ -87,8 +88,8 @@ def ranking_map(M, test):
     return sum(ap_values) / len(ap_values), len(ap_values), excluded
 
 
-def knn_accuracy(M, train, test, k):
-    """Majority-vote k-NN accuracy of metric M.
+def knn_accuracy(L, train, test, k):
+    """Majority-vote k-NN accuracy of the metric L L^T.
 
     Distance ties resolve to the smaller training index; vote ties to the
     smallest class id among the tied classes.
@@ -97,9 +98,11 @@ def knn_accuracy(M, train, test, k):
         raise ValueError(f"k must be in [1, {train.n}]")
     if train.d != test.d:
         raise ValueError("train and test dimensions differ")
+    if not np.isfinite(L).all():
+        raise ValueError("metric has non-finite entries")
     n_classes = train.n_classes
     correct = 0
-    for rows, dist in sq_distance_blocks(M, test.points, train.points):
+    for rows, dist in sq_distance_blocks(L.T @ test.points, L.T @ train.points):
         nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
         kth = np.take_along_axis(dist, nearest[:, k - 1:], axis=1)
         # the k smallest are one set unless ties straddle the k-th distance
@@ -114,18 +117,11 @@ def knn_accuracy(M, train, test, k):
     return correct / test.n
 
 
-def evaluate_metric(M, train, test, k):
-    """Bundle retrieval and k-NN results into an :class:`EvalReport`."""
-    if M.shape != (train.d, train.d):
-        raise ValueError(
-            f"metric is {M.shape[0]} x {M.shape[1]} but the data have {train.d} features"
-        )
-    score, included, excluded = ranking_map(M, test)
-    acc = knn_accuracy(M, train, test, k)
-    return EvalReport(
-        map_score=float(score),
-        knn_accuracy=float(acc),
-        k=int(k),
-        n_queries=int(included),
-        excluded_queries=int(excluded),
-    )
+def evaluate_metric(L, train, test, k):
+    """Bundle retrieval and k-NN results of the metric L L^T into an :class:`EvalReport`."""
+    if len(L) != train.d:
+        raise ValueError(f"metric is {len(L)} x {len(L)} but the data have {train.d} features")
+    score, included, excluded = ranking_map(L, test)
+    acc = knn_accuracy(L, train, test, k)
+    return EvalReport(map_score=score, knn_accuracy=acc, k=int(k), n_queries=included,
+                      excluded_queries=excluded)

@@ -70,14 +70,19 @@ class RunConfig:
 
 @dataclass
 class TrialResult:
-    """One trial's learned metric and its evaluation."""
+    """One trial's learned metric, kept as its PSD factor, and its evaluation."""
 
     seed: int
     report: "object"
-    metric: np.ndarray
+    factor: np.ndarray  # L, d x r+: the metric is L L^T
     alpha: np.ndarray
     solver_trace: list
     seconds: float
+
+    @property
+    def metric(self):
+        """The dense d x d metric L L^T, formed on each read."""
+        return self.factor @ self.factor.T
 
 
 def train_trial(config, train, test, trial_seed):
@@ -108,16 +113,16 @@ def train_trial(config, train, test, trial_seed):
     solution = csdca_solve(space, loss, lam, config.epochs, trial_seed)
     if method in ("durp", "duori"):
         # recovery uses the original-space points
-        metric = psd_project(recover_metric(solution.alpha, cache, lam))
+        factor = psd_project(recover_metric(solution.alpha, cache, lam))
     else:  # srp / spca stay in the subspace
         m_s = recover_metric(solution.alpha, space, lam)
-        metric = psd_project(projection @ m_s @ projection.T)
+        factor = psd_project(projection @ m_s @ projection.T)
 
-    report = evaluate_metric(metric, train, test, config.k)
+    report = evaluate_metric(factor, train, test, config.k)
     return TrialResult(
         seed=trial_seed,
         report=report,
-        metric=metric,
+        factor=factor,
         alpha=solution.alpha,
         solver_trace=solution.trace,
         seconds=time.perf_counter() - started,
@@ -131,8 +136,8 @@ def run_method(config, train, test):
     and ``config.test_file`` are only reported.  Returns a JSON-ready dict;
     per-trial metrics are kept on the side in the ``trials`` entries only
     as scores, each with the duality gap and epoch count its solve reached,
-    the largest accumulator drift of its epochs, and how many dual variables
-    sit at -1, inside the box and at 0 (matrices are not serialized).
+    the largest accumulator drift of its epochs, the dual variables at -1,
+    inside the box and at 0, and the metric's rank (matrices are not serialized).
     """
     if test.d != train.d:
         raise ValueError("train and test dimensions differ")
@@ -163,6 +168,7 @@ def run_method(config, train, test):
                 "alpha_at_lower": int(np.count_nonzero(r.alpha == -1.0)),
                 "alpha_interior": int(np.count_nonzero((r.alpha > -1.0) & (r.alpha < 0.0))),
                 "alpha_at_zero": int(np.count_nonzero(r.alpha == 0.0)),
+                "metric_rank": int(r.factor.shape[1]),
                 "seconds": r.seconds,
             }
             for r in results

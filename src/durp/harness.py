@@ -68,8 +68,8 @@ class HarnessConfig:
 T2_CONFIG = HarnessConfig(d=500, n=250, n_triplets=200)  # verify_theorem2's experiment
 
 
-def _sq_error(M_ref, M_hat):
-    return float(np.linalg.norm(M_ref - M_hat)) / max(float(np.linalg.norm(M_ref)), 1e-30)
+def _sq_error(M_ref, L):
+    return float(np.linalg.norm(M_ref - L @ L.T)) / max(float(np.linalg.norm(M_ref)), 1e-30)
 
 
 def verify_theorem1(config):
@@ -100,7 +100,8 @@ def verify_theorem1(config):
     lam = 1.0 / n
     loss = LossModel(kind="hinge")
     oracle = pga_solve(cache, loss, lam, gap_tol=T1_ORACLE_GAP)
-    M_star = psd_project(recover_metric(oracle.alpha, cache, lam))
+    L_star = psd_project(recover_metric(oracle.alpha, cache, lam))
+    M_star = L_star @ L_star.T
 
     rows = []
     errors = {}
@@ -110,8 +111,7 @@ def verify_theorem1(config):
             R = gaussian_matrix(config.d, m, seed)
             projected = project_cache(cache, R)
             run = pga_solve(projected, loss, lam, gap_tol=T1_RUN_GAP)
-            M_hat = psd_project(recover_metric(run.alpha, cache, lam))
-            errs.append(_sq_error(M_star, M_hat))
+            errs.append(_sq_error(M_star, psd_project(recover_metric(run.alpha, cache, lam))))
         errs = np.array(errs)
         eps_ref = np.sqrt(3.0 * (config.r + 1) * np.log(2.0 * config.r / config.delta) / m)
         bound_ref = 3.0 * eps_ref / (1.0 - 3.0 * eps_ref) if eps_ref < 1.0 / 3.0 else np.inf

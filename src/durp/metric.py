@@ -38,39 +38,34 @@ def recover_metric(alpha, cache, lam):
 
 
 def psd_project(M):
-    """Nearest positive-semidefinite matrix in Frobenius norm.
+    """Factor of the nearest positive-semidefinite matrix in Frobenius norm.
 
-    Eigendecomposes the symmetrized input and clamps negative eigenvalues
-    at zero.
+    Eigendecomposes the symmetrized input and returns L = V+ sqrt(Lambda+),
+    d x r+ with one column per positive eigenvalue: the projection is L L^T.
     """
     require_symmetric(M)
-    sym = symmetrize(M)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    clipped = np.maximum(eigvals, 0.0)
-    return symmetrize((eigvecs * clipped) @ eigvecs.T)
+    eigvals, eigvecs = np.linalg.eigh(symmetrize(M))
+    first = int(np.searchsorted(eigvals, 0.0, side="right"))  # eigh sorts ascending
+    return eigvecs[:, first:] * np.sqrt(eigvals[first:])
 
 
-def sq_distance_blocks(M, X, Y=None):
-    """Squared metric distances from the columns of X to those of Y, in row blocks.
+def sq_distance_blocks(X, Y=None):
+    """Squared Euclidean distances from the columns of X to those of Y, in row blocks.
 
-    Yields ``(rows, D)`` where ``rows`` is a slice of X's columns and
-    ``D[r, t]`` is the distance from column ``rows.start + r`` of X to
-    column t of Y (Y defaults to X).  A block holds at most
-    ``BLOCK_BYTES`` (at least one row), so memory stays bounded however many
-    columns X has.  Assumes M symmetric, as everything in this module
-    produces.
+    The columns are embedded points L^T x, so these are the distances of
+    the metric L L^T.  Yields ``(rows, D)``: ``D[r, t]`` is the distance
+    from column ``rows.start + r`` of X to column t of Y (Y defaults to X).
+    A block holds at most ``BLOCK_BYTES`` (at least one row), so memory
+    stays bounded however many columns X has.
     """
-    if not np.isfinite(M).all():
-        raise ValueError("metric has non-finite entries")
     if Y is None:
         Y = X
-    MY = M @ Y
-    y_q = np.einsum("pt,pt->t", Y, MY)
-    x_q = y_q if Y is X else np.einsum("pt,pt->t", X, M @ X)
+    y_q = np.einsum("pt,pt->t", Y, Y)
+    x_q = y_q if Y is X else np.einsum("pt,pt->t", X, X)
     step = max(1, BLOCK_BYTES // (8 * Y.shape[1]))
     for start in range(0, X.shape[1], step):
         rows = slice(start, start + step)
-        K = X[:, rows].T @ MY
+        K = X[:, rows].T @ Y
         # x + y - 2K in two blocks of the output's size instead of three
         D = x_q[rows, None] + y_q[None, :]
         K *= 2.0

@@ -79,30 +79,29 @@ def spectral_norm(A):
     return float(np.linalg.norm(A, 2))
 
 
-def three_block_sq_distances(M, X, Y=None):
-    """Pairwise squared distances as x + y - 2K, the expression that builds three n x n blocks."""
+def three_block_sq_distances(X, Y=None):
+    """Squared Euclidean distances as x + y - 2K, the expression that builds three n x n blocks."""
     if Y is None:
         Y = X
-    MY = M @ Y
-    K = X.T @ MY
-    x_q = np.einsum("pt,pt->t", X, M @ X)
-    y_q = x_q if Y is X else np.einsum("pt,pt->t", Y, MY)
+    K = X.T @ Y
+    x_q = np.einsum("pt,pt->t", X, X)
+    y_q = x_q if Y is X else np.einsum("pt,pt->t", Y, Y)
     return x_q[:, None] + y_q[None, :] - 2.0 * K
 
 
-def naive_sq_distance(M, x, y):
-    """(x - y)^T M (x - y) by explicit matrix-vector products."""
-    diff = x - y
-    return float(diff @ M @ diff)
+def naive_sq_distance(L, x, y):
+    """(x - y)^T L L^T (x - y) as the squared length of L^T (x - y)."""
+    diff = L.T @ (x - y)
+    return float(diff @ diff)
 
 
-def naive_map(M, points, labels):
+def naive_map(L, points, labels):
     """Mean average precision with explicit loops.
 
     For every query with at least one other same-class point, ranks the
-    remaining points by squared metric distance (stable order on ties),
-    accumulates precision at every relevant hit, and averages.  Returns
-    (map, n_included, n_excluded).
+    remaining points by squared distance under the metric L L^T (stable
+    order on ties), accumulates precision at every relevant hit, and
+    averages.  Returns (map, n_included, n_excluded).
     """
     n = points.shape[1]
     ap_values = []
@@ -113,7 +112,7 @@ def naive_map(M, points, labels):
         if not relevant:
             excluded += 1
             continue
-        dists = np.array([naive_sq_distance(M, points[:, q], points[:, t]) for t in others])
+        dists = np.array([naive_sq_distance(L, points[:, q], points[:, t]) for t in others])
         order = np.argsort(dists, kind="stable")
         hits = 0
         precisions = []
@@ -127,8 +126,8 @@ def naive_map(M, points, labels):
     return sum(ap_values) / len(ap_values), len(ap_values), excluded
 
 
-def naive_knn(M, train_points, train_labels, test_points, test_labels, k):
-    """k-NN accuracy with explicit loops and documented tie rules.
+def naive_knn(L, train_points, train_labels, test_points, test_labels, k):
+    """k-NN accuracy under the metric L L^T, with explicit loops and documented tie rules.
 
     Neighbor ties on distance resolve to the smaller training index
     (stable sort); vote ties resolve to the smallest class id.
@@ -138,7 +137,7 @@ def naive_knn(M, train_points, train_labels, test_points, test_labels, k):
     correct = 0
     for q in range(n_test):
         dists = np.array(
-            [naive_sq_distance(M, test_points[:, q], train_points[:, t]) for t in range(n_train)]
+            [naive_sq_distance(L, test_points[:, q], train_points[:, t]) for t in range(n_train)]
         )
         order = np.argsort(dists, kind="stable")[:k]
         votes = {}
@@ -174,16 +173,16 @@ def with_copies(data, seed, copies=3):
 
 
 def lattice_problem(d, n, n_classes, seed):
-    """Small-integer points with random labels, and an integer PSD metric.
+    """Small-integer points with random labels, and the integer factor B of a metric B B^T.
 
     Every squared distance is a small integer that any summation order
     computes exactly, so exact ties between different classes are common
-    and every route sees the same ties.  Returns (M, data).
+    and every route sees the same ties.  Returns (B, data).
     """
     rng = np.random.default_rng(seed)
     B = rng.integers(-1, 2, size=(d, d)).astype(np.float64)
     points = rng.integers(-2, 3, size=(d, n)).astype(np.float64)
-    return B @ B.T, LabeledDataset(points, rng.integers(0, n_classes, size=n))
+    return B, LabeledDataset(points, rng.integers(0, n_classes, size=n))
 
 
 def array_loss_derivative(loss, z):

@@ -180,6 +180,12 @@ def test_criterion_6_retrieval_beats_subspace_baseline():
     _report(6, 1200.0, started, detail)
 
 
+def projected(A):
+    """The dense projection L L^T from psd_project's factor L."""
+    L = psd_project(A)
+    return L @ L.T
+
+
 def test_criterion_7_psd_projection_properties():
     started = time.perf_counter()
     rng = np.random.default_rng(0)
@@ -187,9 +193,9 @@ def test_criterion_7_psd_projection_properties():
     for _ in range(100):
         A = rng.normal(size=(20, 20))
         A = 0.5 * (A + A.T)
-        P = psd_project(A)
+        P = projected(A)
         assert np.linalg.eigvalsh(P).min() >= -1e-10
-        assert np.linalg.norm(psd_project(P) - P) <= 1e-10
+        assert np.linalg.norm(projected(P) - P) <= 1e-10
         if previous is not None:
             B, Q = previous
             assert np.linalg.norm(P - Q) <= np.linalg.norm(A - B) + 1e-10
@@ -211,24 +217,23 @@ def test_criterion_8_evaluation_matches_naive(monkeypatch):
         n = 20 + (i * 7) % 181  # 20..200
         if i < 50:
             data = gaussian_blobs(d, n, classes, seed=i)
-            B = rng.normal(size=(d, d))
-            M = B @ B.T
+            B = rng.normal(size=(d, d))  # the factor of the metric B B^T
             if i % 5 == 4:  # copies of some points and a one-point class
                 data = with_copies(data, seed=i)
         else:  # exact distance ties between classes
-            M, data = lattice_problem(d, n, classes, seed=i)
+            B, data = lattice_problem(d, n, classes, seed=i)
         # two instances in three split their queries into blocks of 1 or 3 rows
         rows = (None, 1, 3)[i % 3]
         cap_block_rows(monkeypatch, rows, data.n)
-        score, included, excluded = ranking_map(M, data)
-        ref = naive_map(M, data.points, data.labels)
+        score, included, excluded = ranking_map(B, data)
+        ref = naive_map(B, data.points, data.labels)
         assert (score, included, excluded) == ref
         cut = max(classes, (7 * n) // 10)
         train = LabeledDataset(data.points[:, :cut], data.labels[:cut])
         test = LabeledDataset(data.points[:, cut:], data.labels[cut:])
         k = 1 + i % 5
         cap_block_rows(monkeypatch, rows, train.n)
-        acc = knn_accuracy(M, train, test, k)
-        assert acc == naive_knn(M, train.points, train.labels,
+        acc = knn_accuracy(B, train, test, k)
+        assert acc == naive_knn(B, train.points, train.labels,
                                 test.points, test.labels, k)
     _report(8, 30.0, started, "mAP and k-NN equal the naive references on 60 instances")

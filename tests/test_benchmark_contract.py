@@ -12,6 +12,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from durp.data import LabeledDataset
+from durp.experiments import RunConfig, train_trial
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, sample_active_triplets
@@ -73,3 +77,37 @@ def test_every_declared_layer_records_a_span():
         recorded = {span["name"] for span in recorder.spans}
         missing = [layer for layer in small.layers if layer not in recorded]
         assert not missing, f"{workload.name}: no span for {missing}"
+
+
+
+def test_evaluators_take_the_test_dataset_where_the_span_wrappers_read_it():
+    # spans.py counts evaluate.map queries as args[1].n and evaluate.knn
+    # queries as args[2].n; the train set is larger, so a swap would show
+    spans = load_perfbench("spans")
+    modules = {name: importlib.import_module(f"durp.{name}")
+               for name in ("experiments", "harness", "evaluate")}
+    data = gaussian_blobs(5, 50, 3, seed=2)
+    train = LabeledDataset(data.points[:, :35], data.labels[:35])
+    test = LabeledDataset(data.points[:, 35:], data.labels[35:])
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder, modules):
+        modules["evaluate"].evaluate_metric(np.eye(5), train, test, 3)
+    queries = {s["name"]: s["queries"] for s in recorder.spans}
+    assert queries == {"evaluate.map": test.n, "evaluate.knn": test.n}
+
+
+def test_trial_metric_is_the_dense_psd_matrix_of_its_factor():
+    # workloads.py checks result.metric: finite, symmetric and PSD, d x d
+    workloads = load_perfbench("workloads")
+    data = gaussian_blobs(7, 90, 3, seed=3)
+    train = LabeledDataset(data.points[:, :60], data.labels[:60])
+    test = LabeledDataset(data.points[:, 60:], data.labels[60:])
+    for method in ("durp", "srp"):
+        result = train_trial(RunConfig(method=method, m=4, n_triplets=80, trials=1),
+                             train, test, 0)
+        M = result.metric
+        assert M.shape == (train.d, train.d)
+        assert np.array_equal(M, M.T)
+        assert np.linalg.eigvalsh(M).min() >= -workloads.PSD_TOL * np.abs(M).max()
+        assert np.array_equal(M, result.factor @ result.factor.T)
+        assert workloads.TrainWorkload("t", method, 7, 60, 30, 80, 0.1).check(result) == []

@@ -12,7 +12,7 @@ from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, r
 from durp.data import LabeledDataset, eigen_spectrum, load_split
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
-from durp.metric import load_metric, save_metric
+from durp.metric import load_metric, psd_project, save_metric
 from durp.synth import gaussian_blobs
 
 from oracles import serialize_libsvm
@@ -176,6 +176,25 @@ def test_train_eval_round_trip(datasets, tmp_path):
     evaluated = json.loads(eval_path.read_text())
     assert evaluated["map"] == trained["trials"][0]["map"]
     assert evaluated["knn_accuracy"] == trained["trials"][0]["knn_accuracy"]
+
+
+def test_eval_scores_an_indefinite_metric_as_its_psd_projection(datasets, tmp_path):
+    train_path, test_path = datasets
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(6, 6))
+    M = A + A.T
+    assert np.linalg.eigvalsh(M).min() < 0.0
+    L = psd_project(M)
+    scores = []
+    for name, metric in (("indefinite", M), ("projected", L @ L.T)):
+        save_metric(tmp_path / f"{name}.bin", metric)
+        out = tmp_path / f"{name}.json"
+        assert main(["eval", "--metric-file", str(tmp_path / f"{name}.bin"),
+                     "--train-file", train_path, "--test-file", test_path,
+                     "--out", str(out)]) == 0
+        scores.append(json.loads(out.read_text()))
+    in_memory = evaluate_metric(L, *load_split(train_path, test_path), RunConfig().k)
+    assert scores[0] == scores[1] == {**in_memory.scores(), "k": in_memory.k}
 
 
 def test_eval_test_file_without_a_class_keeps_train_ids(tmp_path):
@@ -365,8 +384,8 @@ def test_non_finite_float_flags_exit_2(command, flags, message, value, datasets,
 def fake_trial(config, train, test, seed, map_score=0.5):
     """A ``train_trial`` stand-in: no full-size run."""
     trace = [(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
-    return TrialResult(seed, EvalReport(map_score, 0.5, config.k, 1, 0), None, np.zeros(1),
-                       trace, 0.0)
+    return TrialResult(seed, EvalReport(map_score, 0.5, config.k, 1, 0), np.eye(train.d),
+                       np.zeros(1), trace, 0.0)
 
 
 def test_train_report_refuses_nan(datasets, monkeypatch, capsys):
@@ -438,9 +457,9 @@ def test_eval_refuses_a_non_symmetric_metric(datasets, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "spectrum", "sample-triplets"])
 @pytest.mark.parametrize("text, message", [
-    ("1\n2\n1\n2\n", "error: points have no features (d = 0)"),
+    ("1\n2\n1\n2\n", "points have no features (d = 0)"),
     # 10**15 rows of float64 exceed any address space, so nothing is allocated
-    ("1 1:1\n2 1000000000000000:1\n", "error: Unable to allocate"),
+    ("1 1:1\n2 1000000000000000:1\n", "Unable to allocate"),
 ])
 def test_unusable_data_file_exits_2(command, text, message, tmp_path, capsys):
     path = tmp_path / "data.svm"
@@ -448,7 +467,7 @@ def test_unusable_data_file_exits_2(command, text, message, tmp_path, capsys):
     extra = {"train": ["--method", "duori", "--test-file", str(path)], "spectrum": [],
              "sample-triplets": ["--out", str(tmp_path / "t.csv")]}[command]
     assert main([command, "--train-file", str(path), *extra]) == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
 SAMPLE_VALUES = {int: "3", float: "0.25", None: "x.svm"}

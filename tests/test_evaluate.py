@@ -24,31 +24,31 @@ from oracles import (
 BLOCK_ROWS = (None, 1, 3)  # None: the default cap; 1 and 3 rows split every query set
 
 
-def random_metric(rng, d):
-    A = rng.normal(size=(d, d))
-    return A @ A.T
+def random_factor(rng, d):
+    """A d x d factor B of the metric B B^T."""
+    return rng.normal(size=(d, d))
 
 
 def map_cases():
-    """(M, data, excluded): blobs, blobs with copies and a singleton class, lattices."""
+    """(B, data, excluded): blobs, blobs with copies and a singleton class, lattices."""
     for seed in range(8):
         rng = np.random.default_rng(seed)
         data = gaussian_blobs(5, 30, 3, seed=seed)
-        M = random_metric(rng, 5)
-        yield M, data, 0
-        yield M, with_copies(data, seed=seed), 1
-        M, data = lattice_problem(4, 40, 3, seed=seed)
-        yield M, data, None
+        B = random_factor(rng, 5)
+        yield B, data, 0
+        yield B, with_copies(data, seed=seed), 1
+        B, data = lattice_problem(4, 40, 3, seed=seed)
+        yield B, data, None
 
 
 def test_ranking_map_matches_naive(monkeypatch):
-    for M, data, expected_excluded in map_cases():
-        ref_score, ref_inc, ref_exc = naive_map(M, data.points, data.labels)
+    for B, data, expected_excluded in map_cases():
+        ref_score, ref_inc, ref_exc = naive_map(B, data.points, data.labels)
         if expected_excluded is not None:
             assert ref_exc == expected_excluded
         for rows in BLOCK_ROWS:
             cap_block_rows(monkeypatch, rows, data.n)
-            assert ranking_map(M, data) == (ref_score, ref_inc, ref_exc)
+            assert ranking_map(B, data) == (ref_score, ref_inc, ref_exc)
 
 
 def test_ranking_map_excludes_singleton_classes():
@@ -75,26 +75,26 @@ def test_ranking_map_validation():
 
 
 def knn_cases():
-    """(M, train, test): blobs, then blobs with copies and a singleton class, lattices."""
+    """(B, train, test): blobs, then blobs with copies and a singleton class, lattices."""
     for seed in range(8):
         rng = np.random.default_rng(seed)
         train = gaussian_blobs(4, 40, 3, seed=seed)
         test = gaussian_blobs(4, 15, 3, seed=seed + 100)
-        M = random_metric(rng, 4)
-        yield M, train, test
-        yield M, with_copies(train, seed=seed), with_copies(test, seed=seed + 100)
-        M, data = lattice_problem(3, 60, 3, seed=seed)
-        yield M, LabeledDataset(data.points[:, :45], data.labels[:45]), \
+        B = random_factor(rng, 4)
+        yield B, train, test
+        yield B, with_copies(train, seed=seed), with_copies(test, seed=seed + 100)
+        B, data = lattice_problem(3, 60, 3, seed=seed)
+        yield B, LabeledDataset(data.points[:, :45], data.labels[:45]), \
             LabeledDataset(data.points[:, 45:], data.labels[45:])
 
 
 def test_knn_matches_naive(monkeypatch):
-    for M, train, test in knn_cases():
+    for B, train, test in knn_cases():
         for k in (1, 3, 5):
-            ref = naive_knn(M, train.points, train.labels, test.points, test.labels, k)
+            ref = naive_knn(B, train.points, train.labels, test.points, test.labels, k)
             for rows in BLOCK_ROWS:
                 cap_block_rows(monkeypatch, rows, train.n)
-                assert knn_accuracy(M, train, test, k) == ref
+                assert knn_accuracy(B, train, test, k) == ref
 
 
 def test_knn_distance_tie_prefers_smaller_train_index():
@@ -150,12 +150,14 @@ def test_evaluate_rejects_non_finite_metric():
     train = gaussian_blobs(4, 30, 3, seed=3)
     test = gaussian_blobs(4, 12, 3, seed=4)
     for bad in (np.nan, np.inf, -np.inf):
-        M = np.eye(4)
-        M[0, 0] = bad
+        L = np.eye(4)
+        L[0, 0] = bad
         with pytest.raises(ValueError, match="metric has non-finite entries"):
-            evaluate_metric(M, train, test, k=3)
+            evaluate_metric(L, train, test, k=3)
         with pytest.raises(ValueError, match="metric has non-finite entries"):
-            knn_accuracy(M, train, test, 3)
+            ranking_map(L, test)
+        with pytest.raises(ValueError, match="metric has non-finite entries"):
+            knn_accuracy(L, train, test, 3)
 
 
 def test_evaluation_memory_stays_below_half_a_distance_matrix():
@@ -164,10 +166,10 @@ def test_evaluation_memory_stays_below_half_a_distance_matrix():
     rng = np.random.default_rng(0)
     train = LabeledDataset(rng.normal(size=(d, n_train)), np.arange(n_train) % 10)
     test = LabeledDataset(rng.normal(size=(d, n_test)), np.arange(n_test) % 10)
-    M = random_metric(rng, d)
+    B = random_factor(rng, d)
     tracemalloc.start()
     try:
-        report = evaluate_metric(M, train, test, k=5)
+        report = evaluate_metric(B, train, test, k=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -99,7 +99,9 @@ def test_subspace_metric_is_the_pushed_back_subspace_solve():
     solution = csdca_solve(space, LossModel("hinge"), 1.0 / cache.n, config.epochs, 6)
     M_s = recover_metric(solution.alpha, space, 1.0 / cache.n)
     assert np.array_equal(result.alpha, solution.alpha)
-    assert np.array_equal(result.metric, psd_project(R @ M_s @ R.T))
+    L = psd_project(R @ M_s @ R.T)
+    assert np.array_equal(result.factor, L)
+    assert np.array_equal(result.metric, L @ L.T)
 
 
 def test_subspace_metric_ignores_the_signs_of_the_basis_columns(monkeypatch):
@@ -156,6 +158,19 @@ def test_run_method_reports_dual_support_counts():
             counts = (trial["alpha_at_lower"], trial["alpha_interior"], trial["alpha_at_zero"])
             assert sum(counts) == result.alpha.size == config.n_triplets
             assert counts[0] == np.count_nonzero(result.alpha == -1.0)
+
+
+def test_run_method_reports_the_metric_rank():
+    # r+ is the number of positive eigenvalues of the metric before projection
+    train, test = split_blobs(seed=12)
+    config = small_config("durp", n_triplets=60)
+    report, results = run_method(config, train=train, test=test)
+    for trial, result in zip(report["trials"], results):
+        cache = build_cache(train, sample_active_triplets(train, config.n_triplets, result.seed))
+        M = recover_metric(result.alpha, cache, 1.0 / cache.n)
+        assert trial["metric_rank"] == np.count_nonzero(np.linalg.eigvalsh(M) > 0.0)
+        assert trial["metric_rank"] == result.factor.shape[1]
+        assert 0 < trial["metric_rank"] < train.d
 
 
 def test_durp_path_allocates_nothing_of_size_d_by_n():

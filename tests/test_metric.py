@@ -60,12 +60,26 @@ def test_recover_metric_validation():
         recover_metric(np.zeros(0), empty, 0.1)
 
 
+def projected(A):
+    """The dense projection L L^T from psd_project's factor L."""
+    L = psd_project(A)
+    return L @ L.T
+
+
 def test_psd_project_clamps_negative_eigenvalues():
     A = np.diag([3.0, -2.0, 0.0])
-    P = psd_project(A)
+    L = psd_project(A)
+    assert L.shape == (3, 1)  # one column per positive eigenvalue
+    P = L @ L.T
     assert np.allclose(P, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
     # already-PSD input passes through (idempotence on a sample)
-    assert np.allclose(psd_project(P), P, atol=1e-12)
+    assert np.allclose(projected(P), P, atol=1e-12)
+
+
+def test_psd_project_of_a_negative_definite_matrix_is_empty():
+    L = psd_project(-np.eye(3))
+    assert L.shape == (3, 0)
+    assert np.array_equal(L @ L.T, np.zeros((3, 3)))
 
 
 def test_psd_project_properties_random():
@@ -75,10 +89,10 @@ def test_psd_project_properties_random():
         A = 0.5 * (A + A.T)
         B = rng.normal(size=(8, 8))
         B = 0.5 * (B + B.T)
-        PA, PB = psd_project(A), psd_project(B)
+        PA, PB = projected(A), projected(B)
         assert np.linalg.eigvalsh(PA).min() >= -1e-10
         # idempotent and nonexpansive
-        assert np.allclose(psd_project(PA), PA, atol=1e-10)
+        assert np.allclose(projected(PA), PA, atol=1e-10)
         assert np.linalg.norm(PA - PB) <= np.linalg.norm(A - B) + 1e-10
         # Frobenius-closer to A than random PSD candidates
         dist = np.linalg.norm(A - PA)
@@ -88,40 +102,37 @@ def test_psd_project_properties_random():
             assert dist <= np.linalg.norm(A - cand) + 1e-10
 
 
-def assembled(M, X, Y=None):
-    blocks = list(sq_distance_blocks(M, X, Y))
+def assembled(X, Y=None):
+    blocks = list(sq_distance_blocks(X, Y))
     assert [rows.start for rows, _ in blocks] == list(range(0, X.shape[1], blocks[0][1].shape[0]))
     return np.vstack([D for _, D in blocks]), len(blocks)
 
 
 def test_metric_distance_and_pairwise(monkeypatch):
     rng = np.random.default_rng(4)
-    M = rng.normal(size=(5, 5))
-    M = M @ M.T  # PSD so distances are nonnegative
+    L = rng.normal(size=(5, 3))  # the factor of the metric L L^T
     X = rng.normal(size=(5, 7))
     Y = rng.normal(size=(5, 4))
     for rows in (None, 1, 3):
         cap_block_rows(monkeypatch, rows, 4)
-        D, _ = assembled(M, X, Y)
+        D, _ = assembled(L.T @ X, L.T @ Y)
         assert D.shape == (7, 4)
         for i in range(7):
             for j in range(4):
-                ref = naive_sq_distance(M, X[:, i], Y[:, j])
+                ref = naive_sq_distance(L, X[:, i], Y[:, j])
                 assert abs(D[i, j] - ref) < 1e-9 * (abs(ref) + 1.0)
         # one-argument form: self-distances vanish
         cap_block_rows(monkeypatch, rows, 7)
-        D_self, _ = assembled(M, X)
+        D_self, _ = assembled(L.T @ X)
         assert D_self.shape == (7, 7)
         assert np.abs(np.diag(D_self)).max() < 1e-9
 
 
 def test_pairwise_distances_bytes_match_three_block_expression():
     rng = np.random.default_rng(7)
-    A = rng.normal(size=(16, 16))
-    M = A @ A.T
     X = rng.normal(size=(16, 90))
     Y = rng.normal(size=(16, 40))
-    for args in ((M, X, Y), (M, X)):
+    for args in ((X, Y), (X,)):
         D, n_blocks = assembled(*args)
         assert n_blocks == 1  # the default cap holds this shape whole
         assert D.tobytes() == three_block_sq_distances(*args).tobytes()
