@@ -7,8 +7,8 @@ durp  : project the points to m dimensions with a Gaussian map, solve the
         PSD-project once.
 duori : solve in the original space directly (no projection).
 srp   : solve the projected dual, recover the subspace metric M_s from
-        the *projected* points, push it back as R M_s R^T,
-        PSD-project.
+        the *projected* points, push it back as R M_s R^T = Q (T M_s T^T) Q^T
+        (thin QR R = Q T): PSD-project the m x m middle, lift its factor by Q.
 spca  : srp with the projection replaced by the top-m PCA basis (fewer
         columns when the data has fewer than m directions of variance).
 
@@ -59,8 +59,9 @@ class RunConfig:
             raise ValueError("n_triplets must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lam is not None and not 0 < self.lam < np.inf:
-            raise ValueError("lambda must be positive and finite")
+        if self.lam is not None and not 1e-150 < self.lam * self.n_triplets < 1e150:
+            raise ValueError("lambda must be positive and finite, with lambda * triplets in "
+                             f"(1e-150, 1e150); got {self.lam:g} * {self.n_triplets}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.k < 1:
@@ -114,9 +115,9 @@ def train_trial(config, train, test, trial_seed):
     if method in ("durp", "duori"):
         # recovery uses the original-space points
         factor = psd_project(recover_metric(solution.alpha, cache, lam))
-    else:  # srp / spca stay in the subspace
-        m_s = recover_metric(solution.alpha, space, lam)
-        factor = psd_project(projection @ m_s @ projection.T)
+    else:  # srp / spca: with R = Q T, R M_s R^T = Q (T M_s T^T) Q^T, factored at size m
+        Q, T = np.linalg.qr(projection)
+        factor = Q @ psd_project(recover_metric(solution.alpha, project_cache(space, T.T), lam))
 
     report = evaluate_metric(factor, train, test, config.k)
     return TrialResult(

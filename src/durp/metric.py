@@ -17,10 +17,6 @@ SYMMETRY_TOL = 1e-8
 BLOCK_BYTES = 2 << 20  # cap on one block of squared distances; 2-4 MiB ran fastest of 0.5-8 MiB
 
 
-def symmetrize(M):
-    return 0.5 * (M + M.T)
-
-
 def require_symmetric(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
@@ -40,12 +36,14 @@ def recover_metric(alpha, cache, lam):
 def psd_project(M):
     """Factor of the nearest positive-semidefinite matrix in Frobenius norm.
 
-    Eigendecomposes the symmetrized input and returns L = V+ sqrt(Lambda+),
-    d x r+ with one column per positive eigenvalue: the projection is L L^T.
+    Eigendecomposes M (``eigh`` reads its lower triangle) and returns
+    L = V+ sqrt(Lambda+), d x r+ with one column per eigenvalue above numpy's
+    ``matrix_rank`` tolerance d * eps * max(Lambda): the projection is L L^T.
     """
     require_symmetric(M)
-    eigvals, eigvecs = np.linalg.eigh(symmetrize(M))
-    first = int(np.searchsorted(eigvals, 0.0, side="right"))  # eigh sorts ascending
+    eigvals, eigvecs = np.linalg.eigh(M)
+    tol = len(M) * np.finfo(float).eps * eigvals.max(initial=0.0)
+    first = int(np.searchsorted(eigvals, tol, side="right"))  # eigh sorts ascending
     return eigvecs[:, first:] * np.sqrt(eigvals[first:])
 
 

@@ -6,8 +6,8 @@ compare the fast production paths against these.  Independent routes the
 package itself does not need (single Gram entries, the Kronecker
 embedding, the matrix-free Gram product and dual objective, kappa by power
 iteration, the primal form of the subgradient seed epoch, the array form
-of the loss derivative) live here too, with the LIBSVM writer that makes
-the test files.
+of the loss derivative, the d x d lift of a subspace metric) live here
+too, with the LIBSVM writer that makes the test files.
 """
 
 import numpy as np
@@ -72,6 +72,17 @@ def naive_primal(M, U, V, loss_value, lam):
         z = U[:, t] @ M @ U[:, t] - V[:, t] @ M @ V[:, t]
         total += loss_value(z)
     return 0.5 * lam * np.linalg.norm(M, "fro") ** 2 + total / n
+
+
+def dense_subspace_metric(R, M_s):
+    """The d x d projection of R M_s R^T: the lift done before the factoring.
+
+    Symmetrizes the product, which rounding leaves slightly skew, and clips
+    every negative eigenvalue of the full d x d matrix to 0.
+    """
+    A = R @ M_s @ R.T
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (A + A.T))
+    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
 def spectral_norm(A):

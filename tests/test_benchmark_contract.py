@@ -96,6 +96,23 @@ def test_evaluators_take_the_test_dataset_where_the_span_wrappers_read_it():
     assert queries == {"evaluate.map": test.n, "evaluate.knn": test.n}
 
 
+def test_subspace_baselines_recover_and_project_once_under_the_wrapped_names():
+    # no workload runs srp or spca, so nothing else sees their route leave
+    # experiments.recover_metric and experiments.psd_project
+    spans = load_perfbench("spans")
+    modules = {name: importlib.import_module(f"durp.{name}")
+               for name in ("experiments", "harness", "evaluate")}
+    data = gaussian_blobs(7, 90, 3, seed=4)
+    train = LabeledDataset(data.points[:, :60], data.labels[:60])
+    test = LabeledDataset(data.points[:, 60:], data.labels[60:])
+    for method in ("srp", "spca"):
+        recorder = spans.SpanRecorder()
+        with spans.instrumented(recorder, modules):
+            train_trial(RunConfig(method=method, m=4, n_triplets=80, trials=1), train, test, 0)
+        names = [span["name"] for span in recorder.spans]
+        assert names.count("metric.recover") == names.count("metric.psd") == 1, method
+
+
 def test_trial_metric_is_the_dense_psd_matrix_of_its_factor():
     # workloads.py checks result.metric: finite, symmetric and PSD, d x d
     workloads = load_perfbench("workloads")

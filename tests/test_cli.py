@@ -2,7 +2,11 @@
 
 import functools
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,27 @@ def test_eval_scores_an_indefinite_metric_as_its_psd_projection(datasets, tmp_pa
     assert scores[0] == scores[1] == {**in_memory.scores(), "k": in_memory.k}
 
 
+@pytest.mark.parametrize("method", ["durp", "srp"])
+def test_eval_factors_a_saved_metric_at_the_rank_train_reported(method, datasets, tmp_path,
+                                                                 monkeypatch):
+    # L L^T saved by train has rounding-level eigenvalues beyond its rank;
+    # eval's projection must not turn them into columns
+    train_path, test_path = datasets
+    metric_path, report_path = tmp_path / "metric.bin", tmp_path / "train.json"
+    assert main(train_args(train_path, test_path, "--method", method, "--trials", "1",
+                           "--save-metric", str(metric_path), "--out", str(report_path))) == 0
+    ranks = []
+
+    def evaluate(L, *args):
+        ranks.append(L.shape[1])
+        return evaluate_metric(L, *args)
+
+    monkeypatch.setattr(cli, "evaluate_metric", evaluate)
+    assert main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
+                 "--test-file", test_path, "--out", str(tmp_path / "eval.json")]) == 0
+    assert ranks == [json.loads(report_path.read_text())["trials"][0]["metric_rank"]]
+
+
 def test_eval_test_file_without_a_class_keeps_train_ids(tmp_path):
     # train has classes {0, 1, 2}, test only {1, 2}: the test file must not
     # renumber its labels to {0, 1}
@@ -381,6 +406,23 @@ def test_non_finite_float_flags_exit_2(command, flags, message, value, datasets,
     assert message in capsys.readouterr().err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+# lambda * N enters the duality certificate squared: below the range it
+# divided by zero, above it overflowed, each with a raw traceback
+@pytest.mark.parametrize("lam", ["1e-300", "1e-152", "1e149", "1e300", "0", "-1", "nan", "inf"])
+def test_lambda_outside_the_certificate_range_exits_2(lam, datasets):
+    argv = [*train_args(*datasets), "--trials", "1", "--triplets", "50", "--lambda", lam]
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "durp", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: lambda must be positive and finite, "
+                                  "with lambda * triplets in (1e-150, 1e150)")
+    assert "Traceback" not in done.stderr
+
+
 def fake_trial(config, train, test, seed, map_score=0.5):
     """A ``train_trial`` stand-in: no full-size run."""
     trace = [(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
@@ -433,6 +475,7 @@ def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
     cases = (
         (np.eye(4), ("metric is 4 x 4", "6 features")),  # the data have 6 features
         (not_finite, ("metric has non-finite entries",)),
+        (np.zeros((0, 0)), ("metric is 0 x 0 but the data have 6 features",)),
     )
     for metric, messages in cases:
         # save_metric refuses the NaN metric, so write the bytes directly

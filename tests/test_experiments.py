@@ -9,13 +9,13 @@ import pytest
 from durp import experiments
 from durp.data import LabeledDataset, load_split, pca_fit
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
-from durp.metric import psd_project, recover_metric
+from durp.metric import recover_metric
 from durp.projection import gaussian_matrix
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, project_cache, sample_active_triplets
 
-from oracles import serialize_libsvm
+from oracles import dense_subspace_metric, serialize_libsvm
 
 
 def split_blobs(d=8, n=80, seed=0):
@@ -90,18 +90,23 @@ def test_spca_default_projection_is_the_pca_basis(monkeypatch):
 
 
 def test_subspace_metric_is_the_pushed_back_subspace_solve():
+    # factored at size m in R's QR coordinates, the metric is the projection
+    # of the d x d lift R M_s R^T up to rounding, and its rank is at most m
     train, test = split_blobs(seed=9)
-    config = small_config("srp")
-    result = train_trial(config, train, test, 6)
-    cache = build_cache(train, sample_active_triplets(train, config.n_triplets, 6))
-    R = gaussian_matrix(train.d, config.m, 6)
-    space = project_cache(cache, R)
-    solution = csdca_solve(space, LossModel("hinge"), 1.0 / cache.n, config.epochs, 6)
-    M_s = recover_metric(solution.alpha, space, 1.0 / cache.n)
-    assert np.array_equal(result.alpha, solution.alpha)
-    L = psd_project(R @ M_s @ R.T)
-    assert np.array_equal(result.factor, L)
-    assert np.array_equal(result.metric, L @ L.T)
+    for method in ("srp", "spca"):
+        config = small_config(method, seed=6, trials=1)
+        report, (result,) = run_method(config, train, test)
+        cache = build_cache(train, sample_active_triplets(train, config.n_triplets, 6))
+        if method == "srp":
+            R = gaussian_matrix(train.d, config.m, 6)
+        else:
+            R = pca_fit(train, config.m)[0]
+        space = project_cache(cache, R)
+        solution = csdca_solve(space, LossModel("hinge"), 1.0 / cache.n, config.epochs, 6)
+        assert np.array_equal(result.alpha, solution.alpha)
+        lifted = dense_subspace_metric(R, recover_metric(solution.alpha, space, 1.0 / cache.n))
+        assert np.linalg.norm(result.metric - lifted) <= 1e-10 * np.linalg.norm(lifted)
+        assert 0 < report["trials"][0]["metric_rank"] == result.factor.shape[1] <= config.m
 
 
 def test_subspace_metric_ignores_the_signs_of_the_basis_columns(monkeypatch):
@@ -161,14 +166,16 @@ def test_run_method_reports_dual_support_counts():
 
 
 def test_run_method_reports_the_metric_rank():
-    # r+ is the number of positive eigenvalues of the metric before projection
+    # r+ is the number of eigenvalues of the metric before projection above
+    # numpy's matrix_rank tolerance d * eps * (largest eigenvalue)
     train, test = split_blobs(seed=12)
     config = small_config("durp", n_triplets=60)
     report, results = run_method(config, train=train, test=test)
     for trial, result in zip(report["trials"], results):
         cache = build_cache(train, sample_active_triplets(train, config.n_triplets, result.seed))
-        M = recover_metric(result.alpha, cache, 1.0 / cache.n)
-        assert trial["metric_rank"] == np.count_nonzero(np.linalg.eigvalsh(M) > 0.0)
+        eigvals = np.linalg.eigvalsh(recover_metric(result.alpha, cache, 1.0 / cache.n))
+        tol = train.d * np.finfo(float).eps * eigvals.max()
+        assert trial["metric_rank"] == np.count_nonzero(eigvals > tol)
         assert trial["metric_rank"] == result.factor.shape[1]
         assert 0 < trial["metric_rank"] < train.d
 

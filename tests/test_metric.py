@@ -10,7 +10,6 @@ from durp.metric import (
     require_symmetric,
     save_metric,
     sq_distance_blocks,
-    symmetrize,
 )
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
@@ -23,11 +22,9 @@ def sample_cache(seed, d=6, n=30):
     return build_cache(data, sample_active_triplets(data, n, seed=seed))
 
 
-def test_symmetrize_and_require_symmetric():
+def test_require_symmetric():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    S = symmetrize(A)
-    assert np.array_equal(S, S.T)
-    require_symmetric(S)
+    require_symmetric(A + A.T)
     with pytest.raises(ValueError, match="not symmetric"):
         require_symmetric(A)
     with pytest.raises(ValueError, match="square"):
@@ -80,6 +77,15 @@ def test_psd_project_of_a_negative_definite_matrix_is_empty():
     L = psd_project(-np.eye(3))
     assert L.shape == (3, 0)
     assert np.array_equal(L @ L.T, np.zeros((3, 3)))
+
+
+def test_psd_project_keeps_one_column_per_nonzero_eigenvalue():
+    # L L^T of a rank-5 L has 45 eigenvalues at rounding level, about half of them
+    # positive; the relative cutoff drops every one of them
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        L = rng.normal(size=(50, 5))
+        assert psd_project(L @ L.T).shape == (50, 5)
 
 
 def test_psd_project_properties_random():
