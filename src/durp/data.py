@@ -136,6 +136,10 @@ def parse_libsvm(text, d=None, label_map=None):
         raise ParseError(f"feature index {max_index} exceeds d = {d}")
     points = np.zeros((d, len(raw_labels)))
     points[rows, cols] = values
+    # G is quartic in the features: within [1e-70, 1e70] its entries stay normal floats
+    top = np.abs(points).max(initial=0.0)
+    if top and not 1e-70 <= top <= 1e70:
+        raise ParseError(f"largest |value| {top:.3g} is outside [1e-70, 1e70]")
     label_map = dict(label_map or {})
     next_id = max(label_map.values(), default=-1) + 1
     for value in sorted(set(raw_labels) - set(label_map)):

@@ -142,6 +142,8 @@ def run_method(config, train, test):
     """
     if test.d != train.d:
         raise ValueError("train and test dimensions differ")
+    if not np.ptp(train.points, axis=1).any():  # every u and v would be 0
+        raise ValueError("degenerate dataset: zero total variance")
     results = []
     for t in range(config.trials):
         results.append(train_trial(config, train, test, config.seed + t))

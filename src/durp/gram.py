@@ -1,4 +1,4 @@
-"""Triplet margins, dense Gram, accumulator and norm bounds.
+"""Triplet margins, the Gram product, accumulator and norm bounds.
 
 With A_t = u_t u_t^T - v_t v_t^T, the Gram entry expands into four squared
 dot products:
@@ -6,18 +6,20 @@ dot products:
     G[a, b] = (u_a.u_b)^2 + (v_a.v_b)^2 - (u_a.v_b)^2 - (v_a.u_b)^2
 
 so no p x p outer products are ever formed.  :func:`dense_gram` is the one
-dense Gram route: the coordinate sweep calls it per block, and the
-reference solver calls it on all N columns when p(p + 1) > N.
+dense Gram route: the coordinate sweep calls it per block, and
+:func:`gram_product` calls it on all N columns when p(p + 1) > N.  It
+refuses more than ``DENSE_LIMIT`` columns, the only cap on Gram work.
 
 G also factors as G = Phi^T Phi.  <A_a, A_b>_F is the inner product of the
 symmetric vectorisations of A_a and A_b, so :func:`gram_factor` gives Phi
 one row per pair i <= j of the p coordinates, r = p(p + 1)/2 rows in all:
 row (i, j) holds U[i] U[j] - V[i] V[j] over the columns, times sqrt(2) off
-the diagonal.  The reference solver multiplies by Phi^T (Phi alpha) when
-that factor is thinner than G.  The Gram, its factor and the margins read
-the gathered difference columns U, V (see
-:func:`durp.triplets.differences`); the accumulator reads the index-form
-cache.
+the diagonal.  :func:`gram_product` multiplies by Phi^T (Phi alpha) when
+that factor is thinner than G, i.e. p(p + 1) <= N, and takes lambda_max(G)
+from the r x r matrix Phi Phi^T; that route never forms G and takes any N.
+The Gram, its factor and the margins read the gathered difference columns
+U, V (see :func:`durp.triplets.differences`); the accumulator reads the
+index-form cache.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def accumulator(cache, alpha):
         raise ValueError("alpha must have one entry per triplet")
     X = cache.points
     n_points = X.shape[1]
-    i, j, k = cache.triplets[cache.anchor_order].T
-    a = alpha[cache.anchor_order]
+    order = np.argsort(cache.triplets[:, 0], kind="stable")
+    i, j, k = cache.triplets[order].T
+    a = alpha[order]
     w = np.bincount(k, a, n_points) - np.bincount(j, a, n_points)
     Z = X * (0.5 * w)
     for s in range(0, cache.n, CHUNK):
@@ -70,15 +73,10 @@ def accumulator(cache, alpha):
     return P + P.T
 
 
-def check_dense_limit(n):
-    """Refuse Gram work on more than ``DENSE_LIMIT`` triplet columns."""
-    if n > DENSE_LIMIT:
-        raise ValueError(f"dense Gram limited to {DENSE_LIMIT} triplets, got {n}")
-
-
 def dense_gram(U, V):
-    """Materialize G for small N; the per-block squares keep it O(N^2 p)."""
-    check_dense_limit(U.shape[1])
+    """Materialize G for N <= ``DENSE_LIMIT``; the per-block squares keep it O(N^2 p)."""
+    if U.shape[1] > DENSE_LIMIT:
+        raise ValueError(f"dense Gram limited to {DENSE_LIMIT} triplets, got {U.shape[1]}")
     UU = U.T @ U
     VV = V.T @ V
     UV = U.T @ V
@@ -92,6 +90,18 @@ def gram_factor(U, V):
     Phi = U[rows] * U[cols] - V[rows] * V[cols]
     Phi[rows != cols] *= np.sqrt(2.0)
     return Phi
+
+
+def gram_product(U, V):
+    """(alpha -> G alpha, lambda_max(G)) on the thinner of G and its factor."""
+    p, n = U.shape
+    if p * (p + 1) <= n:
+        Phi = gram_factor(U, V)
+        # Phi Phi^T and Phi^T Phi = G share their nonzero eigenvalues
+        return (lambda a: Phi.T @ (Phi @ a)), np.linalg.eigvalsh(Phi @ Phi.T)[-1]
+    G = dense_gram(U, V)
+    # G is symmetric PSD, so its spectral norm is its top eigenvalue
+    return (lambda a: G @ a), np.linalg.eigvalsh(G)[-1]
 
 
 @dataclass(frozen=True)

@@ -2,41 +2,23 @@
 
 An independent optimization path used to certify the coordinate-ascent
 solver and to compute near-exact optima inside the verification
-harnesses.  It multiplies by G (guarded to N <= ``DENSE_LIMIT``) on one of
-two routes, picked from the shapes alone: when p(p + 1) <= N, G alpha is
-Phi^T (Phi alpha) on the r x N factor of :func:`durp.gram.gram_factor`,
-r = p(p + 1)/2, and lambda_max(G) is that of the r x r matrix Phi Phi^T;
-otherwise it materializes G with :func:`durp.gram.dense_gram`.  It steps
-with 1/L where L = lambda_max(G) / (lam N), and adds Nesterov momentum
-with objective restarts (same fixed point as plain projected gradient,
-faster tail).  The duality gap is :func:`durp.solver.certificate` on
-the same product G alpha, so the check never forms S or a metric and does
-not go through the accumulator.
+harnesses.  It runs projected gradient with Nesterov momentum and
+objective restarts on :func:`durp.gram.gram_product`, stepping with 1/L
+where L = lambda_max(G) / (lam N).  The duality gap is
+:func:`durp.solver.certificate` on the same product G alpha, so the check
+never forms S or a metric.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gram import check_dense_limit, dense_gram, gram_factor
+from .gram import gram_product
 from .solver import DualSolution, certificate
 from .triplets import differences
 
 MAX_ITERS = 200000
 CHECK_EVERY = 50
-
-
-def _gram_product(cache):
-    """(alpha -> G alpha, lambda_max(G)) on the thinner of G and its factor."""
-    U, V = differences(cache)
-    p = cache.space_dim
-    if p * (p + 1) <= cache.n:
-        Phi = gram_factor(U, V)
-        # Phi Phi^T and Phi^T Phi = G share their nonzero eigenvalues
-        return (lambda a: Phi.T @ (Phi @ a)), np.linalg.eigvalsh(Phi @ Phi.T)[-1]
-    G = dense_gram(U, V)
-    # G is symmetric PSD, so its spectral norm is its top eigenvalue
-    return (lambda a: G @ a), np.linalg.eigvalsh(G)[-1]
 
 
 def pga_solve(cache, loss, lam, gap_tol=1e-8):
@@ -47,8 +29,7 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     steps run out first.
     """
     n = cache.n
-    check_dense_limit(n)
-    product, top = _gram_product(cache)
+    product, top = gram_product(*differences(cache))
     lam_n = lam * n
     width = loss.width
     step = 1.0 / max(top / lam_n + width, 1e-30)

@@ -10,7 +10,7 @@ v = x_i - x_j (within class) once, in the space it runs in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,12 @@ class TripletCache:
     below the cache may assume at least one triplet.  Nothing of size
     p x N is stored: the solver gathers the difference columns of the
     space it runs in (:func:`differences`), and the accumulator rebuilds
-    sum_t alpha_t A_t from the n points.  ``anchor_order`` sorts the
-    triplets by anchor (stable), computed once for that rebuild.
-    ``space_dim`` is the ambient dimension, which changes under projection.
+    sum_t alpha_t A_t from the n points.  ``space_dim`` is the ambient
+    dimension, which changes under projection.
     """
 
     points: np.ndarray
     triplets: np.ndarray
-    anchor_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.triplets, dtype=np.int64)
@@ -47,7 +45,6 @@ class TripletCache:
         if t.min() < 0 or t.max() >= self.points.shape[1]:
             raise ValueError("triplet indices out of range")
         object.__setattr__(self, "triplets", t)
-        object.__setattr__(self, "anchor_order", np.argsort(t[:, 0], kind="stable"))
 
     @property
     def space_dim(self) -> int:

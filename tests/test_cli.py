@@ -351,8 +351,8 @@ def test_verify_t1_subcommand_tiny(tmp_path):
 
 
 def test_verify_t1_over_the_dense_limit_exits_2(capsys):
-    # d = 20 puts the original-space solve on the Gram factor (20 * 21 <= 4001)
-    code = main(["verify-t1", "--d", "20", "--r", "2", "--n", "40", "--triplets", "4001",
+    # d = 64 puts the original-space solve on the dense Gram (64 * 65 > 4001)
+    code = main(["verify-t1", "--d", "64", "--r", "2", "--n", "40", "--triplets", "4001",
                  "--m-sweep", "2,4", "--seeds", "0"])
     assert code == 2
     assert "dense Gram limited to 4000 triplets" in capsys.readouterr().err
@@ -421,6 +421,57 @@ def test_lambda_outside_the_certificate_range_exits_2(lam, datasets):
     assert done.stderr.startswith("error: lambda must be positive and finite, "
                                   "with lambda * triplets in (1e-150, 1e150)")
     assert "Traceback" not in done.stderr
+
+
+BLOBS = gaussian_blobs(5, 60, 2, seed=0)
+
+
+def blob_file(path, scale, columns):
+    """LIBSVM file of blob columns scaled so the largest |value| is ``scale``; 0 makes all equal."""
+    points = BLOBS.points[:, columns] / np.abs(BLOBS.points).max()
+    points = points * scale if scale else np.ones_like(points)
+    path.write_text(serialize_libsvm(LabeledDataset(points, BLOBS.labels[columns])))
+    return str(path)
+
+
+# the Gram is quartic in the features, so data near the float64 range used to
+# overflow into warnings and drift errors, or underflow into an empty metric
+@pytest.mark.parametrize("command, train_scale, test_scale, refused", [
+    ("train", 1e150, 1.0, "train"),
+    ("train", 1e-200, 1.0, "train"),
+    ("train", 0, 1.0, "degenerate dataset: zero total variance"),  # every point equal
+    ("spectrum", 1e200, 1.0, "train"),
+    ("eval", 1.0, 1e150, "test"),
+    ("train", 1e69, 1e69, None),
+    ("train", 1e-69, 1e-69, None),
+])
+def test_feature_magnitudes_exit_2_or_train(command, train_scale, test_scale, refused, tmp_path):
+    files = {
+        "train": blob_file(tmp_path / "train.svm", train_scale, slice(0, 40)),
+        "test": blob_file(tmp_path / "test.svm", test_scale, slice(40, 60)),
+    }
+    save_metric(tmp_path / "metric.bin", np.eye(5))
+    argv = {
+        "train": ["train", "--m", "3", "--triplets", "50", "--trials", "1",
+                  "--train-file", files["train"], "--test-file", files["test"]],
+        "spectrum": ["spectrum", "--train-file", files["train"]],
+        "eval": ["eval", "--metric-file", str(tmp_path / "metric.bin"),
+                 "--train-file", files["train"], "--test-file", files["test"]],
+    }[command]
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "durp", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+    if refused is None:
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["trials"][0]["metric_rank"] > 0
+    elif refused in files:
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: {files[refused]}: largest |value| ")
+        assert "is outside [1e-70, 1e70]" in done.stderr
+    else:
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: {refused}")
 
 
 def fake_trial(config, train, test, seed, map_score=0.5):

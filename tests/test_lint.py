@@ -2,7 +2,8 @@
 every top-level function and class src/durp defines is used outside the tests,
 src/durp imports nothing at run time but numpy and the standard library,
 only its ``cli`` module renders output files, only ``data`` and ``cli``
-read LIBSVM text, and no flag of ``cli`` has a literal default.
+read LIBSVM text, only ``gram`` picks a Gram route or reads its size cap,
+and no flag of ``cli`` has a literal default.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
 ``__init__`` is skipped: its imports are the public re-exports.
@@ -176,6 +177,40 @@ def test_only_data_and_cli_load_files():
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
         if path.name not in ("data.py", "cli.py")
         for line, name in file_loading(path.read_text())
+    ]
+    assert found == []
+
+
+def gram_decisions(source):
+    """(line, name) for each call of ``gram_factor`` and each use of ``DENSE_LIMIT``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "gram_factor":
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name == "DENSE_LIMIT"]
+        elif getattr(node, "attr", getattr(node, "id", None)) == "DENSE_LIMIT":
+            found.append((node.lineno, "DENSE_LIMIT"))
+    return sorted(found)
+
+
+def test_gram_decisions_detected():
+    source = ("from .gram import DENSE_LIMIT, gram_product\nfrom . import gram\n"
+              "Phi = gram.gram_factor(U, V)\nif n > gram.DENSE_LIMIT: pass\n"
+              "gram_factor(U, V)\ngram_product(U, V)\n")
+    assert gram_decisions(source) == [(1, "DENSE_LIMIT"), (3, "gram_factor"),
+                                      (4, "DENSE_LIMIT"), (5, "gram_factor")]
+
+
+def test_only_gram_picks_the_gram_route_and_caps_it():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "durp").glob("*.py"))
+        if path.name != "gram.py"
+        for line, name in gram_decisions(path.read_text())
     ]
     assert found == []
 

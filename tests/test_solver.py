@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from durp import cli, gram, metric, reference, solver
-from durp.gram import DENSE_LIMIT, accumulator, dense_gram, margins
+from durp import cli, gram, metric, solver
+from durp.gram import accumulator, dense_gram, margins
 from durp.projection import gaussian_matrix
 from durp.reference import pga_solve
 from durp.solver import (
@@ -334,9 +334,7 @@ def test_reference_solver_route_follows_the_shape(monkeypatch):
     def refuse(U, V):
         raise AssertionError("pga_solve built the dense Gram")
 
-    # patched where it is defined and where reference.py bound it at import
     monkeypatch.setattr(gram, "dense_gram", refuse)
-    monkeypatch.setattr(reference, "dense_gram", refuse)
     loss = LossModel("hinge")
     cache, lam = sketched_instance(5)  # 5 * 6 <= 500: the factor route
     assert pga_solve(cache, loss, lam).gap <= 1e-8
@@ -345,15 +343,15 @@ def test_reference_solver_route_follows_the_shape(monkeypatch):
         pga_solve(cache, loss, lam)
 
 
-def test_reference_solver_size_guard_comes_first(monkeypatch):
-    def refuse(cache):
-        raise AssertionError("pga_solve gathered the columns")
-
-    monkeypatch.setattr(reference, "differences", refuse)
+def test_reference_solver_caps_only_the_dense_route(monkeypatch):
+    monkeypatch.setattr(gram, "DENSE_LIMIT", 5)
     rng = np.random.default_rng(12)
-    cache = TripletCache(rng.normal(size=(4, 30)), rng.integers(0, 30, size=(DENSE_LIMIT + 1, 3)))
-    with pytest.raises(ValueError, match=f"dense Gram limited to {DENSE_LIMIT} triplets"):
-        pga_solve(cache, LossModel("hinge"), 1.0 / cache.n)
+    triplets = rng.integers(0, 30, size=(30, 3))
+    factor_route = TripletCache(0.1 * rng.normal(size=(3, 30)), triplets)  # 3 * 4 <= 30
+    assert pga_solve(factor_route, LossModel("hinge"), 1.0 / 30).gap <= 1e-8
+    dense_route = TripletCache(0.1 * rng.normal(size=(8, 30)), triplets)  # 8 * 9 > 30
+    with pytest.raises(ValueError, match="dense Gram limited to 5 triplets"):
+        pga_solve(dense_route, LossModel("hinge"), 1.0 / 30)
 
 
 def test_csdca_gap_tol_extension_and_failure():

@@ -135,11 +135,6 @@ def test_cache_arrays_are_c_contiguous():
         assert U.flags["C_CONTIGUOUS"] and V.flags["C_CONTIGUOUS"]
 
 
-def test_anchor_order_sorts_anchors_stably():
-    cache = TripletCache(np.zeros((2, 5)), np.array([[3, 0, 1], [1, 0, 2], [3, 4, 2], [0, 1, 2]]))
-    assert cache.anchor_order.tolist() == [3, 1, 0, 2]
-
-
 def test_project_cache_applies_projection():
     data = gaussian_blobs(8, 30, 2, seed=3)
     ts = sample_active_triplets(data, 40, seed=3)
