@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import kappa
-from .metric import psd_project, recover_metric
+from .metric import psd_project, recover_metric, span_basis
 from .projection import gaussian_matrix
 from .reference import pga_solve
 from .solver import LossModel, csdca_solve
@@ -77,7 +77,7 @@ def verify_theorem1(config):
 
     Generates exactly-rank-r data, solves the original dual once to high
     accuracy (hinge loss, lam = 1/N), then for every (m, seed) solves the
-    projected dual, rebuilds the metric in the original space, and
+    projected dual, rebuilds the metric from the original points, and
     records the relative PSD-projected error.  Rows carry the literal
     sampling-condition curve (c = 1/3) for reference.
 
@@ -100,7 +100,12 @@ def verify_theorem1(config):
     lam = 1.0 / n
     loss = LossModel(kind="hinge")
     oracle = pga_solve(cache, loss, lam, gap_tol=T1_ORACLE_GAP)
-    L_star = psd_project(recover_metric(oracle.alpha, cache, lam))
+    # every metric lies in the span of the points: with n < d it is recovered,
+    # factored and compared in the coordinates of an orthonormal basis Q of
+    # that span, where ||Q (A - B) Q^T||_F = ||A - B||_F
+    Q = span_basis(cache.points)
+    basis = cache if Q is None else project_cache(cache, Q)
+    L_star = psd_project(recover_metric(oracle.alpha, basis, lam))
     M_star = L_star @ L_star.T
 
     rows = []
@@ -111,7 +116,7 @@ def verify_theorem1(config):
             R = gaussian_matrix(config.d, m, seed)
             projected = project_cache(cache, R)
             run = pga_solve(projected, loss, lam, gap_tol=T1_RUN_GAP)
-            errs.append(_sq_error(M_star, psd_project(recover_metric(run.alpha, cache, lam))))
+            errs.append(_sq_error(M_star, psd_project(recover_metric(run.alpha, basis, lam))))
         errs = np.array(errs)
         eps_ref = np.sqrt(3.0 * (config.r + 1) * np.log(2.0 * config.r / config.delta) / m)
         bound_ref = 3.0 * eps_ref / (1.0 - 3.0 * eps_ref) if eps_ref < 1.0 / 3.0 else np.inf

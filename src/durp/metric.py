@@ -2,7 +2,9 @@
 
 Recovery rebuilds the full-dimension metric from dual variables, the
 triplet indices and the *original* points, so only one PSD projection is
-ever needed at the end of the pipeline.
+ever needed at the end of the pipeline.  That metric lies in the span of
+the points; when they are fewer than their dimension, it is recovered and
+factored in the coordinates of :func:`span_basis`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,22 @@ def require_symmetric(M):
 def recover_metric(alpha, cache, lam):
     """M = -S / (lam N) with S = sum_t alpha_t (u_t u_t^T - v_t v_t^T) over the cache's space."""
     return -accumulator(cache, alpha) / (lam * cache.n)
+
+
+def span_basis(points):
+    """Orthonormal basis of the points' span, or None when they are not fewer than their dimension.
+
+    A metric recovered from these points lies in their span, so with d x n
+    points and n < d it is recovered and factored in the q <= n coordinates
+    of the returned d x q basis: the left singular vectors whose singular
+    values exceed numpy's ``matrix_rank`` tolerance max(d, n) * eps * s_max.
+    With n >= d the standard basis is no smaller, and None keeps that route.
+    """
+    d, n = points.shape
+    if n >= d:
+        return None
+    U, s, _ = np.linalg.svd(points, full_matrices=False)
+    return U[:, s > max(d, n) * np.finfo(float).eps * s.max(initial=0.0)]
 
 
 def psd_project(M):

@@ -85,6 +85,23 @@ def dense_subspace_metric(R, M_s):
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
+def dense_recovery_errors(cache, oracle_alpha, alphas, lam):
+    """||M* - P(M)||_F / ||M*||_F with every metric recovered and projected at d x d.
+
+    M* is the projection of the metric recovered from ``oracle_alpha`` and
+    M that of each entry of ``alphas``, all from the cache's own points:
+    the error ``verify_theorem1`` computed before it worked in the span of
+    the points.
+    """
+    L_star = metric.psd_project(metric.recover_metric(oracle_alpha, cache, lam))
+    M_star = L_star @ L_star.T
+    errors = []
+    for alpha in alphas:
+        L = metric.psd_project(metric.recover_metric(alpha, cache, lam))
+        errors.append(float(np.linalg.norm(M_star - L @ L.T)) / float(np.linalg.norm(M_star)))
+    return errors
+
+
 def spectral_norm(A):
     """Largest singular value via numpy's SVD-backed matrix norm."""
     return float(np.linalg.norm(A, 2))

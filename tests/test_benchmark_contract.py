@@ -128,3 +128,30 @@ def test_trial_metric_is_the_dense_psd_matrix_of_its_factor():
         assert np.linalg.eigvalsh(M).min() >= -workloads.PSD_TOL * np.abs(M).max()
         assert np.array_equal(M, result.factor @ result.factor.T)
         assert workloads.TrainWorkload("t", method, 7, 60, 30, 80, 0.1).check(result) == []
+
+
+def test_span_route_recovers_and_projects_under_the_wrapped_names():
+    # with fewer points than dimensions durp/duori and verify_theorem1 work in
+    # the span of the points; every recovery must still pass through the
+    # names the benchmark wraps, once per metric
+    spans = load_perfbench("spans")
+    modules = {name: importlib.import_module(f"durp.{name}")
+               for name in ("experiments", "harness", "evaluate")}
+    config = modules["harness"].HarnessConfig(d=60, r=2, n=40, n_triplets=30,
+                                              m_sweep=(2, 4, 60), seeds=(0, 1))
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder, modules):
+        modules["harness"].verify_theorem1(config)
+    names = [span["name"] for span in recorder.spans]
+    expected = 1 + len(config.m_sweep) * len(config.seeds)
+    assert names.count("metric.recover") == names.count("metric.psd") == expected
+
+    data = gaussian_blobs(40, 45, 3, seed=4)
+    train = LabeledDataset(data.points[:, :30], data.labels[:30])
+    test = LabeledDataset(data.points[:, 30:], data.labels[30:])
+    for method in ("durp", "duori"):
+        recorder = spans.SpanRecorder()
+        with spans.instrumented(recorder, modules):
+            train_trial(RunConfig(method=method, m=4, n_triplets=80, trials=1), train, test, 0)
+        names = [span["name"] for span in recorder.spans]
+        assert names.count("metric.recover") == names.count("metric.psd") == 1, method

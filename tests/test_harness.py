@@ -14,7 +14,7 @@ from durp.harness import (T2_CONFIG, HarnessConfig, smooth_recovery_m, verify_th
 from durp.synth import gaussian_blobs, isotropic_cloud
 from durp.triplets import build_cache, differences, sample_active_triplets
 
-from oracles import kappa_power_check
+from oracles import dense_recovery_errors, kappa_power_check
 
 
 def test_smooth_recovery_m_frozen_and_monotone():
@@ -73,6 +73,47 @@ def test_verify_theorem1_rows_and_errors():
         # sampling-condition reference curve, c = 1/3
         eps = math.sqrt(3.0 * 3 * math.log(2.0 * 2 / 0.1) / row["m"])
         assert row["eps_ref"] == pytest.approx(eps, rel=1e-12)
+
+
+def sweep_against_dense_errors(monkeypatch, config):
+    """verify_theorem1's errors, the dense d x d errors of its solves, and the recovery spaces."""
+    solves, spaces = [], []
+    solve, recover = harness.pga_solve, harness.recover_metric
+
+    def spy_solve(cache, *args, **kwargs):
+        solution = solve(cache, *args, **kwargs)
+        solves.append((cache, solution.alpha))
+        return solution
+
+    def spy_recover(alpha, cache, lam):
+        spaces.append(cache.space_dim)
+        return recover(alpha, cache, lam)
+
+    monkeypatch.setattr(harness, "pga_solve", spy_solve)
+    monkeypatch.setattr(harness, "recover_metric", spy_recover)
+    result = verify_theorem1(config)
+    (cache, oracle_alpha), runs = solves[0], solves[1:]
+    dense = dense_recovery_errors(cache, oracle_alpha, [alpha for _, alpha in runs],
+                                  1.0 / cache.n)
+    measured = [e for m in config.m_sweep for e in result["errors"][m]]
+    return measured, dense, spaces
+
+
+def test_theorem1_errors_in_the_span_match_the_dense_errors_when_d_exceeds_n(monkeypatch):
+    # 40 points in 60 dimensions: every metric is recovered, factored and
+    # compared in the span of the points, never as a d x d matrix
+    config = HarnessConfig(d=60, r=2, n=40, n_triplets=30, m_sweep=(2, 4, 60), seeds=(0, 1))
+    measured, dense, spaces = sweep_against_dense_errors(monkeypatch, config)
+    assert len(measured) == len(dense) == 6
+    assert np.abs(np.array(measured) - np.array(dense)).max() <= 1e-12
+    assert len(spaces) == 1 + 6
+    assert max(spaces) < config.d
+
+
+def test_theorem1_keeps_the_dense_route_when_n_is_at_least_d(monkeypatch):
+    measured, dense, spaces = sweep_against_dense_errors(monkeypatch, tiny_t1_config())
+    assert measured == dense  # bit for bit
+    assert spaces == [tiny_t1_config().d] * (1 + 6)
 
 
 def harness_csv(monkeypatch, tmp_path, command, result):
