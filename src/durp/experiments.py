@@ -4,11 +4,8 @@ Methods
 -------
 durp  : project the points to m dimensions with a Gaussian map, solve the
         projected dual, rebuild the metric from the *original* points,
-        PSD-project once.  With fewer training points than dimensions
-        (n < d) the metric is rebuilt and factored in the coordinates of
-        an orthonormal basis Q of the points' span, then lifted by Q.
-duori : solve in the original space directly (no projection); recovered
-        like durp.
+        PSD-project once.
+duori : solve in the original space directly (no projection).
 srp   : solve the projected dual, recover the subspace metric M_s from
         the *projected* points, push it back as R M_s R^T = Q (T M_s T^T) Q^T
         (thin QR R = Q T): PSD-project the m x m middle, lift its factor by Q.
@@ -28,7 +25,7 @@ import numpy as np
 
 from .data import pca_fit
 from .evaluate import evaluate_metric
-from .metric import psd_project, recover_metric, span_basis
+from .metric import psd_project, recover_metric
 from .projection import GENERATOR_NAME, gaussian_matrix
 from .solver import LossModel, csdca_solve
 from .triplets import build_cache, project_cache, sample_active_triplets
@@ -116,15 +113,11 @@ def train_trial(config, train, test, trial_seed):
         space = project_cache(cache, projection)
     solution = csdca_solve(space, loss, lam, config.epochs, trial_seed)
     if method in ("durp", "duori"):
-        # recovery uses the original-space points, in their span when n < d
-        Q = span_basis(cache.points)
-        basis = cache if Q is None else project_cache(cache, Q)
+        # recovery uses the original-space points
+        factor = psd_project(recover_metric(solution.alpha, cache, lam))
     else:  # srp / spca: with R = Q T, R M_s R^T = Q (T M_s T^T) Q^T, factored at size m
         Q, T = np.linalg.qr(projection)
-        basis = project_cache(space, T.T)
-    factor = psd_project(recover_metric(solution.alpha, basis, lam))
-    if Q is not None:
-        factor = Q @ factor
+        factor = Q @ psd_project(recover_metric(solution.alpha, project_cache(space, T.T), lam))
 
     report = evaluate_metric(factor, train, test, config.k)
     return TrialResult(

@@ -100,11 +100,10 @@ def verify_theorem1(config):
     lam = 1.0 / n
     loss = LossModel(kind="hinge")
     oracle = pga_solve(cache, loss, lam, gap_tol=T1_ORACLE_GAP)
-    # every metric lies in the span of the points: with n < d it is recovered,
-    # factored and compared in the coordinates of an orthonormal basis Q of
-    # that span, where ||Q (A - B) Q^T||_F = ||A - B||_F
-    Q = span_basis(cache.points)
-    basis = cache if Q is None else project_cache(cache, Q)
+    # every metric lies in the span of the points (rank r here): it is
+    # recovered, factored and compared in the coordinates of an orthonormal
+    # basis Q of that span, where ||Q (A - B) Q^T||_F = ||A - B||_F
+    basis = project_cache(cache, span_basis(cache.points))
     L_star = psd_project(recover_metric(oracle.alpha, basis, lam))
     M_star = L_star @ L_star.T
 

@@ -3,8 +3,8 @@
 Recovery rebuilds the full-dimension metric from dual variables, the
 triplet indices and the *original* points, so only one PSD projection is
 ever needed at the end of the pipeline.  That metric lies in the span of
-the points; when they are fewer than their dimension, it is recovered and
-factored in the coordinates of :func:`span_basis`.
+the points, so it can also be recovered and factored in the coordinates of
+:func:`span_basis`.
 """
 
 from __future__ import annotations
@@ -36,17 +36,14 @@ def recover_metric(alpha, cache, lam):
 
 
 def span_basis(points):
-    """Orthonormal basis of the points' span, or None when they are not fewer than their dimension.
+    """Orthonormal d x q basis of the span of the d x n ``points``, q <= min(d, n).
 
-    A metric recovered from these points lies in their span, so with d x n
-    points and n < d it is recovered and factored in the q <= n coordinates
-    of the returned d x q basis: the left singular vectors whose singular
-    values exceed numpy's ``matrix_rank`` tolerance max(d, n) * eps * s_max.
-    With n >= d the standard basis is no smaller, and None keeps that route.
+    A metric recovered from these points lies in their span, so it can be
+    recovered and factored in the q coordinates of this basis.  Its columns
+    are the left singular vectors whose singular values exceed numpy's
+    ``matrix_rank`` tolerance max(d, n) * eps * s_max.
     """
     d, n = points.shape
-    if n >= d:
-        return None
     U, s, _ = np.linalg.svd(points, full_matrices=False)
     return U[:, s > max(d, n) * np.finfo(float).eps * s.max(initial=0.0)]
 

@@ -9,8 +9,7 @@ import pytest
 from durp import experiments
 from durp.data import LabeledDataset, load_split, pca_fit
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
-from durp.evaluate import evaluate_metric
-from durp.metric import psd_project, recover_metric
+from durp.metric import recover_metric
 from durp.projection import gaussian_matrix
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
@@ -73,49 +72,13 @@ def test_each_method_produces_a_usable_metric():
             assert rank <= 4
 
 
-def wide_split(seed):
-    """30 training points in 40 dimensions, so they span at most 30 of them."""
-    return split_blobs(d=40, n=45, seed=seed)
-
-
 def test_identity_override_reduces_durp_to_duori(monkeypatch):
-    # also with fewer training points than dimensions, where both recover
-    # the metric in the span of the training points
+    train, test = split_blobs(seed=3)
     monkeypatch.setattr(experiments, "gaussian_matrix", lambda d, m, seed: np.eye(d))
-    for train, test in (split_blobs(seed=3), wide_split(seed=3)):
-        durp = train_trial(small_config("durp"), train, test, 5)
-        duori = train_trial(small_config("duori"), train, test, 5)
-        assert np.array_equal(durp.alpha, duori.alpha)
-        assert np.array_equal(durp.metric, duori.metric)
-
-
-def test_durp_and_duori_factor_in_the_span_of_the_training_points_when_d_exceeds_n(
-        monkeypatch):
-    # the recovered metric lies in the span of the training points, so with
-    # n < d it is recovered and factored there and lifted back: the same
-    # metric as the d x d route up to rounding, at most n columns wide
-    train, test = wide_split(seed=7)
-    recover = experiments.recover_metric
-    spaces = []
-
-    def spy(alpha, cache, lam):
-        spaces.append(cache.space_dim)
-        return recover(alpha, cache, lam)
-
-    monkeypatch.setattr(experiments, "recover_metric", spy)
-    for method in ("durp", "duori"):
-        spaces.clear()
-        config = small_config(method, n_triplets=60, trials=1)
-        result = train_trial(config, train, test, 2)
-        assert len(spaces) == 1 and spaces[0] < train.d, method
-        assert 0 < result.factor.shape[1] <= train.n
-        cache = build_cache(train, sample_active_triplets(train, config.n_triplets, 2))
-        dense = psd_project(recover(result.alpha, cache, 1.0 / cache.n))
-        M = dense @ dense.T
-        assert np.linalg.norm(result.metric - M) <= 1e-10 * np.linalg.norm(M), method
-        report = evaluate_metric(dense, train, test, config.k)
-        assert result.report.map_score == report.map_score, method
-        assert result.report.knn_accuracy == report.knn_accuracy, method
+    durp = train_trial(small_config("durp"), train, test, 5)
+    duori = train_trial(small_config("duori"), train, test, 5)
+    assert np.array_equal(durp.alpha, duori.alpha)
+    assert np.array_equal(durp.metric, duori.metric)
 
 
 def test_spca_default_projection_is_the_pca_basis(monkeypatch):

@@ -99,21 +99,17 @@ def sweep_against_dense_errors(monkeypatch, config):
     return measured, dense, spaces
 
 
-def test_theorem1_errors_in_the_span_match_the_dense_errors_when_d_exceeds_n(monkeypatch):
-    # 40 points in 60 dimensions: every metric is recovered, factored and
-    # compared in the span of the points, never as a d x d matrix
-    config = HarnessConfig(d=60, r=2, n=40, n_triplets=30, m_sweep=(2, 4, 60), seeds=(0, 1))
-    measured, dense, spaces = sweep_against_dense_errors(monkeypatch, config)
-    assert len(measured) == len(dense) == 6
-    assert np.abs(np.array(measured) - np.array(dense)).max() <= 1e-12
-    assert len(spaces) == 1 + 6
-    assert max(spaces) < config.d
-
-
-def test_theorem1_keeps_the_dense_route_when_n_is_at_least_d(monkeypatch):
-    measured, dense, spaces = sweep_against_dense_errors(monkeypatch, tiny_t1_config())
-    assert measured == dense  # bit for bit
-    assert spaces == [tiny_t1_config().d] * (1 + 6)
+def test_theorem1_errors_in_the_span_match_the_dense_errors(monkeypatch):
+    # every metric is recovered, factored and compared in the span of the
+    # points, never as a d x d matrix: with fewer points than dimensions
+    # (40 in 60) and with more (tiny_t1_config)
+    wide = HarnessConfig(d=60, r=2, n=40, n_triplets=30, m_sweep=(2, 4, 60), seeds=(0, 1))
+    for config in (wide, tiny_t1_config()):
+        measured, dense, spaces = sweep_against_dense_errors(monkeypatch, config)
+        runs = len(config.m_sweep) * len(config.seeds)
+        assert len(measured) == len(dense) == runs
+        assert np.abs(np.array(measured) - np.array(dense)).max() <= 1e-12
+        assert spaces == [config.r] * (1 + runs)
 
 
 def harness_csv(monkeypatch, tmp_path, command, result):
