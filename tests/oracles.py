@@ -90,8 +90,8 @@ def dense_recovery_errors(cache, oracle_alpha, alphas, lam):
 
     M* is the projection of the metric recovered from ``oracle_alpha`` and
     M that of each entry of ``alphas``, all from the cache's own points:
-    the error ``verify_theorem1`` computed before it worked in the span of
-    the points.
+    the reference for the errors ``verify_theorem1`` computes in the span
+    of the points.
     """
     L_star = metric.psd_project(metric.recover_metric(oracle_alpha, cache, lam))
     M_star = L_star @ L_star.T
