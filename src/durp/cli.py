@@ -215,7 +215,7 @@ def cmd_eval(args):
     _require(args, "metric_file", "train_file", "test_file")
     factor = psd_project(load_metric(args.metric_file))  # scores the metric's PSD projection
     report = evaluate_metric(factor, *load_split(args.train_file, args.test_file), args.k)
-    _write(args.out, _json({**report.scores(), "k": report.k}))
+    _write(args.out, _json({**report.scores(), "k": args.k}))
 
 
 def cmd_spectrum(args):
@@ -254,16 +254,13 @@ def main(argv=None):
     try:
         args = parse_args(argv)
         # config values validated by the dataclasses / functions they feed
-        try:
-            args._run(args)
-        except ConfigError:
-            raise
-        except (ValueError, OSError, MemoryError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        args._run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

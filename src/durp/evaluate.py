@@ -3,8 +3,9 @@
 Every test point queries the remaining test points, ranked by ascending
 metric distance.  A retrieved point is relevant when it shares the query's
 class.  Queries with no relevant candidates are dropped from the average.
-Ties are deterministic: equal distances keep index order (stable sort),
-k-NN vote ties go to the smallest class id.
+Ties are deterministic: equal computed distances keep index order (stable
+sort), k-NN vote ties go to the smallest class id.  Rounding may give copies
+of one point different computed distances, and so decide their order.
 
 Distances between the embedded points L^T x of a metric's factor L arrive
 in query blocks from :func:`durp.metric.sq_distance_blocks`, each scored with
@@ -26,12 +27,11 @@ class EvalReport:
 
     map_score: float
     knn_accuracy: float
-    k: int
     n_queries: int
     excluded_queries: int
 
     def scores(self):
-        """The report's JSON entries; ``k`` is left to the caller."""
+        """The report's JSON entries."""
         return {"map": self.map_score, "knn_accuracy": self.knn_accuracy,
                 "n_queries": self.n_queries, "excluded_queries": self.excluded_queries}
 
@@ -91,8 +91,9 @@ def ranking_map(L, test):
 def knn_accuracy(L, train, test, k):
     """Majority-vote k-NN accuracy of the metric L L^T.
 
-    Distance ties resolve to the smaller training index; vote ties to the
-    smallest class id among the tied classes.
+    Equal computed distances resolve to the smaller training index (rounding
+    may decide between copies of one point); vote ties to the smallest class
+    id among the tied classes.
     """
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in [1, {train.n}]")
@@ -123,5 +124,5 @@ def evaluate_metric(L, train, test, k):
         raise ValueError(f"metric is {len(L)} x {len(L)} but the data have {train.d} features")
     score, included, excluded = ranking_map(L, test)
     acc = knn_accuracy(L, train, test, k)
-    return EvalReport(map_score=score, knn_accuracy=acc, k=int(k), n_queries=included,
+    return EvalReport(map_score=score, knn_accuracy=acc, n_queries=included,
                       excluded_queries=excluded)

@@ -66,6 +66,8 @@ class RunConfig:
             raise ValueError("trials must be at least 1")
         if self.k < 1:
             raise ValueError("k must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         LossModel(kind=self.loss, gamma=self.gamma)  # refuses a bad loss before any data loads
 
 

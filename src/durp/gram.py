@@ -24,16 +24,10 @@ index-form cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DENSE_LIMIT = 4000
 CHUNK = 1024  # triplet columns gathered at once while building the accumulator
-
-
-def _column_sqnorms(A):
-    return np.einsum("pt,pt->t", A, A)
 
 
 def margins(U, V, M):
@@ -104,23 +98,15 @@ def gram_product(U, V):
     return (lambda a: G @ a), np.linalg.eigvalsh(G)[-1]
 
 
-@dataclass(frozen=True)
-class KappaStats:
-    """Spectral norms of the four norm-product matrices and their max."""
-
-    kappa: float
-    norms: tuple
-
-
 def kappa(U, V):
     """Largest spectral norm among the four norm-product matrices.
 
     The matrices pairing squared norms, e.g. K1[a, b] = |u_a|^2 |u_b|^2,
     are rank one, so their spectral norms collapse to products of vector
     norms: |p|^2, |q|^2, and |p||q| for the two cross matrices, with
-    p_t = |u_t|^2 and q_t = |v_t|^2.
+    p_t = |u_t|^2 and q_t = |v_t|^2.  The cross products never exceed the
+    larger square, so kappa = max(|p|, |q|)^2.
     """
-    p = np.linalg.norm(_column_sqnorms(U))
-    q = np.linalg.norm(_column_sqnorms(V))
-    norms = (p * p, q * q, p * q, q * p)
-    return KappaStats(kappa=float(max(norms)), norms=tuple(float(x) for x in norms))
+    top = max(np.linalg.norm(np.einsum("pt,pt->t", U, U)),
+              np.linalg.norm(np.einsum("pt,pt->t", V, V)))
+    return float(top * top)

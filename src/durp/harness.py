@@ -39,7 +39,9 @@ T2_EPSILON = 0.5  # target epsilon of the smooth-case sampling condition that pi
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Shared knobs for both verification harnesses; only verify_theorem1 reads r and m_sweep."""
+    """Shared knobs for both verification harnesses: only verify_theorem1
+    reads r and m_sweep, only verify_theorem2 reads eta and gamma.
+    """
 
     d: int = 400
     r: int = 3
@@ -63,6 +65,8 @@ class HarnessConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
 
 
 T2_CONFIG = HarnessConfig(d=500, n=250, n_triplets=200)  # verify_theorem2's experiment
@@ -169,7 +173,7 @@ def verify_theorem2(config=T2_CONFIG, m=None):
     oracle = pga_solve(cache, loss, lam, gap_tol=T2_ORACLE_GAP_SCALE * config.eta / n)
     alpha_star = oracle.alpha
     alpha_norm = float(np.linalg.norm(alpha_star))
-    stats = kappa(*differences(cache))
+    kappa_max = kappa(*differences(cache))
 
     rows = []
     for seed in config.seeds:
@@ -178,7 +182,7 @@ def verify_theorem2(config=T2_CONFIG, m=None):
         run = csdca_solve(projected, loss, lam, epochs=2, seed=seed,
                           gap_tol=config.eta / n, max_epochs=500)
         measured = float(np.linalg.norm(alpha_star - run.alpha))
-        eps_term = 8.0 * epsilon * lipschitz * stats.kappa * alpha_norm
+        eps_term = 8.0 * epsilon * lipschitz * kappa_max * alpha_norm
         eta_term = float(np.sqrt(2.0 * lipschitz * config.eta))
         bound = max(eps_term, eta_term)
         rows.append(
@@ -186,7 +190,7 @@ def verify_theorem2(config=T2_CONFIG, m=None):
                 "m": m,
                 "seed": seed,
                 "epsilon": float(epsilon),
-                "kappa": stats.kappa,
+                "kappa": kappa_max,
                 "eta": config.eta,
                 "alpha_norm": alpha_norm,
                 "measured": measured,

@@ -77,6 +77,8 @@ def sample_active_triplets(data, n_triplets, seed):
     """
     if n_triplets < 0:
         raise ValueError("n_triplets must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     labels = data.labels
     if np.unique(labels).size < 2:
         raise ValueError("need at least two distinct classes to sample triplets")

@@ -198,7 +198,7 @@ def test_eval_scores_an_indefinite_metric_as_its_psd_projection(datasets, tmp_pa
                      "--out", str(out)]) == 0
         scores.append(json.loads(out.read_text()))
     in_memory = evaluate_metric(L, *load_split(train_path, test_path), RunConfig().k)
-    assert scores[0] == scores[1] == {**in_memory.scores(), "k": in_memory.k}
+    assert scores[0] == scores[1] == {**in_memory.scores(), "k": RunConfig().k}
 
 
 @pytest.mark.parametrize("method", ["durp", "srp"])
@@ -377,10 +377,23 @@ def test_verify_t1_over_the_dense_limit_exits_2(capsys):
      "error: m must be positive, got m = -1"),
     (["verify-t1", "--m-sweep", ""], "error: need at least one m in the sweep"),
     (["verify-t1", "--m-sweep", ","], "error: need at least one m in the sweep"),
+    # refused with the value, before numpy's own error (which names neither)
+    (["verify-t1", "--seeds", "0,-1"], "error: seeds must be non-negative, got -1"),
+    (["verify-t2", "--seeds", "-3"], "error: seeds must be non-negative, got -3"),
 ])
 def test_harness_config_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_data_loads(monkeypatch):
+    """Fail the test if ``train`` loads its data or a harness draws a triplet."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("data loaded")
+
+    monkeypatch.setattr(cli, "load_split", refuse)
+    monkeypatch.setattr(harness, "sample_active_triplets", refuse)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -394,16 +407,20 @@ def test_harness_config_errors_exit_2(argv, message, capsys):
     ("verify-t2", ["--gamma"], "error: gamma must be positive and finite"),
 ])
 def test_non_finite_float_flags_exit_2(command, flags, message, value, datasets, tmp_path,
-                                       monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("data loaded")
-
+                                       no_data_loads, capsys):
     # refused before any data loads or any triplet is drawn
-    monkeypatch.setattr(cli, "load_split", refuse)
-    monkeypatch.setattr(harness, "sample_active_triplets", refuse)
     argv = [command, *tiny_argv(command, *datasets, tmp_path), *flags, value]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+# refused with the value, before numpy's own error (which names neither):
+# train before it loads data, sample-triplets before it draws
+@pytest.mark.parametrize("command, seed", [("train", "-1"), ("sample-triplets", "-2")])
+def test_negative_seed_exits_2(command, seed, datasets, tmp_path, no_data_loads, capsys):
+    argv = [command, *tiny_argv(command, *datasets, tmp_path), "--seed", seed]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: seed must be non-negative, got {seed}\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -477,7 +494,7 @@ def test_feature_magnitudes_exit_2_or_train(command, train_scale, test_scale, re
 def fake_trial(config, train, test, seed, map_score=0.5):
     """A ``train_trial`` stand-in: no full-size run."""
     trace = [(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
-    return TrialResult(seed, EvalReport(map_score, 0.5, config.k, 1, 0), np.eye(train.d),
+    return TrialResult(seed, EvalReport(map_score, 0.5, 1, 0), np.eye(train.d),
                        np.zeros(1), trace, 0.0)
 
 

@@ -3,10 +3,10 @@ every top-level function and class src/durp defines is used outside the tests,
 src/durp imports nothing at run time but numpy and the standard library,
 only its ``cli`` module renders output files, only ``data`` and ``cli``
 read LIBSVM text, only ``gram`` picks a Gram route or reads its size cap,
-and no flag of ``cli`` has a literal default.
+no flag of ``cli`` has a literal default, and the package root binds no
+name.
 
-A stdlib ``ast`` stand-in for pyflakes' unused-import check.  The package
-``__init__`` is skipped: its imports are the public re-exports.
+A stdlib ``ast`` stand-in for pyflakes' unused-import check.
 """
 
 import ast
@@ -19,7 +19,6 @@ CHECKED = [
     for folder in (ROOT / "src" / "durp", ROOT / "tests", ROOT / "perfbench",
                    ROOT / "scripts")
     for path in sorted(folder.glob("*.py"))
-    if path.name != "__init__.py"
 ]
 
 
@@ -54,7 +53,6 @@ REACHING = [
     path
     for folder in (ROOT / "src" / "durp", ROOT / "perfbench", ROOT / "scripts")
     for path in sorted(folder.glob("*.py"))
-    if path.name != "__init__.py"
 ]
 
 
@@ -76,7 +74,6 @@ def unreached_names():
     return [
         f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
-        if path.name != "__init__.py"
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in referenced
@@ -234,3 +231,28 @@ def test_literal_defaults_detected():
 
 def test_cli_flags_take_their_defaults_from_the_config_dataclasses():
     assert literal_defaults((ROOT / "src" / "durp" / "cli.py").read_text()) == []
+
+
+def bindings(source):
+    """(line, name) for each name a module binds: imports, assignments, defs and classes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_bindings_detected():
+    source = ('"""Doc."""\nfrom .data import load_libsvm as load\nimport numpy.linalg\n'
+              '__version__ = "0.1.0"\nx, y = 1, 2\nclass C: pass\nprint(z)\n')
+    assert bindings(source) == [(2, "load"), (3, "numpy.linalg"), (4, "__version__"),
+                                (5, "x"), (5, "y"), (6, "C")]
+
+
+def test_the_package_root_binds_no_name():
+    # names are imported from their modules; the root is only its docstring
+    assert bindings((ROOT / "src" / "durp" / "__init__.py").read_text()) == []
