@@ -122,7 +122,7 @@ def evaluate_metric(L, train, test, k):
     """Bundle retrieval and k-NN results of the metric L L^T into an :class:`EvalReport`."""
     if len(L) != train.d:
         raise ValueError(f"metric is {len(L)} x {len(L)} but the data have {train.d} features")
+    acc = knn_accuracy(L, train, test, k)  # first: it refuses a bad k before any ranking
     score, included, excluded = ranking_map(L, test)
-    acc = knn_accuracy(L, train, test, k)
     return EvalReport(map_score=score, knn_accuracy=acc, n_queries=included,
                       excluded_queries=excluded)

@@ -6,6 +6,12 @@ projected runs against it.  The published constants target far larger
 regimes than any desk run, so alongside the measured errors the outputs
 carry the literal bound curves for reference; headers say so explicitly.
 
+Span coordinates: the dual depends on the points only through their
+inner products, so ``verify_theorem1`` solves every dual, the oracle and
+each sketched run, in the coordinates of an orthonormal basis of the
+points' span (a sketch R^T enters as the triangular factor of R^T Q), and
+recovers, factors and compares every metric there too.
+
 Scaled vs mean-loss-scale gaps: the dual objective reported everywhere
 is the N-scaled form, while the gap of ``solver.certificate`` is
 per-triplet (mean-loss scale).  Suboptimality targets ``eta`` are in the
@@ -103,11 +109,13 @@ def verify_theorem1(config):
     n = cache.n
     lam = 1.0 / n
     loss = LossModel(kind="hinge")
-    oracle = pga_solve(cache, loss, lam, gap_tol=T1_ORACLE_GAP)
-    # every metric lies in the span of the points (rank r here): it is
-    # recovered, factored and compared in the coordinates of an orthonormal
-    # basis Q of that span, where ||Q (A - B) Q^T||_F = ||A - B||_F
-    basis = project_cache(cache, span_basis(cache.points))
+    # the dual reads the points only through their inner products, and every
+    # metric lies in their span (rank r here): each dual is solved, and each
+    # metric recovered, factored and compared, in the coordinates of an
+    # orthonormal basis Q of that span, where ||Q (A - B) Q^T||_F = ||A - B||_F
+    Q = span_basis(cache.points)
+    basis = project_cache(cache, Q)
+    oracle = pga_solve(basis, loss, lam, gap_tol=T1_ORACLE_GAP)
     L_star = psd_project(recover_metric(oracle.alpha, basis, lam))
     M_star = L_star @ L_star.T
 
@@ -117,8 +125,10 @@ def verify_theorem1(config):
         errs = []
         for seed in config.seeds:
             R = gaussian_matrix(config.d, m, seed)
-            projected = project_cache(cache, R)
-            run = pga_solve(projected, loss, lam, gap_tol=T1_RUN_GAP)
+            # R^T Q = Q_m T (thin QR): the sketched points R^T x have the
+            # inner products of T Q^T x, so the solve runs at min(m, r)
+            T = np.linalg.qr(R.T @ Q, mode="r")
+            run = pga_solve(project_cache(basis, T.T), loss, lam, gap_tol=T1_RUN_GAP)
             errs.append(_sq_error(M_star, psd_project(recover_metric(run.alpha, basis, lam))))
         errs = np.array(errs)
         eps_ref = np.sqrt(3.0 * (config.r + 1) * np.log(2.0 * config.r / config.delta) / m)

@@ -350,10 +350,11 @@ def test_verify_t1_subcommand_tiny(tmp_path):
     assert sum(1 for l in lines if not l.startswith("#")) == 3  # header + 2 m values
 
 
-def test_verify_t1_over_the_dense_limit_exits_2(capsys):
-    # d = 64 puts the original-space solve on the dense Gram (64 * 65 > 4001)
-    code = main(["verify-t1", "--d", "64", "--r", "2", "--n", "40", "--triplets", "4001",
-                 "--m-sweep", "2,4", "--seeds", "0"])
+def test_verify_t2_over_the_dense_limit_exits_2(capsys):
+    # d = 64 puts the original-space solve on the dense Gram (64 * 65 > 4001);
+    # verify-t1 solves in the span of its rank-r data, so it never reaches it
+    code = main(["verify-t2", "--d", "64", "--n", "80", "--triplets", "4001", "--m", "10",
+                 "--seeds", "0"])
     assert code == 2
     assert "dense Gram limited to 4000 triplets" in capsys.readouterr().err
 
@@ -553,6 +554,23 @@ def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert all(message in err for message in messages)
+
+
+@pytest.mark.parametrize("k", ["0", "41"])
+def test_eval_refuses_k_before_ranking(datasets, tmp_path, monkeypatch, capsys, k):
+    # the training file holds 40 points, so k must lie in [1, 40]
+    train_path, test_path = datasets
+    metric_path = tmp_path / "metric.bin"
+    save_metric(metric_path, np.eye(6))
+
+    def never(*args):
+        raise AssertionError("ranked before the k check")
+
+    monkeypatch.setattr("durp.evaluate.ranking_map", never)
+    code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
+                 "--test-file", test_path, "--k", k])
+    assert code == 2
+    assert "k must be in [1, 40]" in capsys.readouterr().err
 
 
 def test_eval_refuses_a_non_symmetric_metric(datasets, tmp_path, capsys):

@@ -8,11 +8,13 @@ import pytest
 
 from durp import harness
 from durp.cli import main
-from durp.gram import kappa
+from durp.gram import dense_gram, kappa
 from durp.harness import (T2_CONFIG, HarnessConfig, smooth_recovery_m, verify_theorem1,
                           verify_theorem2)
-from durp.synth import gaussian_blobs, isotropic_cloud
-from durp.triplets import build_cache, differences, sample_active_triplets
+from durp.metric import span_basis
+from durp.projection import gaussian_matrix
+from durp.synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
+from durp.triplets import build_cache, differences, project_cache, sample_active_triplets
 
 from oracles import dense_recovery_errors, kappa_power_check
 
@@ -77,24 +79,30 @@ def test_verify_theorem1_rows_and_errors():
 
 def sweep_against_dense_errors(monkeypatch, config):
     """verify_theorem1's errors, the dense d x d errors of its solves, and the recovery spaces."""
-    solves, spaces = [], []
-    solve, recover = harness.pga_solve, harness.recover_metric
+    caches, alphas, spaces = [], [], []
+    build, solve, recover = harness.build_cache, harness.pga_solve, harness.recover_metric
+
+    def spy_build(*args):
+        caches.append(build(*args))
+        return caches[-1]
 
     def spy_solve(cache, *args, **kwargs):
         solution = solve(cache, *args, **kwargs)
-        solves.append((cache, solution.alpha))
+        alphas.append(solution.alpha)
         return solution
 
     def spy_recover(alpha, cache, lam):
         spaces.append(cache.space_dim)
         return recover(alpha, cache, lam)
 
+    monkeypatch.setattr(harness, "build_cache", spy_build)
     monkeypatch.setattr(harness, "pga_solve", spy_solve)
     monkeypatch.setattr(harness, "recover_metric", spy_recover)
     result = verify_theorem1(config)
-    (cache, oracle_alpha), runs = solves[0], solves[1:]
-    dense = dense_recovery_errors(cache, oracle_alpha, [alpha for _, alpha in runs],
-                                  1.0 / cache.n)
+    # the solves run in span coordinates; the dense errors use the d-dimensional cache
+    (cache,) = caches
+    assert cache.space_dim == config.d
+    dense = dense_recovery_errors(cache, alphas[0], alphas[1:], 1.0 / cache.n)
     measured = [e for m in config.m_sweep for e in result["errors"][m]]
     return measured, dense, spaces
 
@@ -110,6 +118,36 @@ def test_theorem1_errors_in_the_span_match_the_dense_errors(monkeypatch):
         assert len(measured) == len(dense) == runs
         assert np.abs(np.array(measured) - np.array(dense)).max() <= 1e-12
         assert spaces == [config.r] * (1 + runs)
+
+
+def test_theorem1_solves_every_dual_in_the_span(monkeypatch):
+    # the oracle solves at r = 3 and each sketched run at min(m, r), never at
+    # d or m; m = 2 < r checks the triangular factor of a short sketch
+    config = HarnessConfig(d=60, r=3, n=40, n_triplets=30, m_sweep=(2, 4, 60), seeds=(0, 1))
+    dims = []
+    solve = harness.pga_solve
+
+    def spy_solve(cache, *args, **kwargs):
+        dims.append(cache.space_dim)
+        return solve(cache, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "pga_solve", spy_solve)
+    verify_theorem1(config)
+    assert dims == [3] + [min(m, 3) for m in config.m_sweep for _ in config.seeds]
+
+
+@pytest.mark.parametrize("m", [2, 4, 60])
+def test_sketch_gram_is_kept_in_span_coordinates(m):
+    # with R^T Q = Q_m T, the points T Q^T x have the inner products of the
+    # sketched points R^T x, so both caches give one Gram
+    data = margin_gapped_blobs(60, 3, 40, seed=0)
+    cache = build_cache(data, sample_active_triplets(data, 30, seed=0))
+    Q = span_basis(cache.points)
+    R = gaussian_matrix(60, m, seed=1)
+    T = np.linalg.qr(R.T @ Q, mode="r")
+    G = dense_gram(*differences(project_cache(cache, R)))
+    G_span = dense_gram(*differences(project_cache(project_cache(cache, Q), T.T)))
+    assert np.abs(G_span - G).max() <= 1e-12 * np.abs(G).max()
 
 
 def harness_csv(monkeypatch, tmp_path, command, result):
