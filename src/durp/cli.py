@@ -19,7 +19,7 @@ from . import harness as harness_mod
 from .data import eigen_spectrum, load_libsvm, load_split
 from .evaluate import evaluate_metric
 from .experiments import METHODS, RunConfig, run_method
-from .metric import load_metric, psd_project, save_metric
+from .metric import load_metric, save_metric
 from .solver import LOSS_KINDS
 from .triplets import sample_active_triplets
 
@@ -92,7 +92,7 @@ def build_parser():
     p_train.add_argument("--train-file")
     p_train.add_argument("--test-file")
     p_train.add_argument("--save-metric",
-                         help="write the metric binary to PATH, or to PATH.trialT for each "
+                         help="write the metric's factor to PATH, or to PATH.trialT for each "
                               "trial T when --trials > 1")
     p_train.add_argument("--trace-out", help="write the solver trace CSV, named as --save-metric")
 
@@ -203,7 +203,7 @@ def cmd_train(args):
     for i, res in enumerate(results):
         suffix = "" if config.trials == 1 else f".trial{i}"
         if args.save_metric:
-            save_metric(args.save_metric + suffix, res.metric)
+            save_metric(args.save_metric + suffix, res.factor)
         if args.trace_out:
             _write(args.trace_out + suffix,
                    _csv("epoch,dual_objective,duality_gap,seconds,accumulator_drift",
@@ -213,8 +213,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     _require(args, "metric_file", "train_file", "test_file")
-    factor = psd_project(load_metric(args.metric_file))  # scores the metric's PSD projection
-    report = evaluate_metric(factor, *load_split(args.train_file, args.test_file), args.k)
+    report = evaluate_metric(load_metric(args.metric_file),
+                             *load_split(args.train_file, args.test_file), args.k)
     _write(args.out, _json({**report.scores(), "k": args.k}))
 
 

@@ -49,6 +49,14 @@ def _stable_argsort(dist):
     return order
 
 
+def require_rankable(test):
+    """Refuse a test set in which no query has another point of its class to retrieve."""
+    if test.n < 2:
+        raise ValueError("retrieval evaluation needs at least two test points")
+    if np.bincount(test.labels).max() < 2:
+        raise ValueError("no query had a same-class candidate")
+
+
 def ranking_map(L, test):
     """Mean average precision of the metric L L^T, plus query bookkeeping.
 
@@ -57,8 +65,7 @@ def ranking_map(L, test):
     (float, int, int)
         (map, queries scored, queries excluded for lack of relevant points)
     """
-    if test.n < 2:
-        raise ValueError("retrieval evaluation needs at least two test points")
+    require_rankable(test)
     if not np.isfinite(L).all():
         raise ValueError("metric has non-finite entries")
     labels = test.labels
@@ -80,8 +87,6 @@ def ranking_map(L, test):
                 continue
             ap_values.append(sum(precisions[start:start + count]) / count)
             start += count
-    if not ap_values:
-        raise ValueError("no query had a same-class candidate")
     # builtin sum at both levels, as in the naive oracle, so the two agree bit
     # for bit on any Python (from 3.12 on, sum of floats is compensated and
     # no longer equals a left-to-right loop)
@@ -122,6 +127,7 @@ def evaluate_metric(L, train, test, k):
     """Bundle retrieval and k-NN results of the metric L L^T into an :class:`EvalReport`."""
     if len(L) != train.d:
         raise ValueError(f"metric is {len(L)} x {len(L)} but the data have {train.d} features")
+    require_rankable(test)
     acc = knn_accuracy(L, train, test, k)  # first: it refuses a bad k before any ranking
     score, included, excluded = ranking_map(L, test)
     return EvalReport(map_score=score, knn_accuracy=acc, n_queries=included,

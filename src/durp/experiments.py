@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import pca_fit
-from .evaluate import evaluate_metric
+from .evaluate import evaluate_metric, require_rankable
 from .metric import psd_project, recover_metric
 from .projection import GENERATOR_NAME, gaussian_matrix
 from .solver import LossModel, csdca_solve
@@ -146,6 +146,7 @@ def run_method(config, train, test):
         raise ValueError("train and test dimensions differ")
     if not np.ptp(train.points, axis=1).any():  # every u and v would be 0
         raise ValueError("degenerate dataset: zero total variance")
+    require_rankable(test)
     results = []
     for t in range(config.trials):
         results.append(train_trial(config, train, test, config.seed + t))

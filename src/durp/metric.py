@@ -1,4 +1,4 @@
-"""Metric recovery, PSD projection, blocked pairwise distances, and the on-disk format.
+"""Metric recovery, PSD projection, blocked pairwise distances, and the factor file.
 
 Recovery rebuilds the full-dimension metric from dual variables, the
 triplet indices and the *original* points, so only one PSD projection is
@@ -85,27 +85,20 @@ def sq_distance_blocks(X, Y=None):
         yield rows, np.subtract(D, K, out=D)
 
 
-def save_metric(path, M):
-    """Binary layout: q as u64 little-endian, then q*q f64, row-major, little-endian."""
-    require_symmetric(M)
-    q = M.shape[0]
+def save_metric(path, L):
+    """Write the d x r factor L of L L^T: d, r as u64, then d*r f64 row-major, little-endian."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", q))
-        fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
+        fh.write(struct.pack("<2Q", *L.shape) + L.astype("<f8", copy=False).tobytes())
 
 
 def load_metric(path):
-    """Read a metric written by :func:`save_metric`."""
+    """Read the d x r factor written by :func:`save_metric`."""
     with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError("truncated metric file (missing dimension header)")
-        (q,) = struct.unpack("<Q", header)
-        payload = fh.read()
-    expected = q * q * 8
-    if len(payload) != expected:
-        raise ValueError(f"metric payload has {len(payload)} bytes, expected {expected}")
-    M = np.frombuffer(payload, dtype="<f8").reshape(q, q).astype(np.float64)
-    require_symmetric(M)
-    return M
-
+        raw = fh.read()
+    if len(raw) < 16:
+        raise ValueError("truncated metric file (missing d x r header)")
+    d, r = struct.unpack_from("<2Q", raw)
+    if len(raw) - 16 != d * r * 8:
+        raise ValueError(f"metric payload has {len(raw) - 16} bytes, expected {d * r * 8} "
+                         f"for a {d} x {r} factor")
+    return np.frombuffer(raw, dtype="<f8", offset=16).reshape(d, r).astype(np.float64)

@@ -16,7 +16,7 @@ from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, r
 from durp.data import LabeledDataset, eigen_spectrum, load_split
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
-from durp.metric import load_metric, psd_project, save_metric
+from durp.metric import load_metric, save_metric
 from durp.synth import gaussian_blobs
 
 from oracles import serialize_libsvm
@@ -161,65 +161,51 @@ def test_bad_smoothing_width_fails_before_sampling(datasets, monkeypatch, capsys
     assert "gamma must be positive" in capsys.readouterr().err
 
 
-def test_train_eval_round_trip(datasets, tmp_path):
+@pytest.mark.parametrize("test_columns, message", [
+    (slice(60, 61), "retrieval evaluation needs at least two test points"),
+    (slice(60, 63), "no query had a same-class candidate"),  # one point of each class
+])
+def test_train_refuses_an_unrankable_test_set_before_solving(test_columns, message, tmp_path,
+                                                            monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(experiments, "csdca_solve", refuse)
+    data = gaussian_blobs(6, 63, 3, seed=2)
+    train_path, test_path = tmp_path / "train.svm", tmp_path / "test.svm"
+    train_path.write_text(serialize_libsvm(LabeledDataset(data.points[:, :60], data.labels[:60])))
+    test_path.write_text(serialize_libsvm(
+        LabeledDataset(data.points[:, test_columns], data.labels[test_columns])))
+    assert main(["train", "--m", "3", "--triplets", "50", "--trials", "3",
+                 "--train-file", str(train_path), "--test-file", str(test_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("method", ["durp", "duori", "srp", "spca"])
+def test_train_eval_round_trip(method, datasets, tmp_path, monkeypatch):
+    # eval reads back the very factor train scored, so its scores are train's
     train_path, test_path = datasets
-    metric_path = tmp_path / "metric.bin"
-    report_path = tmp_path / "train.json"
-    code = main(train_args(train_path, test_path,
-                           "--trials", "1", "--save-metric", str(metric_path),
-                           "--out", str(report_path)))
-    assert code == 0
-    trained = json.loads(report_path.read_text())
+    results, train_trial = [], experiments.train_trial
 
-    eval_path = tmp_path / "eval.json"
-    code = main([
-        "eval", "--metric-file", str(metric_path), "--train-file", train_path,
-        "--test-file", test_path, "--out", str(eval_path),
-    ])
-    assert code == 0
-    evaluated = json.loads(eval_path.read_text())
-    assert evaluated["map"] == trained["trials"][0]["map"]
-    assert evaluated["knn_accuracy"] == trained["trials"][0]["knn_accuracy"]
+    def trial(*args):
+        results.append(train_trial(*args))
+        return results[-1]
 
-
-def test_eval_scores_an_indefinite_metric_as_its_psd_projection(datasets, tmp_path):
-    train_path, test_path = datasets
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(6, 6))
-    M = A + A.T
-    assert np.linalg.eigvalsh(M).min() < 0.0
-    L = psd_project(M)
-    scores = []
-    for name, metric in (("indefinite", M), ("projected", L @ L.T)):
-        save_metric(tmp_path / f"{name}.bin", metric)
-        out = tmp_path / f"{name}.json"
-        assert main(["eval", "--metric-file", str(tmp_path / f"{name}.bin"),
-                     "--train-file", train_path, "--test-file", test_path,
-                     "--out", str(out)]) == 0
-        scores.append(json.loads(out.read_text()))
-    in_memory = evaluate_metric(L, *load_split(train_path, test_path), RunConfig().k)
-    assert scores[0] == scores[1] == {**in_memory.scores(), "k": RunConfig().k}
-
-
-@pytest.mark.parametrize("method", ["durp", "srp"])
-def test_eval_factors_a_saved_metric_at_the_rank_train_reported(method, datasets, tmp_path,
-                                                                 monkeypatch):
-    # L L^T saved by train has rounding-level eigenvalues beyond its rank;
-    # eval's projection must not turn them into columns
-    train_path, test_path = datasets
+    monkeypatch.setattr(experiments, "train_trial", trial)
     metric_path, report_path = tmp_path / "metric.bin", tmp_path / "train.json"
     assert main(train_args(train_path, test_path, "--method", method, "--trials", "1",
                            "--save-metric", str(metric_path), "--out", str(report_path))) == 0
-    ranks = []
+    trained = json.loads(report_path.read_text())["trials"][0]
+    factor = load_metric(metric_path)
+    assert factor.tobytes() == results[0].factor.tobytes()
+    assert factor.shape == (6, trained["metric_rank"])
 
-    def evaluate(L, *args):
-        ranks.append(L.shape[1])
-        return evaluate_metric(L, *args)
-
-    monkeypatch.setattr(cli, "evaluate_metric", evaluate)
+    eval_path = tmp_path / "eval.json"
     assert main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
-                 "--test-file", test_path, "--out", str(tmp_path / "eval.json")]) == 0
-    assert ranks == [json.loads(report_path.read_text())["trials"][0]["metric_rank"]]
+                 "--test-file", test_path, "--out", str(eval_path)]) == 0
+    evaluated = json.loads(eval_path.read_text())
+    assert evaluated["map"] == trained["map"]
+    assert evaluated["knn_accuracy"] == trained["knn_accuracy"]
 
 
 def test_eval_test_file_without_a_class_keeps_train_ids(tmp_path):
@@ -265,7 +251,7 @@ def test_save_metric_writes_one_file_per_trial(datasets, tmp_path):
                        train_file=train_path, test_file=test_path)
     _, results = experiments.run_method(config, *load_split(train_path, test_path))
     for i, result in enumerate(results):
-        assert np.array_equal(load_metric(tmp_path / f"m.bin.trial{i}"), result.metric)
+        assert np.array_equal(load_metric(tmp_path / f"m.bin.trial{i}"), result.factor)
 
 
 def test_train_report_gives_each_trial_its_gap(datasets, tmp_path):
@@ -536,24 +522,50 @@ def test_bad_seed_list_exits_1(capsys):
     assert "list of integers" in capsys.readouterr().err
 
 
+def eval_metric_file(path, datasets, capsys):
+    """Exit code and stderr of ``eval`` on the metric file ``path``."""
+    code = main(["eval", "--metric-file", str(path), "--train-file", datasets[0],
+                 "--test-file", datasets[1]])
+    return code, capsys.readouterr().err
+
+
 def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
-    train_path, test_path = datasets
     metric_path = tmp_path / "metric.bin"
     not_finite = np.eye(6)
     not_finite[0, 0] = np.nan
     cases = (
         (np.eye(4), ("metric is 4 x 4", "6 features")),  # the data have 6 features
+        (np.ones((4, 2)), ("metric is 4 x 4 but the data have 6 features",)),
         (not_finite, ("metric has non-finite entries",)),
         (np.zeros((0, 0)), ("metric is 0 x 0 but the data have 6 features",)),
     )
     for metric, messages in cases:
-        # save_metric refuses the NaN metric, so write the bytes directly
-        metric_path.write_bytes(struct.pack("<Q", len(metric)) + metric.astype("<f8").tobytes())
-        code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
-                     "--test-file", test_path])
+        save_metric(metric_path, metric)
+        code, err = eval_metric_file(metric_path, datasets, capsys)
         assert code == 2
-        err = capsys.readouterr().err
+        assert err.count("\n") == 1
         assert all(message in err for message in messages)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("header", "error: truncated metric file (missing d x r header)"),
+    ("payload", "error: metric payload has 88 bytes, expected 96 for a 6 x 2 factor"),
+    # a dense 6 x 6 metric in the layout before factor files: u64 q, then q * q f64,
+    # whose first entry reads as a column count of 2**62 - 2**52
+    ("dense", "error: metric payload has 280 bytes, expected "),
+])
+def test_eval_refuses_a_malformed_metric_file(case, message, datasets, tmp_path, capsys):
+    metric_path = tmp_path / "metric.bin"
+    save_metric(metric_path, np.ones((6, 2)))
+    raw = metric_path.read_bytes()
+    metric_path.write_bytes({
+        "header": raw[:12],
+        "payload": raw[:-8],
+        "dense": struct.pack("<Q", 6) + np.eye(6).astype("<f8").tobytes(),
+    }[case])
+    code, err = eval_metric_file(metric_path, datasets, capsys)
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("k", ["0", "41"])
@@ -571,17 +583,6 @@ def test_eval_refuses_k_before_ranking(datasets, tmp_path, monkeypatch, capsys, 
                  "--test-file", test_path, "--k", k])
     assert code == 2
     assert "k must be in [1, 40]" in capsys.readouterr().err
-
-
-def test_eval_refuses_a_non_symmetric_metric(datasets, tmp_path, capsys):
-    train_path, test_path = datasets
-    metric_path = tmp_path / "upper.bin"
-    upper = np.triu(np.ones((6, 6)))  # save_metric refuses it, so write the bytes directly
-    metric_path.write_bytes(struct.pack("<Q", 6) + upper.astype("<f8").tobytes())
-    code = main(["eval", "--metric-file", str(metric_path), "--train-file", train_path,
-                 "--test-file", test_path])
-    assert code == 2
-    assert "not symmetric" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "spectrum", "sample-triplets"])

@@ -74,6 +74,17 @@ def test_ranking_map_validation():
         ranking_map(np.eye(2), singletons)
 
 
+def test_evaluate_refuses_an_unrankable_test_set_before_knn(monkeypatch):
+    def never(*args):
+        raise AssertionError("k-NN ran")
+
+    monkeypatch.setattr("durp.evaluate.knn_accuracy", never)
+    train = gaussian_blobs(2, 12, 3, seed=3)
+    singletons = LabeledDataset(train.points[:, :3], train.labels[:3])
+    with pytest.raises(ValueError, match="same-class candidate"):
+        evaluate_metric(np.eye(2), train, singletons, 3)
+
+
 def knn_cases():
     """(B, train, test): blobs, then blobs with copies and a singleton class, lattices."""
     for seed in range(8):

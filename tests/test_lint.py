@@ -3,6 +3,7 @@ every top-level function and class src/durp defines is used outside the tests,
 src/durp imports nothing at run time but numpy and the standard library,
 only its ``cli`` module renders output files, only ``data`` and ``cli``
 read LIBSVM text, only ``gram`` picks a Gram route or reads its size cap,
+only ``metric`` imports ``struct`` (it alone knows the metric file layout),
 no flag of ``cli`` has a literal default, and the package root binds no
 name.
 
@@ -208,6 +209,34 @@ def test_only_gram_picks_the_gram_route_and_caps_it():
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
         if path.name != "gram.py"
         for line, name in gram_decisions(path.read_text())
+    ]
+    assert found == []
+
+
+def struct_imports(source):
+    """(line, name) for each import of ``struct`` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "struct"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "struct":
+            found += [(node.lineno, alias.name) for alias in node.names]
+    return found
+
+
+def test_struct_imports_detected():
+    source = ("import os, struct\nfrom struct import pack\nfrom . import struct\n"
+              "import numpy as np\nnp.frombuffer(raw)\n")
+    assert struct_imports(source) == [(1, "struct"), (2, "pack")]
+
+
+def test_only_metric_knows_the_file_layout():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "durp").glob("*.py"))
+        if path.name != "metric.py"
+        for line, name in struct_imports(path.read_text())
     ]
     assert found == []
 

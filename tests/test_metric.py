@@ -1,4 +1,4 @@
-"""Metric recovery, PSD projection, distances, and the on-disk format."""
+"""Metric recovery, PSD projection, distances, and the factor file."""
 
 import numpy as np
 import pytest
@@ -146,17 +146,18 @@ def test_pairwise_distances_bytes_match_three_block_expression():
 
 def test_metric_file_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    M = rng.normal(size=(6, 6))
-    M = 0.5 * (M + M.T)
     path = tmp_path / "metric.bin"
-    save_metric(path, M)
-    back = load_metric(path)
-    assert np.array_equal(back, M)  # binary format is bit-exact
-    # corrupt the payload length
+    for L in (rng.normal(size=(6, 3)), np.zeros((6, 0)), np.zeros((0, 0))):
+        save_metric(path, L)
+        back = load_metric(path)
+        assert back.shape == L.shape
+        assert back.tobytes() == L.tobytes()  # the factor file is bit-exact
+    save_metric(path, rng.normal(size=(6, 3)))
     raw = path.read_bytes()
+    assert len(raw) == 16 + 6 * 3 * 8  # d and r, then the entries
     path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="payload"):
+    with pytest.raises(ValueError, match="payload has 136 bytes, expected 144 for a 6 x 3"):
         load_metric(path)
-    path.write_bytes(raw[:4])
+    path.write_bytes(raw[:12])
     with pytest.raises(ValueError, match="truncated"):
         load_metric(path)
