@@ -187,14 +187,11 @@ def _covariance_eigh(data):
 def pca_fit(data, k):
     """Top principal directions of the (centered) point cloud.
 
-    Returns ``(basis, eigenvalues)`` for those of the top k covariance
-    eigenpairs whose eigenvalue exceeds 1e-12 of the largest: ``basis`` is
-    d x r with r <= k orthonormal columns, and ``eigenvalues`` the r
-    positive eigenvalues, nonincreasing.  Raises ValueError when no
-    feature varies.
+    Returns ``(basis, eigenvalues)`` for those of the top k in [1, min(d, n)]
+    covariance eigenpairs whose eigenvalue exceeds 1e-12 of the largest:
+    ``basis`` is d x r with r <= k orthonormal columns, and ``eigenvalues``
+    the r positive eigenvalues, nonincreasing.  Raises ValueError when no feature varies.
     """
-    if not 1 <= k <= min(data.d, data.n):
-        raise ValueError(f"k must be in [1, min(d, n)] = [1, {min(data.d, data.n)}]")
     centered, eigvals, eigvecs = _covariance_eigh(data)
     order = np.argsort(eigvals)[::-1][:k]
     order = order[eigvals[order] > eigvals[order[0]] * 1e-12]

@@ -65,9 +65,6 @@ def ranking_map(L, test):
     (float, int, int)
         (map, queries scored, queries excluded for lack of relevant points)
     """
-    require_rankable(test)
-    if not np.isfinite(L).all():
-        raise ValueError("metric has non-finite entries")
     labels = test.labels
     ap_values = []
     excluded = 0
@@ -100,12 +97,6 @@ def knn_accuracy(L, train, test, k):
     may decide between copies of one point); vote ties to the smallest class
     id among the tied classes.
     """
-    if not 1 <= k <= train.n:
-        raise ValueError(f"k must be in [1, {train.n}]")
-    if train.d != test.d:
-        raise ValueError("train and test dimensions differ")
-    if not np.isfinite(L).all():
-        raise ValueError("metric has non-finite entries")
     n_classes = train.n_classes
     correct = 0
     for rows, dist in sq_distance_blocks(L.T @ test.points, L.T @ train.points):
@@ -124,11 +115,17 @@ def knn_accuracy(L, train, test, k):
 
 
 def evaluate_metric(L, train, test, k):
-    """Bundle retrieval and k-NN results of the metric L L^T into an :class:`EvalReport`."""
+    """Score the metric L L^T into an :class:`EvalReport`; the one gate for evaluation."""
     if len(L) != train.d:
         raise ValueError(f"metric is {len(L)} x {len(L)} but the data have {train.d} features")
     require_rankable(test)
-    acc = knn_accuracy(L, train, test, k)  # first: it refuses a bad k before any ranking
+    if not 1 <= k <= train.n:
+        raise ValueError(f"k must be in [1, {train.n}]")
+    if train.d != test.d:
+        raise ValueError("train and test dimensions differ")
+    if not np.isfinite(L).all():
+        raise ValueError("metric has non-finite entries")
+    acc = knn_accuracy(L, train, test, k)
     score, included, excluded = ranking_map(L, test)
     return EvalReport(map_score=score, knn_accuracy=acc, n_queries=included,
                       excluded_queries=excluded)

@@ -15,19 +15,7 @@ import numpy as np
 
 from .gram import accumulator
 
-SYMMETRY_TOL = 1e-8
 BLOCK_BYTES = 2 << 20  # cap on one block of squared distances; 2-4 MiB ran fastest of 0.5-8 MiB
-
-
-def require_symmetric(M):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.isfinite(M).all():  # NaN would pass the skew test below
-        raise ValueError("metric has non-finite entries")
-    scale = max(float(np.abs(M).max()), 1e-30) if M.size else 1.0
-    skew = float(np.abs(M - M.T).max()) if M.size else 0.0
-    if skew > SYMMETRY_TOL * scale:
-        raise ValueError(f"matrix is not symmetric (relative skew {skew / scale:.3e})")
 
 
 def recover_metric(alpha, cache, lam):
@@ -51,11 +39,12 @@ def span_basis(points):
 def psd_project(M):
     """Factor of the nearest positive-semidefinite matrix in Frobenius norm.
 
-    Eigendecomposes M (``eigh`` reads its lower triangle) and returns
+    Eigendecomposes the symmetric M (``eigh`` reads its lower triangle) and returns
     L = V+ sqrt(Lambda+), d x r+ with one column per eigenvalue above numpy's
     ``matrix_rank`` tolerance d * eps * max(Lambda): the projection is L L^T.
     """
-    require_symmetric(M)
+    if not np.isfinite(M).all():  # eigh gives NaN eigenvalues, and the cut-off keeps none
+        raise ValueError("metric has non-finite entries")
     eigvals, eigvecs = np.linalg.eigh(M)
     tol = len(M) * np.finfo(float).eps * eigvals.max(initial=0.0)
     first = int(np.searchsorted(eigvals, tol, side="right"))  # eigh sorts ascending

@@ -208,16 +208,9 @@ def _sdca_step(state, loss):
     return step
 
 
-def _check_permutation(order, n):
-    order = np.asarray(order)
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError("order must be a permutation of all triplet indices")
-    return order
-
-
 def sdca_epoch(state, loss, order):
     """One exact coordinate-ascent pass over ``order``; returns the accumulator drift."""
-    _sweep(state, _check_permutation(order, state.cache.n), _sdca_step(state, loss))
+    _sweep(state, np.asarray(order), _sdca_step(state, loss))
     return _refresh_accumulator(state)
 
 
@@ -236,7 +229,7 @@ def sgd_epoch(state, loss, order):
     def step(s, a_t, margin, g_tt):
         return loss.derivative(-margin / (lam * s) if s else 0.0)
 
-    _sweep(state, _check_permutation(order, state.cache.n), step)
+    _sweep(state, np.asarray(order), step)
     return _refresh_accumulator(state)
 
 
@@ -262,10 +255,12 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
         When set, stop after the first epoch from ``epochs`` on (the seed
         pass included) whose :func:`certificate` gap is at most
         ``gap_tol``, adding coordinate-ascent epochs past ``epochs`` up to
-        ``max_epochs``.
+        ``max_epochs``, which is refused without ``gap_tol``.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
+    if max_epochs is not None and gap_tol is None:
+        raise ValueError("max_epochs needs gap_tol")
     state = init_state(cache, lam)
     n = cache.n
     rng = np.random.default_rng(seed)
@@ -278,9 +273,8 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
         return gap
 
     gap = record(1, sgd_epoch(state, loss, rng.permutation(n)))
-    limit = epochs if max_epochs is None else max(epochs, max_epochs)
     epoch = 1
-    while epoch < limit and (epoch < epochs or gap_tol is None or gap > gap_tol):
+    while epoch < epochs or (max_epochs is not None and epoch < max_epochs and gap > gap_tol):
         epoch += 1
         gap = record(epoch, sdca_epoch(state, loss, rng.permutation(n)))
     if gap_tol is not None and gap > gap_tol:

@@ -131,12 +131,6 @@ def build_cache(data, triplets):
 
 def project_cache(cache, R):
     """Push a cache through x -> R^T x for a d x m ``R``: the n points are projected once."""
-    if R.ndim != 2:
-        raise ValueError(f"projection must be a 2-d (d, m) array, got {R.ndim}-d")
-    if R.shape[0] != cache.space_dim:
-        raise ValueError(
-            f"projection rows ({R.shape[0]}) must match cache dimension ({cache.space_dim})"
-        )
     return TripletCache(R.T @ cache.points, cache.triplets)
 
 

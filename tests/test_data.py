@@ -173,13 +173,6 @@ def test_constant_features_are_refused_whatever_their_mean_rounds_to():
             eigen_spectrum(data)
 
 
-def test_pca_k_validation():
-    data = LabeledDataset(np.ones((4, 6)), np.zeros(6, dtype=np.int64))
-    for bad in (0, 5, -1):
-        with pytest.raises(ValueError):
-            pca_fit(data, bad)
-
-
 def test_eigen_spectrum_normalization():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(5, 30))

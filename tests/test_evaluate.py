@@ -66,12 +66,13 @@ def test_ranking_map_excludes_singleton_classes():
 
 def test_ranking_map_validation():
     rng = np.random.default_rng(1)
+    train = gaussian_blobs(2, 12, 3, seed=1)
     one = LabeledDataset(rng.normal(size=(2, 1)), np.array([0]))
     with pytest.raises(ValueError, match="two test points"):
-        ranking_map(np.eye(2), one)
+        evaluate_metric(np.eye(2), train, one, 3)
     singletons = LabeledDataset(rng.normal(size=(2, 3)), np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="same-class candidate"):
-        ranking_map(np.eye(2), singletons)
+        evaluate_metric(np.eye(2), train, singletons, 3)
 
 
 def test_evaluate_refuses_an_unrankable_test_set_before_knn(monkeypatch):
@@ -132,13 +133,13 @@ def test_knn_vote_tie_prefers_smallest_class():
 def test_knn_validation():
     train = gaussian_blobs(3, 10, 2, seed=0)
     test = gaussian_blobs(3, 4, 2, seed=1)
-    with pytest.raises(ValueError, match="k must be in"):
-        knn_accuracy(np.eye(3), train, test, 0)
-    with pytest.raises(ValueError, match="k must be in"):
-        knn_accuracy(np.eye(3), train, test, 11)
+    with pytest.raises(ValueError, match=r"k must be in \[1, 10\]"):
+        evaluate_metric(np.eye(3), train, test, 0)
+    with pytest.raises(ValueError, match=r"k must be in \[1, 10\]"):
+        evaluate_metric(np.eye(3), train, test, 11)
     wide = gaussian_blobs(4, 4, 2, seed=2)
     with pytest.raises(ValueError, match="dimensions differ"):
-        knn_accuracy(np.eye(3), train, wide, 1)
+        evaluate_metric(np.eye(3), train, wide, 1)
 
 
 def test_eval_report_round_trip(tmp_path):
@@ -161,14 +162,11 @@ def test_evaluate_rejects_non_finite_metric():
     train = gaussian_blobs(4, 30, 3, seed=3)
     test = gaussian_blobs(4, 12, 3, seed=4)
     for bad in (np.nan, np.inf, -np.inf):
-        L = np.eye(4)
-        L[0, 0] = bad
-        with pytest.raises(ValueError, match="metric has non-finite entries"):
-            evaluate_metric(L, train, test, k=3)
-        with pytest.raises(ValueError, match="metric has non-finite entries"):
-            ranking_map(L, test)
-        with pytest.raises(ValueError, match="metric has non-finite entries"):
-            knn_accuracy(L, train, test, 3)
+        for L in (np.eye(4), np.eye(4)[:, :2], np.ones((4, 1))):
+            L = L.copy()
+            L[-1, -1] = bad
+            with pytest.raises(ValueError, match="metric has non-finite entries"):
+                evaluate_metric(L, train, test, k=3)
 
 
 def test_evaluation_memory_stays_below_half_a_distance_matrix():

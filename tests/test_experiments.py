@@ -231,6 +231,17 @@ def test_run_method_rejects_dimension_mismatch():
         run_method(small_config("duori"), train=train, test=bad_test)
 
 
+def test_spca_refuses_m_above_min_d_n_before_fitting(monkeypatch):
+    def never(*args):
+        raise AssertionError("pca_fit ran")
+
+    monkeypatch.setattr(experiments, "pca_fit", never)
+    for d, n, bound in ((4, 45, 4), (12, 12, 8)):  # min(d, n) is d, then 8 training points
+        train, test = split_blobs(d=d, n=n, seed=9)
+        with pytest.raises(ValueError, match=rf"spca needs m <= min\(d, n\) = {bound}, got m"):
+            train_trial(small_config("spca", m=bound + 1), train, test, 0)
+
+
 def test_k_above_the_training_set_is_refused_before_sampling(monkeypatch):
     train, test = split_blobs(seed=8)
 

@@ -4,6 +4,7 @@ src/durp imports nothing at run time but numpy and the standard library,
 only its ``cli`` module renders output files, only ``data`` and ``cli``
 read LIBSVM text, only ``gram`` picks a Gram route or reads its size cap,
 only ``metric`` imports ``struct`` (it alone knows the metric file layout),
+``evaluate``'s scorers raise nothing (``evaluate_metric`` is the one gate),
 no flag of ``cli`` has a literal default, and the package root binds no
 name.
 
@@ -239,6 +240,34 @@ def test_only_metric_knows_the_file_layout():
         for line, name in struct_imports(path.read_text())
     ]
     assert found == []
+
+
+SCORERS = ("ranking_map", "knn_accuracy")
+
+
+def raises_in(source, names):
+    """(line, function) for each ``raise`` inside the top-level functions ``names``."""
+    return sorted(
+        (node.lineno, fn.name)
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and fn.name in names
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise)
+    )
+
+
+def test_raises_in_detected():
+    source = ("def score(x):\n    if x:\n        raise ValueError('x')\n    return x\n"
+              "def gate(x):\n    raise ValueError('y')\n"
+              "def rank(x):\n    def inner():\n        raise KeyError\n    return inner\n")
+    assert raises_in(source, ("score", "rank")) == [(3, "score"), (9, "rank")]
+
+
+def test_the_scorers_leave_every_refusal_to_evaluate_metric():
+    source = (ROOT / "src" / "durp" / "evaluate.py").read_text()
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert set(SCORERS) <= defined
+    assert raises_in(source, SCORERS) == []
 
 
 def literal_defaults(source):

@@ -7,7 +7,6 @@ from durp.metric import (
     load_metric,
     psd_project,
     recover_metric,
-    require_symmetric,
     save_metric,
     sq_distance_blocks,
 )
@@ -20,20 +19,6 @@ from oracles import cap_block_rows, naive_recover, naive_sq_distance, three_bloc
 def sample_cache(seed, d=6, n=30):
     data = gaussian_blobs(d, 40, 2, seed=seed, noise=0.3)
     return build_cache(data, sample_active_triplets(data, n, seed=seed))
-
-
-def test_require_symmetric():
-    A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    require_symmetric(A + A.T)
-    with pytest.raises(ValueError, match="not symmetric"):
-        require_symmetric(A)
-    with pytest.raises(ValueError, match="square"):
-        require_symmetric(np.zeros((2, 3)))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            require_symmetric(np.array([[0.0, 1.0], [0.0, bad]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            require_symmetric(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_recover_metric_matches_naive():
@@ -71,6 +56,17 @@ def test_psd_project_clamps_negative_eigenvalues():
     assert np.allclose(P, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
     # already-PSD input passes through (idempotence on a sample)
     assert np.allclose(projected(P), P, atol=1e-12)
+
+
+def test_psd_project_refuses_non_finite_entries():
+    # eigh returns NaN eigenvalues here without raising, and the rank cut-off
+    # would then keep no column at all
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in ((0, 0), (1, 0), (0, 1)):
+            M = np.eye(2)
+            M[entry] = bad
+            with pytest.raises(ValueError, match="metric has non-finite entries"):
+                psd_project(M)
 
 
 def test_psd_project_of_a_negative_definite_matrix_is_empty():

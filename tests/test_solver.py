@@ -194,11 +194,16 @@ def test_sdca_update_keeps_s_consistent():
     assert np.allclose(state.S, rebuilt, atol=1e-10 * (np.abs(rebuilt).max() + 1.0))
 
 
-def test_sgd_epoch_requires_permutation():
+def test_epochs_refuse_a_drifted_accumulator(monkeypatch):
     cache, lam = solver_instance(0, "hinge")
+    loss = LossModel("hinge")
     state = init_state(cache, lam)
-    with pytest.raises(ValueError, match="permutation"):
-        sgd_epoch(state, LossModel("hinge"), list(range(cache.n - 1)))
+    sgd_epoch(state, loss, np.random.default_rng(0).permutation(cache.n))
+    # the rebuilt S is twice the running one: a relative drift of 1/2
+    monkeypatch.setattr(solver, "accumulator", lambda c, alpha: 2.0 * accumulator(c, alpha))
+    for epoch in (sgd_epoch, sdca_epoch):
+        with pytest.raises(ValueError, match=r"accumulator drift 5\.000e-01 exceeds 1\.0e-06"):
+            epoch(state, loss, np.random.default_rng(1).permutation(cache.n))
 
 
 def test_sgd_epoch_all_active_pins_every_coordinate():
@@ -364,6 +369,26 @@ def test_csdca_gap_tol_extension_and_failure():
         csdca_solve(cache, loss, lam, epochs=1, seed=0, gap_tol=1e-14, max_epochs=2)
     with pytest.raises(ValueError, match="epochs"):
         csdca_solve(cache, loss, lam, epochs=0, seed=0)
+
+
+def test_csdca_refuses_max_epochs_without_gap_tol(monkeypatch):
+    cache, lam = solver_instance(9, "hinge")
+
+    def never(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(solver, "sgd_epoch", never)
+    with pytest.raises(ValueError, match="max_epochs needs gap_tol"):
+        csdca_solve(cache, LossModel("hinge"), lam, epochs=2, seed=0, max_epochs=7)
+
+
+def test_pga_solve_refuses_a_stalled_solve(monkeypatch):
+    # these instances converge within one check; with fewer steps than
+    # CHECK_EVERY the gap stays at alpha = 0's, the hinge's mean loss at M = 0
+    cache, lam = factor_instance(0)
+    monkeypatch.setattr("durp.reference.MAX_ITERS", 40)
+    with pytest.raises(ValueError, match=r"reference solve stalled at gap 1\.000e\+00 > 1\.0e-08"):
+        pga_solve(cache, LossModel("hinge"), lam)
 
 
 def test_csdca_gap_tol_applies_from_the_seed_epoch():

@@ -146,10 +146,6 @@ def test_project_cache_applies_projection():
     assert np.array_equal(projected.triplets, cache.triplets)
     for sketch, full in zip(differences(projected), differences(cache)):
         assert np.allclose(sketch, R.T @ full)
-    with pytest.raises(ValueError, match="must match cache dimension"):
-        project_cache(cache, gaussian_matrix(9, 4, seed=1))
-    with pytest.raises(ValueError, match="2-d"):
-        project_cache(cache, np.ones(8))
 
 
 def test_identity_projection_preserves_cache_bits():
