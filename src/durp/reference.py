@@ -6,10 +6,14 @@ harnesses.  It runs projected gradient with Nesterov momentum and
 objective restarts on :func:`durp.gram.gram_product`, stepping with 1/L
 where L = lambda_max(G) / (lam N).  The duality gap is
 :func:`durp.solver.certificate` on the same product G alpha, so the check
-never forms S or a metric.
+never forms S or a metric.  Each step runs in place but in the operation
+order of the allocating textbook loop (``textbook_pga`` in
+``tests/oracles.py``), so its iterates are that loop's bits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,12 +38,6 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     width = loss.width
     step = 1.0 / max(top / lam_n + width, 1e-30)
 
-    def grad(a):
-        g = -1.0 - product(a) / lam_n
-        if width:
-            g = g - width * a
-        return g
-
     alpha = np.zeros(n)
     momentum = alpha.copy()
     t_accel = 1.0
@@ -48,9 +46,21 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
     iters_done = 0
     while gap > gap_tol and iters_done < MAX_ITERS:
         iters_done += 1
-        new = np.clip(momentum + step * grad(momentum), -1.0, 0.0)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_accel * t_accel))
-        momentum = np.clip(new + ((t_accel - 1.0) / t_next) * (new - alpha), -1.0, 0.0)
+        # new = clip(momentum + step * (-1 - G momentum / (lam N) - width momentum))
+        new = product(momentum)
+        new /= lam_n
+        np.subtract(-1.0, new, out=new)
+        if width:
+            new -= width * momentum
+        new *= step
+        new += momentum
+        new.clip(-1.0, 0.0, out=new)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_accel * t_accel))
+        # momentum = clip(new + (t - 1) / t_next * (new - alpha))
+        np.subtract(new, alpha, out=momentum)
+        momentum *= (t_accel - 1.0) / t_next
+        momentum += new
+        momentum.clip(-1.0, 0.0, out=momentum)
         t_accel = t_next
         alpha = new
         if iters_done % CHECK_EVERY == 0:

@@ -6,15 +6,17 @@ compare the fast production paths against these.  Independent routes the
 package itself does not need (single Gram entries, the Kronecker
 embedding, the matrix-free Gram product and dual objective, kappa by power
 iteration, the primal form of the subgradient seed epoch, the array form
-of the loss derivative, the d x d lift of a subspace metric) live here
-too, with the LIBSVM writer that makes the test files.
+of the loss derivative, the d x d lift of a subspace metric, the
+allocating projected-gradient loop) live here too, with the LIBSVM writer
+that makes the test files.
 """
 
 import numpy as np
 
-from durp import metric
+from durp import metric, reference
 from durp.data import LabeledDataset
-from durp.gram import accumulator
+from durp.gram import accumulator, dense_gram, gram_factor
+from durp.solver import DualSolution, certificate
 from durp.triplets import differences
 
 
@@ -340,3 +342,65 @@ def sequential_sdca_epoch(state, loss, order):
             state.S -= delta * np.outer(v, v)
             state.alpha[t] = new
     return state
+
+
+def textbook_pga(cache, loss, lam, gap_tol=1e-8):
+    """:func:`durp.reference.pga_solve` as a textbook loop; returns (solution, restarts).
+
+    Every step allocates its arrays, clips with ``np.clip``, takes ``np.sqrt``
+    of the momentum schedule and multiplies with ``@``.  It reads
+    ``MAX_ITERS`` and ``CHECK_EVERY`` from the module at call time, so a
+    patched limit applies to both loops.  ``restarts`` counts the checks at
+    which the objective went backwards and momentum was reset.
+    """
+    n = cache.n
+    U, V = differences(cache)
+    if U.shape[0] * (U.shape[0] + 1) <= n:
+        Phi = gram_factor(U, V)
+
+        def product(a):
+            return Phi.T @ (Phi @ a)
+
+        top = np.linalg.eigvalsh(Phi @ Phi.T)[-1]
+    else:
+        G = dense_gram(U, V)
+
+        def product(a):
+            return G @ a
+
+        top = np.linalg.eigvalsh(G)[-1]
+    lam_n = lam * n
+    width = loss.width
+    step = 1.0 / max(top / lam_n + width, 1e-30)
+
+    def grad(a):
+        g = -1.0 - product(a) / lam_n
+        if width:
+            g = g - width * a
+        return g
+
+    alpha = np.zeros(n)
+    momentum = alpha.copy()
+    t_accel = 1.0
+    best_obj = -np.inf
+    restarts = 0
+    obj, gap = certificate(alpha, product(alpha), loss, lam)
+    iters_done = 0
+    while gap > gap_tol and iters_done < reference.MAX_ITERS:
+        iters_done += 1
+        new = np.clip(momentum + step * grad(momentum), -1.0, 0.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_accel * t_accel))
+        momentum = np.clip(new + ((t_accel - 1.0) / t_next) * (new - alpha), -1.0, 0.0)
+        t_accel = t_next
+        alpha = new
+        if iters_done % reference.CHECK_EVERY == 0:
+            obj, gap = certificate(alpha, product(alpha), loss, lam)
+            if obj < best_obj:
+                momentum = alpha.copy()
+                t_accel = 1.0
+                restarts += 1
+            best_obj = max(best_obj, obj)
+    if gap > gap_tol:
+        raise ValueError(f"reference solve stalled at gap {gap:.3e} > {gap_tol:.1e}")
+    trace = [(iters_done, obj, gap, 0.0)]
+    return DualSolution(alpha=alpha, objective=obj, gap=gap, trace=trace), restarts

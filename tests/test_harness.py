@@ -16,7 +16,7 @@ from durp.projection import gaussian_matrix
 from durp.synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from durp.triplets import build_cache, differences, project_cache, sample_active_triplets
 
-from oracles import dense_recovery_errors, kappa_power_check
+from oracles import dense_recovery_errors, kappa_power_check, textbook_pga
 
 
 def test_smooth_recovery_m_frozen_and_monotone():
@@ -134,6 +134,22 @@ def test_theorem1_solves_every_dual_in_the_span(monkeypatch):
     monkeypatch.setattr(harness, "pga_solve", spy_solve)
     verify_theorem1(config)
     assert dims == [3] + [min(m, 3) for m in config.m_sweep for _ in config.seeds]
+
+
+def test_harness_answers_match_the_textbook_solver(monkeypatch):
+    # both harnesses give the same bits on pga_solve as on the textbook loop:
+    # theorem 1 on G's factor, theorem 2's oracle on the dense G
+    t1 = HarnessConfig(d=60, r=3, n=40, n_triplets=30, m_sweep=(2, 4, 60), seeds=(0, 1))
+
+    def answers():
+        first, second = verify_theorem1(t1), verify_theorem2(tiny_t2_config(), m=64)
+        errors = b"".join(first["errors"][m].tobytes() for m in t1.m_sweep)
+        gaps = np.array([first["oracle_gap"], second["oracle_gap"]]).tobytes()
+        return errors, gaps, repr(first["rows"]), repr(second["rows"])
+
+    stock = answers()
+    monkeypatch.setattr(harness, "pga_solve", lambda *args, **kw: textbook_pga(*args, **kw)[0])
+    assert answers() == stock
 
 
 @pytest.mark.parametrize("m", [2, 4, 60])

@@ -34,6 +34,7 @@ from oracles import (
     naive_recover,
     primal_sgd_epoch,
     sequential_sdca_epoch,
+    textbook_pga,
 )
 
 
@@ -389,6 +390,32 @@ def test_pga_solve_refuses_a_stalled_solve(monkeypatch):
     monkeypatch.setattr("durp.reference.MAX_ITERS", 40)
     with pytest.raises(ValueError, match=r"reference solve stalled at gap 1\.000e\+00 > 1\.0e-08"):
         pga_solve(cache, LossModel("hinge"), lam)
+
+
+def same_iterates(cache, loss, lam):
+    """Assert pga_solve ends where the textbook loop ends, bit for bit; return its restarts."""
+    oracle, restarts = textbook_pga(cache, loss, lam)
+    mine = pga_solve(cache, loss, lam)
+    assert mine.alpha.tobytes() == oracle.alpha.tobytes()
+    assert np.float64(mine.objective).tobytes() == np.float64(oracle.objective).tobytes()
+    assert np.float64(mine.gap).tobytes() == np.float64(oracle.gap).tobytes()
+    assert np.array(mine.trace).tobytes() == np.array(oracle.trace).tobytes()
+    return restarts
+
+
+@pytest.mark.parametrize("kind", ["hinge", "smoothed_hinge"])
+def test_pga_solve_keeps_the_textbook_iterates(kind):
+    # the in-place step computes the textbook loop's operations in its order:
+    # on G's factor (factor_instance, sketched_instance(5)) and on the dense G
+    # (solver_instance), with the smoothed hinge's width term; 0.3 lam puts
+    # lam N off 1, where dividing by it and multiplying by its inverse differ
+    loss = LossModel(kind, gamma=1.0)
+    for cache, lam in (factor_instance(2), sketched_instance(5), solver_instance(3, kind)):
+        same_iterates(cache, loss, lam)
+        same_iterates(cache, loss, 0.3 * lam)
+    # at m = 2 the objective goes backwards under momentum and the loop restarts
+    cache, lam = sketched_instance(2)
+    assert same_iterates(cache, loss, lam) >= 1
 
 
 def test_csdca_gap_tol_applies_from_the_seed_epoch():
