@@ -19,7 +19,9 @@ that factor is thinner than G, i.e. p(p + 1) <= N, and takes lambda_max(G)
 from the r x r matrix Phi Phi^T; that route never forms G and takes any N.
 The Gram, its factor and the margins read the gathered difference columns
 U, V (see :func:`durp.triplets.differences`); the accumulator reads the
-index-form cache.
+index-form cache.  :func:`dense_gram`, :func:`gram_factor` and
+:func:`gram_product` also take a stack of K problems, U and V of shape
+K x p x N, and give each problem the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -69,36 +71,59 @@ def accumulator(cache, alpha):
 
 def dense_gram(U, V):
     """Materialize G for N <= ``DENSE_LIMIT``; the per-block squares keep it O(N^2 p)."""
-    if U.shape[1] > DENSE_LIMIT:
-        raise ValueError(f"dense Gram limited to {DENSE_LIMIT} triplets, got {U.shape[1]}")
-    UU = U.T @ U
-    VV = V.T @ V
-    UV = U.T @ V
-    G = UU**2 + VV**2 - UV**2 - (UV.T) ** 2
-    return 0.5 * (G + G.T)
+    if U.shape[-1] > DENSE_LIMIT:
+        raise ValueError(f"dense Gram limited to {DENSE_LIMIT} triplets, got {U.shape[-1]}")
+    Ut = U.swapaxes(-1, -2)
+    UU = Ut @ U
+    VV = V.swapaxes(-1, -2) @ V
+    UV = Ut @ V
+    G = UU**2 + VV**2 - UV**2 - UV.swapaxes(-1, -2) ** 2
+    return 0.5 * (G + G.swapaxes(-1, -2))
 
 
 def gram_factor(U, V):
-    """Phi, r x N with r = p(p + 1)/2, such that G = Phi^T Phi (module docstring)."""
-    rows, cols = np.triu_indices(U.shape[0])
-    Phi = U[rows] * U[cols] - V[rows] * V[cols]
-    Phi[rows != cols] *= np.sqrt(2.0)
+    """Phi, r x N with r = p(p + 1)/2, such that G = Phi^T Phi (module docstring).
+
+    Phi is filled one row at a time, so no temporary exceeds one row.
+    """
+    p = U.shape[-2]
+    Phi = np.empty(U.shape[:-2] + (p * (p + 1) // 2, U.shape[-1]))
+    for q, (i, j) in enumerate(zip(*np.triu_indices(p))):
+        row = Phi[..., q, :]
+        np.multiply(U[..., i, :], U[..., j, :], out=row)
+        row -= V[..., i, :] * V[..., j, :]
+        if i != j:
+            row *= np.sqrt(2.0)
     return Phi
 
 
 def gram_product(U, V):
-    """(alpha -> G alpha, lambda_max(G)) on the thinner of G and its factor.
+    """(B, product, top) for the K problems of U, V (K x p x N each).
 
-    Each product is a new array; ``np.dot`` gives ``@``'s bits at less cost per call.
+    ``product(B, a)`` gives G_k a_k for every row a_k of the K x N ``a``,
+    and ``top[k]`` is lambda_max(G_k).  B stacks the thinner of the Gram
+    factor Phi (K x r x N) and the dense G (K x N x N); ``B[rows]`` keeps
+    the problems ``rows``.  Each product is a new array; the stacked
+    ``np.matmul`` takes, problem by problem, the product ``@`` takes on
+    one matrix and one vector, so each row has ``@``'s bits.
     """
-    p, n = U.shape
+    p, n = U.shape[-2:]
     if p * (p + 1) <= n:
         Phi = gram_factor(U, V)
         # Phi Phi^T and Phi^T Phi = G share their nonzero eigenvalues
-        return (lambda a: np.dot(Phi.T, np.dot(Phi, a))), np.linalg.eigvalsh(Phi @ Phi.T)[-1]
+        top = np.linalg.eigvalsh(Phi @ Phi.transpose(0, 2, 1))[:, -1]
+        return Phi, _factor_product, top
     G = dense_gram(U, V)
     # G is symmetric PSD, so its spectral norm is its top eigenvalue
-    return (lambda a: np.dot(G, a)), np.linalg.eigvalsh(G)[-1]
+    return G, _dense_product, np.linalg.eigvalsh(G)[:, -1]
+
+
+def _factor_product(Phi, a):
+    return np.matmul(Phi.transpose(0, 2, 1), np.matmul(Phi, a[:, :, None]))[:, :, 0]
+
+
+def _dense_product(G, a):
+    return np.matmul(G, a[:, :, None])[:, :, 0]
 
 
 def kappa(U, V):

@@ -10,7 +10,8 @@ Span coordinates: the dual depends on the points only through their
 inner products, so ``verify_theorem1`` solves every dual, the oracle and
 each sketched run, in the coordinates of an orthonormal basis of the
 points' span (a sketch R^T enters as the triangular factor of R^T Q), and
-recovers, factors and compares every metric there too.
+recovers, factors and compares every metric there too.  The sketches of
+one dimension min(m, r) share one lockstep ``pga_solve`` call.
 
 Scaled vs mean-loss-scale gaps: the dual objective reported everywhere
 is the N-scaled form, while the gap of ``solver.certificate`` is
@@ -115,22 +116,27 @@ def verify_theorem1(config):
     # orthonormal basis Q of that span, where ||Q (A - B) Q^T||_F = ||A - B||_F
     Q = span_basis(cache.points)
     basis = project_cache(cache, Q)
-    oracle = pga_solve(basis, loss, lam, gap_tol=T1_ORACLE_GAP)
-    L_star = psd_project(recover_metric(oracle.alpha, basis, lam))
+    oracle = pga_solve([basis], loss, lam, gap_tol=T1_ORACLE_GAP)
+    L_star = psd_project(recover_metric(oracle.alpha[0], basis, lam))
     M_star = L_star @ L_star.T
 
+    # R^T Q = Q_m T (thin QR): the sketched points R^T x have the inner
+    # products of T Q^T x, so each solve runs at min(m, r)
+    sketches = [project_cache(basis, np.linalg.qr(gaussian_matrix(config.d, m, seed).T @ Q,
+                                                  mode="r").T)
+                for m in config.m_sweep for seed in config.seeds]
+    # the sketches of one dimension share one lockstep solve
+    alphas = [None] * len(sketches)
+    for dim in dict.fromkeys(sketch.space_dim for sketch in sketches):
+        index = [i for i, sketch in enumerate(sketches) if sketch.space_dim == dim]
+        run = pga_solve([sketches[i] for i in index], loss, lam, gap_tol=T1_RUN_GAP)
+        for i, alpha in zip(index, run.alpha):
+            alphas[i] = alpha
+    errors = np.array([_sq_error(M_star, psd_project(recover_metric(alpha, basis, lam)))
+                       for alpha in alphas]).reshape(len(config.m_sweep), len(config.seeds))
+
     rows = []
-    errors = {}
-    for m in config.m_sweep:
-        errs = []
-        for seed in config.seeds:
-            R = gaussian_matrix(config.d, m, seed)
-            # R^T Q = Q_m T (thin QR): the sketched points R^T x have the
-            # inner products of T Q^T x, so the solve runs at min(m, r)
-            T = np.linalg.qr(R.T @ Q, mode="r")
-            run = pga_solve(project_cache(basis, T.T), loss, lam, gap_tol=T1_RUN_GAP)
-            errs.append(_sq_error(M_star, psd_project(recover_metric(run.alpha, basis, lam))))
-        errs = np.array(errs)
+    for m, errs in zip(config.m_sweep, errors):
         eps_ref = np.sqrt(3.0 * (config.r + 1) * np.log(2.0 * config.r / config.delta) / m)
         bound_ref = 3.0 * eps_ref / (1.0 - 3.0 * eps_ref) if eps_ref < 1.0 / 3.0 else np.inf
         rows.append(
@@ -143,8 +149,8 @@ def verify_theorem1(config):
                 "bound_ref": float(bound_ref),
             }
         )
-        errors[m] = errs
-    return {"rows": rows, "errors": errors, "oracle_gap": oracle.gap}
+    return {"rows": rows, "errors": dict(zip(config.m_sweep, errors)),
+            "oracle_gap": float(oracle.gap[0])}
 
 
 def smooth_recovery_m(n_triplets, delta):
@@ -180,8 +186,8 @@ def verify_theorem2(config=T2_CONFIG, m=None):
         raise ValueError(f"sampling condition needs m = {m} <= d = {config.d}")
     epsilon = np.sqrt(8.0 * np.log(8.0 * n / config.delta) / m)
 
-    oracle = pga_solve(cache, loss, lam, gap_tol=T2_ORACLE_GAP_SCALE * config.eta / n)
-    alpha_star = oracle.alpha
+    oracle = pga_solve([cache], loss, lam, gap_tol=T2_ORACLE_GAP_SCALE * config.eta / n)
+    alpha_star = oracle.alpha[0]
     alpha_norm = float(np.linalg.norm(alpha_star))
     kappa_max = kappa(*differences(cache))
 
@@ -210,4 +216,4 @@ def verify_theorem2(config=T2_CONFIG, m=None):
                 "satisfied": bool(measured <= bound),
             }
         )
-    return {"rows": rows, "oracle_gap": oracle.gap}
+    return {"rows": rows, "oracle_gap": float(oracle.gap[0])}

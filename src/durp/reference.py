@@ -6,9 +6,18 @@ harnesses.  It runs projected gradient with Nesterov momentum and
 objective restarts on :func:`durp.gram.gram_product`, stepping with 1/L
 where L = lambda_max(G) / (lam N).  The duality gap is
 :func:`durp.solver.certificate` on the same product G alpha, so the check
-never forms S or a metric.  Each step runs in place but in the operation
-order of the allocating textbook loop (``textbook_pga`` in
-``tests/oracles.py``), so its iterates are that loop's bits.
+never forms S or a metric.
+
+One call solves K problems of one shape (one N, one ``space_dim``) in
+lockstep, one row of K x N arrays each: the product is one stacked
+``np.matmul``, and the step size and restart state are per-row vectors.
+The momentum coefficient depends only on the steps since a row's last
+restart, so the rows read it from one table of that sequence.  Every
+``CHECK_EVERY`` steps each running row is certified on its own; a row that
+meets the gap keeps its iterate, and the rows still running are
+compacted.  Each step runs in place but in the operation order of the
+allocating textbook loop (``textbook_pga`` in ``tests/oracles.py``), so
+every row's iterates are that loop's bits on its problem alone.
 """
 
 from __future__ import annotations
@@ -25,29 +34,64 @@ MAX_ITERS = 200000
 CHECK_EVERY = 50
 
 
-def pga_solve(cache, loss, lam, gap_tol=1e-8):
-    """Maximize the boxed dual by projected gradient on G (module docstring).
+def pga_solve(caches, loss, lam, gap_tol=1e-8):
+    """Maximize the boxed dual of every cache in ``caches`` by projected gradient.
 
-    Stops when the mean-loss-scale duality gap, checked every
+    Each problem stops when its mean-loss-scale duality gap, checked every
     ``CHECK_EVERY`` steps, drops below ``gap_tol``.  Raises if ``MAX_ITERS``
-    steps run out first.
+    steps, one budget shared by all rows, run out first.  Returns one
+    :class:`DualSolution` whose fields stack the K problems in the order
+    of ``caches``.
     """
-    n = cache.n
-    product, top = gram_product(*differences(cache))
+    if not caches:
+        raise ValueError("pga_solve needs at least one cache")
+    n, p = caches[0].n, caches[0].space_dim
+    if any(cache.n != n or cache.space_dim != p for cache in caches):
+        raise ValueError("pga_solve needs caches of one shape: one N and one space_dim")
+    k = len(caches)
+    U = np.empty((k, p, n))
+    V = np.empty_like(U)
+    for row, cache in enumerate(caches):
+        U[row], V[row] = differences(cache)
+    B, product, top = gram_product(U, V)
+    del U, V  # only B is needed from here
     lam_n = lam * n
     width = loss.width
-    step = 1.0 / max(top / lam_n + width, 1e-30)
+    step = (1.0 / np.maximum(top / lam_n + width, 1e-30))[:, None]
 
-    alpha = np.zeros(n)
+    alpha = np.zeros((k, n))
     momentum = alpha.copy()
-    t_accel = 1.0
-    best_obj = -np.inf
-    obj, gap = certificate(alpha, product(alpha), loss, lam)
-    iters_done = 0
-    while gap > gap_tol and iters_done < MAX_ITERS:
+    since = np.zeros((k, 1), dtype=np.int64)  # step of each row's last restart
+    coefs, t_end = np.empty(0), 1.0  # the coefficient table and the t after its last entry
+    best_obj = np.full(k, -np.inf)
+    live = np.arange(k)  # the problem each running row solves
+    solved = np.empty_like(alpha)
+    objective, gap = np.empty(k), np.empty(k)
+    iters_done = steps = 0
+    while True:
+        if iters_done % CHECK_EVERY == 0:
+            r = product(B, alpha)
+            obj, row_gap = np.array([certificate(a, g, loss, lam) for a, g in zip(alpha, r)]).T
+            objective[live], gap[live] = obj, row_gap
+            if iters_done:
+                # objective went backwards under momentum: restart those rows
+                back = obj < best_obj
+                momentum[back] = alpha[back]
+                since[back] = iters_done
+                np.maximum(best_obj, obj, out=best_obj)
+            met = row_gap <= gap_tol
+            if met.any():
+                solved[live[met]] = alpha[met]
+                steps += iters_done * int(met.sum())
+                keep = ~met
+                live, B, step, alpha, momentum, since, best_obj = (
+                    x[keep] for x in (live, B, step, alpha, momentum, since, best_obj))
+            coefs, t_end = _momentum_coefficients(coefs, t_end, iters_done + CHECK_EVERY)
+        if not live.size or iters_done >= MAX_ITERS:
+            break
         iters_done += 1
         # new = clip(momentum + step * (-1 - G momentum / (lam N) - width momentum))
-        new = product(momentum)
+        new = product(B, momentum)
         new /= lam_n
         np.subtract(-1.0, new, out=new)
         if width:
@@ -55,21 +99,28 @@ def pga_solve(cache, loss, lam, gap_tol=1e-8):
         new *= step
         new += momentum
         new.clip(-1.0, 0.0, out=new)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_accel * t_accel))
         # momentum = clip(new + (t - 1) / t_next * (new - alpha))
         np.subtract(new, alpha, out=momentum)
-        momentum *= (t_accel - 1.0) / t_next
+        momentum *= coefs[iters_done - 1 - since]
         momentum += new
         momentum.clip(-1.0, 0.0, out=momentum)
-        t_accel = t_next
         alpha = new
-        if iters_done % CHECK_EVERY == 0:
-            obj, gap = certificate(alpha, product(alpha), loss, lam)
-            if obj < best_obj:
-                # objective went backwards under momentum: restart it
-                momentum = alpha.copy()
-                t_accel = 1.0
-            best_obj = max(best_obj, obj)
-    if gap > gap_tol:
-        raise ValueError(f"reference solve stalled at gap {gap:.3e} > {gap_tol:.1e}")
-    return DualSolution(alpha=alpha, objective=obj, gap=gap, trace=[(iters_done, obj, gap, 0.0)])
+    if live.size:
+        raise ValueError(f"reference solve stalled at gap {gap[live].max():.3e} > {gap_tol:.1e}")
+    return DualSolution(alpha=solved, objective=objective, gap=gap,
+                        trace=[(steps, objective, gap, 0.0)])
+
+
+def _momentum_coefficients(coefs, t, steps):
+    """The table ``coefs`` extended to ``steps`` entries, and the t after its last entry.
+
+    Entry s is (t_s - 1) / t_(s+1), the momentum coefficient s steps after a
+    (re)start, with t_0 = 1 and t_(s+1) = (1 + sqrt(1 + 4 t_s^2)) / 2 in the
+    textbook loop's float operations; ``t`` is t_(len(coefs)).
+    """
+    more = np.empty(steps - coefs.size)
+    for s in range(more.size):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        more[s] = (t - 1.0) / t_next
+        t = t_next
+    return np.concatenate((coefs, more)), t

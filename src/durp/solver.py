@@ -122,8 +122,10 @@ class DualSolution:
 
     ``drift`` is the relative max-entry difference between the running S
     and S rebuilt from alpha at the end of the epoch.  The reference
-    solver's ``pga_solve`` runs no epochs: its trace is the single row
-    (iterations, objective, gap, 0.0).
+    solver's ``pga_solve`` runs no epochs and solves K problems at once:
+    ``alpha`` is K x N, ``objective`` and ``gap`` have one entry per
+    problem, and the trace is the single row (steps summed over the K
+    problems, objective, gap, 0.0).
     """
 
     alpha: np.ndarray

@@ -20,6 +20,8 @@ from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
 from durp.triplets import build_cache, sample_active_triplets
 
+from oracles import textbook_pga
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -144,3 +146,33 @@ def test_theorem1_span_route_recovers_and_projects_under_the_wrapped_names():
     names = [span["name"] for span in recorder.spans]
     expected = 1 + len(config.m_sweep) * len(config.seeds)
     assert names.count("metric.recover") == names.count("metric.psd") == expected
+
+
+def test_traced_pga_iterations_count_the_textbook_steps(monkeypatch):
+    # reference.pga_iters sums the first field of each pga_solve trace; with
+    # several sketches in one call that field must be the steps of all its
+    # problems, so the sum stays the textbook loop's total over every solve
+    spans = load_perfbench("spans")
+    modules = {name: importlib.import_module(f"durp.{name}")
+               for name in ("experiments", "harness", "evaluate")}
+    harness = modules["harness"]
+    config = harness.HarnessConfig(d=60, r=3, n=40, n_triplets=30,
+                                   m_sweep=(2, 4, 60), seeds=(0, 1))
+    textbook_steps = []
+    solve = harness.pga_solve
+
+    def count_textbook_steps(caches, *args, **kwargs):
+        textbook_steps.extend(textbook_pga(cache, *args, **kwargs)[0].trace[0][0]
+                              for cache in caches)
+        return solve(caches, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "pga_solve", count_textbook_steps)
+        harness.verify_theorem1(config)
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder, modules):
+        harness.verify_theorem1(config)
+    pga = [span for span in recorder.spans if span["name"] == "reference.pga"]
+    assert len(pga) == 3  # the oracle, the sketches at m = 2, those at min(m, r) = 3
+    assert len(textbook_steps) == 1 + len(config.m_sweep) * len(config.seeds)
+    assert sum(span["iters"] for span in pga) == sum(textbook_steps) > 0

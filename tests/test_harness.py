@@ -13,6 +13,7 @@ from durp.harness import (T2_CONFIG, HarnessConfig, smooth_recovery_m, verify_th
                           verify_theorem2)
 from durp.metric import span_basis
 from durp.projection import gaussian_matrix
+from durp.solver import DualSolution
 from durp.synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from durp.triplets import build_cache, differences, project_cache, sample_active_triplets
 
@@ -86,9 +87,9 @@ def sweep_against_dense_errors(monkeypatch, config):
         caches.append(build(*args))
         return caches[-1]
 
-    def spy_solve(cache, *args, **kwargs):
-        solution = solve(cache, *args, **kwargs)
-        alphas.append(solution.alpha)
+    def spy_solve(batch, *args, **kwargs):
+        solution = solve(batch, *args, **kwargs)
+        alphas.extend(solution.alpha)
         return solution
 
     def spy_recover(alpha, cache, lam):
@@ -99,7 +100,8 @@ def sweep_against_dense_errors(monkeypatch, config):
     monkeypatch.setattr(harness, "pga_solve", spy_solve)
     monkeypatch.setattr(harness, "recover_metric", spy_recover)
     result = verify_theorem1(config)
-    # the solves run in span coordinates; the dense errors use the d-dimensional cache
+    # the solves run in span coordinates; the dense errors use the d-dimensional
+    # cache; every m >= r here, so the sketches are one batch, in (m, seed) order
     (cache,) = caches
     assert cache.space_dim == config.d
     dense = dense_recovery_errors(cache, alphas[0], alphas[1:], 1.0 / cache.n)
@@ -122,18 +124,27 @@ def test_theorem1_errors_in_the_span_match_the_dense_errors(monkeypatch):
 
 def test_theorem1_solves_every_dual_in_the_span(monkeypatch):
     # the oracle solves at r = 3 and each sketched run at min(m, r), never at
-    # d or m; m = 2 < r checks the triangular factor of a short sketch
+    # d or m; m = 2 < r checks the triangular factor of a short sketch.  The
+    # sketches of one dimension share one call, so a sweep with every m >= r
+    # makes two calls: the oracle's and one for all sketches
     config = HarnessConfig(d=60, r=3, n=40, n_triplets=30, m_sweep=(2, 4, 60), seeds=(0, 1))
-    dims = []
+    calls = []
     solve = harness.pga_solve
 
-    def spy_solve(cache, *args, **kwargs):
-        dims.append(cache.space_dim)
-        return solve(cache, *args, **kwargs)
+    def spy_solve(batch, *args, **kwargs):
+        calls.append([cache.space_dim for cache in batch])
+        return solve(batch, *args, **kwargs)
 
     monkeypatch.setattr(harness, "pga_solve", spy_solve)
     verify_theorem1(config)
-    assert dims == [3] + [min(m, 3) for m in config.m_sweep for _ in config.seeds]
+    assert calls == [[3], [2, 2], [3, 3, 3, 3]]
+    assert sorted(sum(calls[1:], [])) == sorted(min(m, 3) for m in config.m_sweep
+                                                for _ in config.seeds)
+    calls.clear()
+    every_m_at_least_r = tiny_t1_config()
+    assert min(every_m_at_least_r.m_sweep) >= every_m_at_least_r.r
+    verify_theorem1(every_m_at_least_r)
+    assert calls == [[2], [2] * 6]
 
 
 def test_harness_answers_match_the_textbook_solver(monkeypatch):
@@ -147,8 +158,17 @@ def test_harness_answers_match_the_textbook_solver(monkeypatch):
         gaps = np.array([first["oracle_gap"], second["oracle_gap"]]).tobytes()
         return errors, gaps, repr(first["rows"]), repr(second["rows"])
 
+    def textbook_batch(caches, *args, **kwargs):
+        # the textbook loop on each cache alone, stacked as pga_solve stacks them
+        runs = [textbook_pga(cache, *args, **kwargs)[0] for cache in caches]
+        objective = np.array([run.objective for run in runs])
+        gap = np.array([run.gap for run in runs])
+        steps = sum(run.trace[0][0] for run in runs)
+        return DualSolution(alpha=np.array([run.alpha for run in runs]), objective=objective,
+                            gap=gap, trace=[(steps, objective, gap, 0.0)])
+
     stock = answers()
-    monkeypatch.setattr(harness, "pga_solve", lambda *args, **kw: textbook_pga(*args, **kw)[0])
+    monkeypatch.setattr(harness, "pga_solve", textbook_batch)
     assert answers() == stock
 
 

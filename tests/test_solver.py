@@ -62,9 +62,15 @@ def factor_instance(seed):
 
 def sketched_instance(m):
     """500 triplets of margin-gapped data at d = 40, sketched to m dimensions."""
+    (cache,), lam = sketched_batch(m, [0])
+    return cache, lam
+
+
+def sketched_batch(m, seeds):
+    """``sketched_instance(m)``'s problem under the sketches of ``seeds``; one shape."""
     data = margin_gapped_blobs(40, 3, 120, seed=0)
     cache = build_cache(data, sample_active_triplets(data, 500, seed=0))
-    return project_cache(cache, gaussian_matrix(40, m, 0)), 1.0 / cache.n
+    return [project_cache(cache, gaussian_matrix(40, m, seed)) for seed in seeds], 1.0 / cache.n
 
 
 def test_loss_model_validation():
@@ -310,8 +316,8 @@ def test_csdca_matches_reference_solver():
         loss = LossModel(kind, gamma=1.0)
         cache, lam = solver_instance(8, kind)
         mine = csdca_solve(cache, loss, lam, epochs=3, seed=0)
-        oracle = pga_solve(cache, loss, lam, gap_tol=1e-9)
-        assert abs(mine.objective - oracle.objective) < 1e-3
+        oracle = pga_solve([cache], loss, lam, gap_tol=1e-9)
+        assert abs(mine.objective - oracle.objective[0]) < 1e-3
 
 
 def test_reference_gap_matches_production_gap():
@@ -322,9 +328,9 @@ def test_reference_gap_matches_production_gap():
         instances = [solver_instance(seed, kind) for seed in range(5)]
         instances += [factor_instance(seed) for seed in range(3)]
         for cache, lam in instances:
-            oracle = pga_solve(cache, loss, lam)
-            _, gap = production_certificate(cache, oracle.alpha, loss, lam)
-            assert abs(oracle.gap - gap) <= 1e-12
+            oracle = pga_solve([cache], loss, lam)
+            _, gap = production_certificate(cache, oracle.alpha[0], loss, lam)
+            assert abs(oracle.gap[0] - gap) <= 1e-12
 
 
 def test_reference_solver_does_not_rebuild_the_metric(monkeypatch):
@@ -333,7 +339,7 @@ def test_reference_solver_does_not_rebuild_the_metric(monkeypatch):
 
     monkeypatch.setattr(metric, "accumulator", refuse)
     cache, lam = solver_instance(2, "hinge")
-    assert pga_solve(cache, LossModel("hinge"), lam).gap <= 1e-8
+    assert pga_solve([cache], LossModel("hinge"), lam).gap[0] <= 1e-8
 
 
 def test_reference_solver_route_follows_the_shape(monkeypatch):
@@ -343,10 +349,10 @@ def test_reference_solver_route_follows_the_shape(monkeypatch):
     monkeypatch.setattr(gram, "dense_gram", refuse)
     loss = LossModel("hinge")
     cache, lam = sketched_instance(5)  # 5 * 6 <= 500: the factor route
-    assert pga_solve(cache, loss, lam).gap <= 1e-8
+    assert pga_solve([cache], loss, lam).gap[0] <= 1e-8
     cache, lam = sketched_instance(25)  # 25 * 26 > 500: the dense route
     with pytest.raises(AssertionError, match="dense Gram"):
-        pga_solve(cache, loss, lam)
+        pga_solve([cache], loss, lam)
 
 
 def test_reference_solver_caps_only_the_dense_route(monkeypatch):
@@ -354,10 +360,10 @@ def test_reference_solver_caps_only_the_dense_route(monkeypatch):
     rng = np.random.default_rng(12)
     triplets = rng.integers(0, 30, size=(30, 3))
     factor_route = TripletCache(0.1 * rng.normal(size=(3, 30)), triplets)  # 3 * 4 <= 30
-    assert pga_solve(factor_route, LossModel("hinge"), 1.0 / 30).gap <= 1e-8
+    assert pga_solve([factor_route], LossModel("hinge"), 1.0 / 30).gap[0] <= 1e-8
     dense_route = TripletCache(0.1 * rng.normal(size=(8, 30)), triplets)  # 8 * 9 > 30
     with pytest.raises(ValueError, match="dense Gram limited to 5 triplets"):
-        pga_solve(dense_route, LossModel("hinge"), 1.0 / 30)
+        pga_solve([dense_route], LossModel("hinge"), 1.0 / 30)
 
 
 def test_csdca_gap_tol_extension_and_failure():
@@ -385,37 +391,77 @@ def test_csdca_refuses_max_epochs_without_gap_tol(monkeypatch):
 
 def test_pga_solve_refuses_a_stalled_solve(monkeypatch):
     # these instances converge within one check; with fewer steps than
-    # CHECK_EVERY the gap stays at alpha = 0's, the hinge's mean loss at M = 0
+    # CHECK_EVERY the gap stays at alpha = 0's, the hinge's mean loss at M = 0,
+    # for one cache and for a batch of two
     cache, lam = factor_instance(0)
     monkeypatch.setattr("durp.reference.MAX_ITERS", 40)
-    with pytest.raises(ValueError, match=r"reference solve stalled at gap 1\.000e\+00 > 1\.0e-08"):
-        pga_solve(cache, LossModel("hinge"), lam)
+    for caches in ([cache], [cache, TripletCache(0.5 * cache.points, cache.triplets)]):
+        with pytest.raises(ValueError, match=r"reference solve stalled at gap 1\.000e\+00 > 1\.0e-08"):
+            pga_solve(caches, LossModel("hinge"), lam)
 
 
-def same_iterates(cache, loss, lam):
-    """Assert pga_solve ends where the textbook loop ends, bit for bit; return its restarts."""
-    oracle, restarts = textbook_pga(cache, loss, lam)
-    mine = pga_solve(cache, loss, lam)
-    assert mine.alpha.tobytes() == oracle.alpha.tobytes()
-    assert np.float64(mine.objective).tobytes() == np.float64(oracle.objective).tobytes()
-    assert np.float64(mine.gap).tobytes() == np.float64(oracle.gap).tobytes()
-    assert np.array(mine.trace).tobytes() == np.array(oracle.trace).tobytes()
-    return restarts
+def test_pga_solve_refuses_an_empty_or_mixed_batch():
+    loss = LossModel("hinge")
+    with pytest.raises(ValueError, match="needs at least one cache"):
+        pga_solve([], loss, 0.1)
+    cache, lam = factor_instance(0)  # p = 4, N = 30
+    longer = factor_instance(1)[0]  # p = 4, N = 34
+    narrower = project_cache(cache, gaussian_matrix(4, 3, 0))  # p = 3, N = 30
+    for other in (longer, narrower):
+        with pytest.raises(ValueError, match="one N and one space_dim"):
+            pga_solve([cache, other], loss, lam)
+
+
+def scaled_batch(cache, scales):
+    """Problems of one shape: ``cache`` with its points scaled by each of ``scales``."""
+    return [TripletCache(s * cache.points, cache.triplets) for s in scales]
+
+
+def same_iterates(caches, loss, lam):
+    """Assert each row of one pga_solve call ends where the textbook loop ends on its
+    cache alone, bit for bit; return the textbook (iterations, restarts) per cache."""
+    mine = pga_solve(caches, loss, lam)
+    runs = [textbook_pga(cache, loss, lam) for cache in caches]
+    for row, (oracle, _) in enumerate(runs):
+        assert mine.alpha[row].tobytes() == oracle.alpha.tobytes()
+        assert mine.objective[row].tobytes() == np.float64(oracle.objective).tobytes()
+        assert mine.gap[row].tobytes() == np.float64(oracle.gap).tobytes()
+    ((steps, objective, gap, seconds),) = mine.trace
+    assert steps == sum(oracle.trace[0][0] for oracle, _ in runs)
+    assert objective.tobytes() == mine.objective.tobytes()
+    assert gap.tobytes() == mine.gap.tobytes()
+    assert seconds == 0.0
+    return [(oracle.trace[0][0], restarts) for oracle, restarts in runs]
 
 
 @pytest.mark.parametrize("kind", ["hinge", "smoothed_hinge"])
 def test_pga_solve_keeps_the_textbook_iterates(kind):
-    # the in-place step computes the textbook loop's operations in its order:
-    # on G's factor (factor_instance, sketched_instance(5)) and on the dense G
-    # (solver_instance), with the smoothed hinge's width term; 0.3 lam puts
-    # lam N off 1, where dividing by it and multiplying by its inverse differ
+    # the in-place step computes the textbook loop's operations in its order,
+    # for one cache and for each row of a batch of one shape, whose rows stop
+    # at different checks and leave it while the rest run on: on G's factor
+    # (factor_instance(2) with scaled points, sketched_instance(5) and (2)
+    # under several sketches; at m = 2 the objective goes backwards under
+    # momentum and rows restart) and on the dense G (solver_instance(3) with
+    # scaled points, the route verify_theorem2's oracle takes), with the
+    # smoothed hinge's width term; 0.3 lam puts lam N off 1, where dividing
+    # by it and multiplying by its inverse differ
     loss = LossModel(kind, gamma=1.0)
-    for cache, lam in (factor_instance(2), sketched_instance(5), solver_instance(3, kind)):
-        same_iterates(cache, loss, lam)
-        same_iterates(cache, loss, 0.3 * lam)
-    # at m = 2 the objective goes backwards under momentum and the loop restarts
-    cache, lam = sketched_instance(2)
-    assert same_iterates(cache, loss, lam) >= 1
+    factor_cache, factor_lam = factor_instance(2)
+    dense_cache, dense_lam = solver_instance(3, kind)
+    batches = {
+        "factor": (scaled_batch(factor_cache, (1.0, 0.6, 1.5, 3.0)), factor_lam),
+        "m = 5": sketched_batch(5, range(4)),
+        "m = 2": sketched_batch(2, range(4)),
+        "dense": (scaled_batch(dense_cache, (1.0, 0.5, 2.0, 3.0)), dense_lam),
+    }
+    for name, (caches, lam) in batches.items():
+        for scale in (1.0, 0.3):
+            ((iters, _),) = same_iterates(caches[:1], loss, scale * lam)
+            assert iters > 0
+            counts = same_iterates(caches, loss, scale * lam)
+            assert len({iters for iters, _ in counts}) > 1, name  # rows stop at different checks
+            if name == "m = 2":
+                assert sum(restarts for _, restarts in counts) >= 1
 
 
 def test_csdca_gap_tol_applies_from_the_seed_epoch():
