@@ -19,9 +19,11 @@ that factor is thinner than G, i.e. p(p + 1) <= N, and takes lambda_max(G)
 from the r x r matrix Phi Phi^T; that route never forms G and takes any N.
 The Gram, its factor and the margins read the gathered difference columns
 U, V (see :func:`durp.triplets.differences`); the accumulator reads the
-index-form cache.  :func:`dense_gram`, :func:`gram_factor` and
-:func:`gram_product` also take a stack of K problems, U and V of shape
-K x p x N, and give each problem the bits it gets alone.
+index-form cache: its ``CHUNK`` column splits set its bits, and its
+``BAND_BYTES`` row bands only the memory each gather walks.
+:func:`dense_gram`, :func:`gram_factor` and :func:`gram_product` also take
+a stack of K problems, U and V of shape K x p x N, and give each problem
+the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_LIMIT = 4000
-CHUNK = 1024  # triplet columns gathered at once while building the accumulator
+CHUNK = 1024  # triplet columns per reduceat split of the accumulator; the splits set its bits
+BAND_BYTES = 1 << 20  # bytes of point rows per band of the accumulator; sets locality, never bits
 
 
 def margins(U, V, M):
@@ -45,7 +48,9 @@ def accumulator(cache, alpha):
     S = X Z^T + Z X^T with Z = X diag(w)/2 + Y, where
     w = bincount(k, alpha) - bincount(j, alpha) and column a of Y sums
     alpha_t (x_j - x_k) over the triplets anchored at a.  Y is built in
-    anchor-sorted chunks of ``CHUNK`` columns with ``np.add.reduceat``.
+    anchor-sorted chunks of ``CHUNK`` columns with ``np.add.reduceat``, one
+    band of point rows at a time: every step acts row by row, so the bands
+    change which memory each gather walks, not the bits.
     """
     if alpha.shape != (cache.n,):
         raise ValueError("alpha must have one entry per triplet")
@@ -56,16 +61,23 @@ def accumulator(cache, alpha):
     a = alpha[order]
     w = np.bincount(k, a, n_points) - np.bincount(j, a, n_points)
     Z = X * (0.5 * w)
+    chunks = []
     for s in range(0, cache.n, CHUNK):
         anchors = i[s:s + CHUNK]
-        D = X.take(j[s:s + CHUNK], axis=1)
-        D -= X.take(k[s:s + CHUNK], axis=1)
-        D *= a[s:s + CHUNK]
         starts = np.flatnonzero(np.r_[True, anchors[1:] != anchors[:-1]])
-        # += through a fancy index keeps one update per repeated index; the
-        # anchors are sorted, so each run start names a different anchor
-        Z[:, anchors[starts]] += np.add.reduceat(D, starts, axis=1)
+        chunks.append((j[s:s + CHUNK], k[s:s + CHUNK], a[s:s + CHUNK], starts, anchors[starts]))
+    band = max(1, BAND_BYTES // (8 * n_points))
+    for r in range(0, X.shape[0], band):
+        Xb, Zb = X[r:r + band], Z[r:r + band]
+        for jc, kc, ac, starts, heads in chunks:
+            D = Xb.take(jc, axis=1)
+            D -= Xb.take(kc, axis=1)
+            D *= ac
+            # += through a fancy index keeps one update per repeated index; the
+            # anchors are sorted, so each run start names a different anchor
+            Zb[:, heads] += np.add.reduceat(D, starts, axis=1)
     P = X @ Z.T
+    del Z
     return P + P.T
 
 

@@ -20,7 +20,9 @@ BLOCK_BYTES = 2 << 20  # cap on one block of squared distances; 2-4 MiB ran fast
 
 def recover_metric(alpha, cache, lam):
     """M = -S / (lam N) with S = sum_t alpha_t (u_t u_t^T - v_t v_t^T) over the cache's space."""
-    return -accumulator(cache, alpha) / (lam * cache.n)
+    S = accumulator(cache, alpha)
+    S /= -(lam * cache.n)  # in place, with the bits of -S / (lam N)
+    return S
 
 
 def span_basis(points):

@@ -7,13 +7,13 @@ package itself does not need (single Gram entries, the Kronecker
 embedding, the matrix-free Gram product and dual objective, kappa by power
 iteration, the primal form of the subgradient seed epoch, the array form
 of the loss derivative, the d x d lift of a subspace metric, the
-allocating projected-gradient loop) live here too, with the LIBSVM writer
-that makes the test files.
+allocating projected-gradient loop, the accumulator without row bands)
+live here too, with the LIBSVM writer that makes the test files.
 """
 
 import numpy as np
 
-from durp import metric, reference
+from durp import gram, metric, reference
 from durp.data import LabeledDataset
 from durp.gram import accumulator, dense_gram, gram_factor
 from durp.solver import DualSolution, certificate
@@ -55,6 +55,32 @@ def naive_accumulator(U, V, alpha):
     for t in range(U.shape[1]):
         S += alpha[t] * triplet_matrix(U[:, t], V[:, t])
     return S
+
+
+def columnwise_accumulator(cache, alpha):
+    """gram.accumulator's chunk loop run over all point rows at once, without row bands.
+
+    Each ``gram.CHUNK`` columns of x_j - x_k are gathered from the whole
+    d x n point matrix and reduced into Z by anchor; the banded production
+    loop must give these bytes.
+    """
+    X = cache.points
+    n_points = X.shape[1]
+    order = np.argsort(cache.triplets[:, 0], kind="stable")
+    i, j, k = cache.triplets[order].T
+    a = alpha[order]
+    w = np.bincount(k, a, n_points) - np.bincount(j, a, n_points)
+    Z = X * (0.5 * w)
+    chunk = gram.CHUNK
+    for s in range(0, cache.n, chunk):
+        anchors = i[s:s + chunk]
+        D = X.take(j[s:s + chunk], axis=1)
+        D -= X.take(k[s:s + chunk], axis=1)
+        D *= a[s:s + chunk]
+        starts = np.flatnonzero(np.r_[True, anchors[1:] != anchors[:-1]])
+        Z[:, anchors[starts]] += np.add.reduceat(D, starts, axis=1)
+    P = X @ Z.T
+    return P + P.T
 
 
 def naive_recover(alpha, U, V, lam):

@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from durp import gram
+from durp.data import LabeledDataset
 from durp.gram import DENSE_LIMIT, accumulator, dense_gram, gram_factor, kappa
+from durp.metric import span_basis
 from durp.synth import gaussian_blobs
-from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
+from durp.triplets import (
+    TripletCache,
+    build_cache,
+    differences,
+    project_cache,
+    sample_active_triplets,
+)
 
 from oracles import (
     KRON_DIM_LIMIT,
+    columnwise_accumulator,
     dense_trace_gram,
     gram_entry,
     gram_oracle,
@@ -135,6 +144,36 @@ def test_accumulator_anchor_runs_across_chunks(monkeypatch):
     alpha = -rng.random(40)
     monkeypatch.setattr(gram, "CHUNK", 3)
     assert_accumulator_matches_naive(cache, alpha)
+
+
+def banding_caches():
+    """Caches over 60 points each: d = 24 above and below CHUNK triplets, a p = 3 span, p = 10."""
+    train = gaussian_blobs(24, 60, 3, seed=12, noise=0.3)
+    rng = np.random.default_rng(12)
+    flat = LabeledDataset(rng.normal(size=(24, 3)) @ rng.normal(size=(3, 60)), train.labels)
+    wide = build_cache(train, sample_active_triplets(train, 2500, seed=12))
+    return {
+        "N > CHUNK": wide,
+        "N < CHUNK": build_cache(train, sample_active_triplets(train, 300, seed=13)),
+        "span p = 3": project_cache(build_cache(flat, sample_active_triplets(flat, 300, seed=14)),
+                                    span_basis(flat.points)),
+        "projected p = 10": project_cache(wide, rng.normal(size=(24, 10))),
+    }
+
+
+@pytest.mark.parametrize("band_rows", [1, 7, None], ids=["one-row", "7-row", "single-band"])
+@pytest.mark.parametrize("chunk", [gram.CHUNK, 3], ids=["CHUNK", "CHUNK=3"])
+def test_accumulator_bands_keep_the_columnwise_bytes(monkeypatch, band_rows, chunk):
+    # a row of 60 float64 points is 480 bytes; 7-row bands leave an uneven
+    # last band at p = 24 and p = 10 and make one band at p = 3
+    monkeypatch.setattr(gram, "BAND_BYTES", 8 * 60 * band_rows if band_rows else 1 << 40)
+    monkeypatch.setattr(gram, "CHUNK", chunk)
+    rng = np.random.default_rng(15)
+    for name, cache in banding_caches().items():
+        alpha = -rng.random(cache.n)
+        alpha[::3] = 0.0
+        S = accumulator(cache, alpha)
+        assert S.tobytes() == columnwise_accumulator(cache, alpha).tobytes(), name
 
 
 def test_accumulator_on_sampled_data():

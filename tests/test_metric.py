@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from durp.gram import accumulator
 from durp.metric import (
     load_metric,
     psd_project,
@@ -30,6 +31,14 @@ def test_recover_metric_matches_naive():
     ref = naive_recover(alpha, *differences(cache), lam)
     assert np.allclose(M, ref, atol=1e-11 * (np.abs(ref).max() + 1.0))
     assert np.array_equal(M, M.T)
+
+
+def test_recover_metric_in_place_keeps_the_bits():
+    cache = sample_cache(3, d=9, n=200)
+    alpha = -np.random.default_rng(3).random(cache.n)
+    for lam in (1.0 / cache.n, 0.37):  # lam N = 1 and lam N != 1
+        expected = -accumulator(cache, alpha) / (lam * cache.n)
+        assert recover_metric(alpha, cache, lam).tobytes() == expected.tobytes()
 
 
 def test_recover_metric_validation():
