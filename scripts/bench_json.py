@@ -10,8 +10,12 @@ sides alternately, one seed per pair.  For every workload and metric the
 output gives each side's median and quartiles over its runs, the number of
 pairs, and the pairs the change won (ties count for neither side).
 End-to-end metrics come from untraced runs (trace 0), per-layer metrics
-from traced runs (trace 1).  The environment block of each side keeps
-the fields its runs share (the seed and workload differ).
+from traced runs (trace 1).  An end-to-end metric is marked ``unresolved``
+when the parent's quartile distance exceeds its bound times the parent's
+median and not every change run beats every parent run: a difference
+inside that spread cannot be told from run-to-run noise.  The environment
+block of each side keeps the fields its runs share (the seed and workload
+differ).
 """
 
 from __future__ import annotations
@@ -49,8 +53,12 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def compare(parent, change, metric, better):
-    """One metric of one workload: both sides' spread, the pairs and who won them."""
+def compare(parent, change, metric, better, bound=None):
+    """One metric of one workload: both sides' spread, the pairs and who won them.
+
+    With a ``bound`` (end-to-end metrics) the entry also holds the bound and
+    whether the parent's spread leaves the metric ``unresolved``.
+    """
     def value(record):
         return record["metrics"][metric]["value"]
 
@@ -59,14 +67,22 @@ def compare(parent, change, metric, better):
 
     paired = sorted(set(parent) & set(change))
     won = sum(1 for s in paired if beats(value(change[s]), value(parent[s])))
-    return {
+    before = [value(r) for r in parent.values()]
+    after = [value(r) for r in change.values()]
+    entry = {
         "unit": next(iter(parent.values()))["metrics"][metric]["unit"],
         "better": better,
-        "parent": spread([value(r) for r in parent.values()]),
-        "change": spread([value(r) for r in change.values()]),
+        "parent": spread(before),
+        "change": spread(after),
         "pairs": len(paired),
         "pairs_won": won,
     }
+    if bound is not None:
+        base = entry["parent"]
+        wide = base["q3"] - base["q1"] > bound * abs(base["median"])
+        entry["bound"] = bound
+        entry["unresolved"] = wide and not all(beats(a, b) for a in after for b in before)
+    return entry
 
 
 def failures(side):
@@ -93,9 +109,8 @@ def bench(parent_runs, change_runs, spec):
                 continue
             metrics = {}
             for m in spec[section]:
-                metrics[m["name"]] = compare(parent, change, m["name"], directions[m["name"]])
-                if section == "end_to_end":
-                    metrics[m["name"]]["bound"] = bounds[m["name"]]
+                metrics[m["name"]] = compare(parent, change, m["name"], directions[m["name"]],
+                                             bounds.get(m["name"]))
             entry[section] = metrics
             entry[f"{section}_seeds"] = sorted(set(parent) & set(change))
             entry[f"{section}_units"] = {"parent": failures(parent), "change": failures(change)}

@@ -57,7 +57,7 @@ class LossModel:
     ``gamma`` is the smoothing width (the loss derivative is 1/gamma-
     Lipschitz); it is ignored for the plain hinge.  ``width`` is the width
     in force: gamma for the smoothed hinge, 0 for the plain hinge, whose
-    conjugate and coordinate step are the smoothed ones at width 0.
+    value, conjugate and coordinate step are the smoothed ones at width 0.
     Derivatives live in [-1, 0], which is why the dual box is [-1, 0].
     """
 
@@ -77,15 +77,14 @@ class LossModel:
         return self.gamma if self.kind == "smoothed_hinge" else 0.0
 
     def value(self, z):
+        """loss(z) elementwise; the quadratic piece is evaluated only where it applies."""
         z = np.asarray(z, dtype=np.float64)
-        if self.kind == "hinge":
-            return np.maximum(0.0, 1.0 - z)
-        g = self.gamma
-        return np.where(
-            z >= 1.0,
-            0.0,
-            np.where(z >= 1.0 - g, (1.0 - z) ** 2 / (2.0 * g), 1.0 - z - g / 2.0),
-        )
+        w = self.width
+        out = np.where(z >= 1.0, 0.0, 1.0 - z - w / 2.0)
+        if w:
+            quad = (z >= 1.0 - w) & (z < 1.0)
+            out[quad] = (1.0 - z[quad]) ** 2 / (2.0 * w)
+        return out
 
     def derivative(self, z):
         """loss'(z) for one float z, in plain float arithmetic (the seed step's hot path)."""
@@ -157,7 +156,11 @@ def certificate(alpha, r, loss, lam):
     lam_n = lam * n
     quad = float(alpha @ r)
     dual = float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam_n))
-    primal = 0.5 * lam * quad / lam_n**2 + float(np.mean(loss.value(-r / lam_n)))
+    # 0.5 * lam * quad can overflow where the term does not; applying quad's
+    # power of two last keeps the bits of 0.5 * lam * quad / lam_n**2
+    mant, exp = np.frexp(quad)
+    norm_term = float(np.ldexp(0.5 * lam * mant / lam_n**2, exp))
+    primal = norm_term + float(np.mean(loss.value(-r / lam_n)))
     return dual, max(primal - dual / n, 0.0)
 
 
@@ -167,9 +170,12 @@ def _sweep(state, order, step):
     ``step(s, a_t, r, g)`` returns the new alpha_t at visit s of the epoch,
     given the value a_t and margin r = <A_t, S> of its coordinate t and
     g = G[t, t], read as Python floats once per block (t occurs once in
-    an epoch, so a_t is still current at its step).
+    an epoch, so a_t is still current at its step).  Ends the epoch: S is
+    rebuilt from alpha, and the relative drift of the running S is checked
+    against ``DRIFT_TOL`` and returned.
     """
     alpha, S = state.alpha, state.S
+    order = np.asarray(order)
     for b in range(0, len(order), BLOCK):
         block = order[b:b + BLOCK]
         U_B = state.U.take(block, axis=1)
@@ -187,12 +193,20 @@ def _sweep(state, order, step):
                 r[q + 1:] += delta * G_B[q, q + 1:]
         S += (U_B * deltas) @ U_B.T
         S -= (V_B * deltas) @ V_B.T
+    rebuilt = accumulator(state.cache, alpha)
+    scale = max(float(np.abs(rebuilt).max()), 1e-30)
+    drift = float(np.abs(S - rebuilt).max()) / scale
+    if drift > DRIFT_TOL:
+        raise ValueError(f"accumulator drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
+    state.S = rebuilt
+    return drift
 
 
-def _sdca_step(state, loss):
-    """Exact coordinate maximization of the dual at coordinate t, O(1) given its margin.
+def sdca_epoch(state, loss, order):
+    """One exact coordinate-ascent pass over ``order``; returns the accumulator drift.
 
-    With c_t = <A_t, S> - alpha_t G[t, t], the stationary point is
+    The step at coordinate t maximizes the dual exactly, in O(1) given its
+    margin.  With c_t = <A_t, S> - alpha_t G[t, t], the stationary point is
     -(lam N + c_t) / (width lam N + G[t, t]), clipped to [-1, 0].  When
     that denominator is zero (the hinge at a zero diagonal) the subproblem
     is linear: the coordinate goes to -1 when the slope is negative, else 0.
@@ -207,13 +221,7 @@ def _sdca_step(state, loss):
             return min(0.0, max(-1.0, -(lam_n + c_t) / denom))
         return -1.0 if -(1.0 + c_t / lam_n) < 0.0 else 0.0
 
-    return step
-
-
-def sdca_epoch(state, loss, order):
-    """One exact coordinate-ascent pass over ``order``; returns the accumulator drift."""
-    _sweep(state, np.asarray(order), _sdca_step(state, loss))
-    return _refresh_accumulator(state)
+    return _sweep(state, order, step)
 
 
 def sgd_epoch(state, loss, order):
@@ -231,19 +239,7 @@ def sgd_epoch(state, loss, order):
     def step(s, a_t, margin, g_tt):
         return loss.derivative(-margin / (lam * s) if s else 0.0)
 
-    _sweep(state, np.asarray(order), step)
-    return _refresh_accumulator(state)
-
-
-def _refresh_accumulator(state):
-    """Rebuild S from alpha; return the relative drift of the running S."""
-    rebuilt = accumulator(state.cache, state.alpha)
-    scale = max(float(np.abs(rebuilt).max()), 1e-30)
-    drift = float(np.abs(state.S - rebuilt).max()) / scale
-    if drift > DRIFT_TOL:
-        raise ValueError(f"accumulator drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
-    state.S = rebuilt
-    return drift
+    return _sweep(state, order, step)
 
 
 def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):

@@ -241,6 +241,20 @@ def lattice_problem(d, n, n_classes, seed):
     return B, LabeledDataset(points, rng.integers(0, n_classes, size=n))
 
 
+def per_kind_loss_value(loss, z):
+    """loss(z) by one formula per kind: max(0, 1 - z), or nested ``np.where`` over both pieces.
+
+    The smoothed form evaluates (1 - z)^2 at every z, so it overflows (and
+    warns) at large |z| on entries it does not select.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if loss.kind == "hinge":
+        return np.maximum(0.0, 1.0 - z)
+    g = loss.gamma
+    return np.where(z >= 1.0, 0.0, np.where(z >= 1.0 - g, (1.0 - z) ** 2 / (2.0 * g),
+                                            1.0 - z - g / 2.0))
+
+
 def array_loss_derivative(loss, z):
     """loss'(z) elementwise over an array, by nested ``np.where``."""
     z = np.asarray(z, dtype=np.float64)

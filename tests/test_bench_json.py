@@ -49,6 +49,7 @@ def test_pairs_medians_and_quartiles(bench_json, tmp_path):
     assert wall["pairs"] == 5 and wall["pairs_won"] == 4  # the tie at seed 3 counts for neither
     assert wall["parent"] == {"median": 2.4, "q1": 2.2, "q3": 2.6, "runs": 5}
     assert wall["change"]["runs"] == 6 and wall["bound"] == 0.25
+    assert wall["unresolved"] is False  # quartiles 0.4 apart, under 0.25 x the median 2.4
     assert entry["end_to_end"]["setup_s"]["pairs_won"] == 0
     assert entry["end_to_end"]["peak_rss_mb"]["pairs_won"] == 5
     assert out["environment"]["parent"] == {"workload": "wide-durp", "git_commit": "p", "nproc": 2}
@@ -68,7 +69,26 @@ def test_per_layer_metrics_come_from_traced_runs(bench_json, tmp_path):
     assert sample["pairs"] == sample["pairs_won"] == 10 and sample["better"] == "lower"
     assert sample["parent"]["median"] == pytest.approx(0.745)
     assert "end_to_end" not in out["workloads"]["usps-durp"]
+    assert "bound" not in sample and "unresolved" not in sample
     assert "verify-t1" not in out["workloads"]  # no runs on either side
+
+
+@pytest.mark.parametrize("before, after, unresolved", [
+    ((1.0, 1.2, 1.4, 1.6, 1.8), (1.2, 1.3, 1.4, 1.5, 1.6), True),  # quartiles 0.4 apart at 1.4
+    ((1.0, 1.2, 1.4, 1.6, 1.8), (0.5, 0.6, 0.7, 0.8, 0.9), False),  # every change run wins
+    ((1.3, 1.35, 1.4, 1.45, 1.5), (1.2, 1.3, 1.4, 1.5, 1.6), False),  # quartiles 0.1 apart
+])
+def test_end_to_end_spread_wider_than_the_bound_is_unresolved(before, after, unresolved,
+                                                              bench_json, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (b, a) in enumerate(zip(before, after)):
+        write_run(parent, "verify-t1", seed, 0, {"wall_s": b})
+        write_run(change, "verify-t1", seed, 0, {"wall_s": a})
+    spec = {"workloads": [{"name": "verify-t1"}],
+            "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}
+    out = bench_json.bench(bench_json.load_runs(parent), bench_json.load_runs(change), spec)
+    wall = out["workloads"]["verify-t1"]["end_to_end"]["wall_s"]
+    assert wall["bound"] == 0.25 and wall["unresolved"] is unresolved
 
 
 def test_empty_folder_exits_1(bench_json, tmp_path, capsys):

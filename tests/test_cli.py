@@ -413,14 +413,19 @@ def test_negative_seed_exits_2(command, seed, datasets, tmp_path, no_data_loads,
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def durp_warnings_as_errors(argv):
+    """Run ``durp`` in a subprocess under ``-W error``, so a numpy warning ends it with a traceback."""
+    return subprocess.run([sys.executable, "-W", "error", "-m", "durp", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
 # lambda * N enters the duality certificate squared: below the range it
 # divided by zero, above it overflowed, each with a raw traceback
 @pytest.mark.parametrize("lam", ["1e-300", "1e-152", "1e149", "1e300", "0", "-1", "nan", "inf"])
 def test_lambda_outside_the_certificate_range_exits_2(lam, datasets):
-    argv = [*train_args(*datasets), "--trials", "1", "--triplets", "50", "--lambda", lam]
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "durp", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    done = durp_warnings_as_errors(
+        [*train_args(*datasets), "--trials", "1", "--triplets", "50", "--lambda", lam])
     assert done.returncode == 2
     assert done.stderr.startswith("error: lambda must be positive and finite, "
                                   "with lambda * triplets in (1e-150, 1e150)")
@@ -430,11 +435,11 @@ def test_lambda_outside_the_certificate_range_exits_2(lam, datasets):
 BLOBS = gaussian_blobs(5, 60, 2, seed=0)
 
 
-def blob_file(path, scale, columns):
+def blob_file(path, scale, columns, blobs=BLOBS):
     """LIBSVM file of blob columns scaled so the largest |value| is ``scale``; 0 makes all equal."""
-    points = BLOBS.points[:, columns] / np.abs(BLOBS.points).max()
+    points = blobs.points[:, columns] / np.abs(blobs.points).max()
     points = points * scale if scale else np.ones_like(points)
-    path.write_text(serialize_libsvm(LabeledDataset(points, BLOBS.labels[columns])))
+    path.write_text(serialize_libsvm(LabeledDataset(points, blobs.labels[columns])))
     return str(path)
 
 
@@ -448,8 +453,12 @@ def blob_file(path, scale, columns):
     ("eval", 1.0, 1e150, "test"),
     ("train", 1e69, 1e69, None),
     ("train", 1e-69, 1e-69, None),
+    # the smoothed hinge's loss value used to square every margin, selected or not
+    ("train --loss smoothed_hinge", 1e69, 1e69, None),
+    ("train --loss smoothed_hinge", 1e-69, 1e-69, None),
 ])
 def test_feature_magnitudes_exit_2_or_train(command, train_scale, test_scale, refused, tmp_path):
+    command, *flags = command.split()
     files = {
         "train": blob_file(tmp_path / "train.svm", train_scale, slice(0, 40)),
         "test": blob_file(tmp_path / "test.svm", test_scale, slice(40, 60)),
@@ -462,9 +471,7 @@ def test_feature_magnitudes_exit_2_or_train(command, train_scale, test_scale, re
         "eval": ["eval", "--metric-file", str(tmp_path / "metric.bin"),
                  "--train-file", files["train"], "--test-file", files["test"]],
     }[command]
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "durp", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    done = durp_warnings_as_errors([*argv, *flags])
     assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
     if refused is None:
         assert done.returncode == 0, done.stderr
@@ -476,6 +483,21 @@ def test_feature_magnitudes_exit_2_or_train(command, train_scale, test_scale, re
     else:
         assert done.returncode == 2
         assert done.stderr.startswith(f"error: {refused}")
+
+
+# lambda * ||M||^2 enters the duality gap as 0.5 * lam * quad / (lam N)^2,
+# whose product 0.5 * lam * quad overflowed here though the term is ~1e129
+@pytest.mark.parametrize("lam", ["5e146", "5e145"])
+def test_gap_at_large_data_and_lambda_is_finite(lam, tmp_path):
+    blobs = gaussian_blobs(4, 60, 2, seed=0)
+    done = durp_warnings_as_errors([
+        "train", "--method", "durp", "--triplets", "200", "--m", "2", "--trials", "1",
+        "--lambda", lam,
+        "--train-file", blob_file(tmp_path / "train.svm", 1e70, slice(0, 40), blobs),
+        "--test-file", blob_file(tmp_path / "test.svm", 1e70, slice(40, 60), blobs),
+    ])
+    assert done.returncode == 0, done.stderr
+    assert np.isfinite(json.loads(done.stdout)["trials"][0]["final_gap"])
 
 
 def fake_trial(config, train, test, seed, map_score=0.5):

@@ -32,6 +32,7 @@ from oracles import (
     dual_objective_from_alpha,
     naive_primal,
     naive_recover,
+    per_kind_loss_value,
     primal_sgd_epoch,
     sequential_sdca_epoch,
     textbook_pga,
@@ -124,6 +125,31 @@ def test_scalar_derivative_matches_array_form_bit_for_bit():
         ])
         scalar = np.array([loss.derivative(float(x)) for x in z])
         assert scalar.tobytes() == array_loss_derivative(loss, z).tobytes()
+
+
+def test_loss_value_matches_the_per_kind_formulas_bit_for_bit():
+    rng = np.random.default_rng(0)
+    spread = rng.choice([-1.0, 1.0], 60_000) * 10.0 ** rng.uniform(-320, 300, 60_000)
+    for loss in (LossModel("hinge"), *(LossModel("smoothed_hinge", gamma=g)
+                                       for g in (1e-9, 0.37, 1.0, 1e6))):
+        below = above = np.array([1.0, 1.0 - loss.gamma, 1.0 - loss.gamma / 2.0])
+        near = [below]
+        for _ in range(3):  # each knot and its three float neighbours on either side
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            near += [below, above]
+        special = np.concatenate([*near, [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                                          1e300, -1e300, np.inf, -np.inf, np.nan]])
+        z = np.concatenate([special, np.linspace(-3.0, 3.0, 40_001),
+                            1.0 + loss.gamma * np.linspace(-2.0, 1.0, 10_001), spread])
+        with np.errstate(all="raise"):  # no overflow, not even on unselected entries
+            got = loss.value(z)
+            scalars = [loss.value(float(x)) for x in special]
+        with np.errstate(all="ignore"):
+            want = per_kind_loss_value(loss, z)
+            want_scalars = [per_kind_loss_value(loss, float(x)) for x in special]
+        assert got.shape == z.shape and got.tobytes() == want.tobytes()
+        for a, b in zip(scalars, want_scalars):
+            assert np.ndim(a) == np.ndim(b) == 0 and a.tobytes() == b.tobytes()
 
 
 def test_conjugate_is_fenchel_dual_on_the_box():
