@@ -20,7 +20,7 @@ from .data import eigen_spectrum, load_libsvm, load_split
 from .evaluate import evaluate_metric
 from .experiments import METHODS, RunConfig, run_method
 from .metric import load_metric, save_metric
-from .solver import LOSS_KINDS
+from .solver import LOSS_KINDS, TraceRow
 from .triplets import sample_active_triplets
 
 
@@ -176,10 +176,11 @@ def _require(args, *names):
             raise ConfigError(f"{flag} is required (flag or config file)")
 
 
-def _csv(header, fmt, rows, comments=()):
-    """``#`` comment lines, the header line, then ``fmt % row`` for each row."""
-    lines = ["# " + text for text in comments] + [header]
-    lines.extend(fmt % tuple(row) for row in rows)
+def _csv(columns, rows, comments=()):
+    """``#`` comments, the header, the rows: floats as ``%.17g`` (exact), other cells ``%d``."""
+    lines = ["# " + text for text in comments] + [",".join(columns)]
+    lines.extend(",".join(("%.17g" if isinstance(v, float) else "%d") % v for v in row)
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -205,9 +206,7 @@ def cmd_train(args):
         if args.save_metric:
             save_metric(args.save_metric + suffix, res.factor)
         if args.trace_out:
-            _write(args.trace_out + suffix,
-                   _csv("epoch,dual_objective,duality_gap,seconds,accumulator_drift",
-                        "%d,%.17g,%.17g,%.6f,%.3e", res.solver_trace))
+            _write(args.trace_out + suffix, _csv(TraceRow._fields, res.solver_trace))
     _write(args.out, _json(report))
 
 
@@ -221,33 +220,30 @@ def cmd_eval(args):
 def cmd_spectrum(args):
     _require(args, "train_file")
     data, _ = load_libsvm(args.train_file)
-    _write(args.out, _csv("rank,normalized_eigenvalue", "%d,%.17g",
+    _write(args.out, _csv(("rank", "normalized_eigenvalue"),
                           enumerate(eigen_spectrum(data), start=1)))
 
 
 def cmd_verify_t1(args):
     config = harness_mod.HarnessConfig(**_fields(args, harness_mod.HarnessConfig))
     rows = harness_mod.verify_theorem1(config)["rows"]
-    _write(args.out, _csv(
-        ",".join(rows[0]), "%d,%.17g,%.17g,%.17g,%.17g,%.17g", (r.values() for r in rows),
-        ["low-rank recovery trend; bound columns are the literal sampling-condition",
-         "curve (c=1/3), quoted for reference only -- desk-scale m cannot meet it"]))
+    _write(args.out, _csv(rows[0], (r.values() for r in rows), [
+        "low-rank recovery trend; bound columns are the literal sampling-condition",
+        "curve (c=1/3), quoted for reference only -- desk-scale m cannot meet it"]))
 
 
 def cmd_verify_t2(args):
     config = dataclasses.replace(harness_mod.T2_CONFIG, **_fields(args, harness_mod.HarnessConfig))
     rows = harness_mod.verify_theorem2(config, m=args.m)["rows"]
-    _write(args.out, _csv(
-        ",".join(rows[0]), "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d",
-        (r.values() for r in rows),
-        ["smooth-loss dual recovery; bound = max(eps term, eta term) per seed"]))
+    _write(args.out, _csv(rows[0], (r.values() for r in rows), [
+        "smooth-loss dual recovery; bound = max(eps term, eta term) per seed"]))
 
 
 def cmd_sample(args):
     _require(args, "train_file")
     train, _ = load_libsvm(args.train_file)
     triplets = sample_active_triplets(train, args.n_triplets, args.seed)
-    _write(args.out, _csv("i,j,k", "%d,%d,%d", triplets))
+    _write(args.out, _csv(("i", "j", "k"), triplets))
 
 
 def main(argv=None):

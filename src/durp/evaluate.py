@@ -49,12 +49,16 @@ def _stable_argsort(dist):
     return order
 
 
-def require_rankable(test):
-    """Refuse a test set in which no query has another point of its class to retrieve."""
+def require_scorable(train, test, k):
+    """The split gate of train and eval: equal d, a query with a same-class peer, 1 <= k <= n."""
+    if test.d != train.d:
+        raise ValueError("train and test dimensions differ")
     if test.n < 2:
         raise ValueError("retrieval evaluation needs at least two test points")
     if np.bincount(test.labels).max() < 2:
         raise ValueError("no query had a same-class candidate")
+    if not 1 <= k <= train.n:
+        raise ValueError(f"k must be in [1, {train.n}]")
 
 
 def ranking_map(L, test):
@@ -118,11 +122,7 @@ def evaluate_metric(L, train, test, k):
     """Score the metric L L^T into an :class:`EvalReport`; the one gate for evaluation."""
     if len(L) != train.d:
         raise ValueError(f"metric is {len(L)} x {len(L)} but the data have {train.d} features")
-    require_rankable(test)
-    if not 1 <= k <= train.n:
-        raise ValueError(f"k must be in [1, {train.n}]")
-    if train.d != test.d:
-        raise ValueError("train and test dimensions differ")
+    require_scorable(train, test, k)
     if not np.isfinite(L).all():
         raise ValueError("metric has non-finite entries")
     acc = knn_accuracy(L, train, test, k)

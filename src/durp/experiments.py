@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import pca_fit
-from .evaluate import evaluate_metric, require_rankable
+from .evaluate import evaluate_metric, require_scorable
 from .metric import psd_project, recover_metric
 from .projection import GENERATOR_NAME, gaussian_matrix
 from .solver import LossModel, csdca_solve
@@ -93,13 +93,12 @@ def train_trial(config, train, test, trial_seed):
 
     duori is durp without the projection: it solves on the cache itself.
     """
+    require_scorable(train, test, config.k)
     method = config.method
     if method != "duori":
         bound, name = (min(train.d, train.n), "min(d, n)") if method == "spca" else (train.d, "d")
         if config.m > bound:
             raise ValueError(f"{method} needs m <= {name} = {bound}, got m = {config.m}")
-    if config.k > train.n:
-        raise ValueError(f"k must be in [1, {train.n}]")
     started = time.perf_counter()
     triplets = sample_active_triplets(train, config.n_triplets, trial_seed)
     cache = build_cache(train, triplets)
@@ -142,11 +141,8 @@ def run_method(config, train, test):
     the largest accumulator drift of its epochs, the dual variables at -1,
     inside the box and at 0, and the metric's rank (matrices are not serialized).
     """
-    if test.d != train.d:
-        raise ValueError("train and test dimensions differ")
     if not np.ptp(train.points, axis=1).any():  # every u and v would be 0
         raise ValueError("degenerate dataset: zero total variance")
-    require_rankable(test)
     results = []
     for t in range(config.trials):
         results.append(train_trial(config, train, test, config.seed + t))
@@ -168,9 +164,9 @@ def run_method(config, train, test):
             {
                 "seed": r.seed,
                 **r.report.scores(),
-                "final_gap": float(r.solver_trace[-1][2]),
-                "epochs": int(r.solver_trace[-1][0]),
-                "max_drift": max(row[4] for row in r.solver_trace),
+                "final_gap": r.solver_trace[-1].duality_gap,
+                "epochs": r.solver_trace[-1].epoch,
+                "max_drift": max(row.accumulator_drift for row in r.solver_trace),
                 "alpha_at_lower": int(np.count_nonzero(r.alpha == -1.0)),
                 "alpha_interior": int(np.count_nonzero((r.alpha > -1.0) & (r.alpha < 0.0))),
                 "alpha_at_zero": int(np.count_nonzero(r.alpha == 0.0)),

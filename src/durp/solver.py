@@ -36,6 +36,7 @@ S from alpha and checking, and recording, the drift of the running S.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,8 @@ DRIFT_TOL = 1e-6
 BLOCK = 64  # coordinates per sweep block; measured, see CHANGES.md
 
 LOSS_KINDS = ("hinge", "smoothed_hinge")
+
+TraceRow = namedtuple("TraceRow", "epoch dual_objective duality_gap seconds accumulator_drift")
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,10 @@ class SolverState:
 
 @dataclass
 class DualSolution:
-    """Final iterate plus the per-epoch trace (epoch, objective, gap, seconds, drift).
+    """Final iterate plus the trace: one :data:`TraceRow` per epoch, the trace CSV's columns.
 
-    ``drift`` is the relative max-entry difference between the running S
-    and S rebuilt from alpha at the end of the epoch.  The reference
+    ``accumulator_drift`` is the relative max-entry difference between the
+    running S and S rebuilt from alpha at the end of the epoch.  The reference
     solver's ``pga_solve`` runs no epochs and solves K problems at once:
     ``alpha`` is K x N, ``objective`` and ``gap`` have one entry per
     problem, and the trace is the single row (steps summed over the K
@@ -154,14 +157,18 @@ def certificate(alpha, r, loss, lam):
         raise ValueError("alpha leaves the box [-1, 0]")
     n = len(alpha)
     lam_n = lam * n
-    quad = float(alpha @ r)
-    dual = float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam_n))
-    # 0.5 * lam * quad can overflow where the term does not; applying quad's
-    # power of two last keeps the bits of 0.5 * lam * quad / lam_n**2
-    mant, exp = np.frexp(quad)
-    norm_term = float(np.ldexp(0.5 * lam * mant / lam_n**2, exp))
-    primal = norm_term + float(np.mean(loss.value(-r / lam_n)))
-    return dual, max(primal - dual / n, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is refused below
+        quad = float(alpha @ r)
+        dual = float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam_n))
+        # 0.5 * lam * quad can overflow where the term does not; applying quad's
+        # power of two last keeps the bits of 0.5 * lam * quad / lam_n**2
+        mant, exp = np.frexp(quad)
+        norm_term = float(np.ldexp(0.5 * lam * mant / lam_n**2, exp))
+        primal = norm_term + float(np.mean(loss.value(-r / lam_n)))
+    gap = primal - dual / n
+    if not np.isfinite(gap):
+        raise ValueError(f"the duality gap overflows at lambda = {lam:g}; the data are too large")
+    return dual, max(gap, 0.0)
 
 
 def _sweep(state, order, step):
@@ -267,7 +274,7 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
 
     def record(epoch, drift):
         obj, gap = certificate(state.alpha, margins(state.U, state.V, state.S), loss, lam)
-        trace.append((epoch, obj, gap, time.perf_counter() - start, drift))
+        trace.append(TraceRow(epoch, obj, gap, time.perf_counter() - start, drift))
         return gap
 
     gap = record(1, sgd_epoch(state, loss, rng.permutation(n)))
@@ -277,4 +284,5 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
         gap = record(epoch, sdca_epoch(state, loss, rng.permutation(n)))
     if gap_tol is not None and gap > gap_tol:
         raise ValueError(f"solver stopped at gap {gap:.3e} > tolerance {gap_tol:.1e}")
-    return DualSolution(alpha=state.alpha, objective=trace[-1][1], gap=gap, trace=trace)
+    return DualSolution(alpha=state.alpha, objective=trace[-1].dual_objective, gap=gap,
+                        trace=trace)

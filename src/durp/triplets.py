@@ -66,8 +66,7 @@ def sample_active_triplets(data, n_triplets, seed):
     of max(1, SAMPLE_BYTES // (8 d)); the first N kept, in draw order, are
     returned, and only the first MAX_DRAW_FACTOR * N draws count, so a
     smaller N gives a prefix of a larger one.  Deterministic given
-    ``seed``; the stream depends on d through the block size, and a seed's
-    triplets differ from those of earlier, one-draw-per-step versions.
+    ``seed``; the stream depends on d through the block size.
 
     Raises
     ------

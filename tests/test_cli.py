@@ -17,6 +17,7 @@ from durp.data import LabeledDataset, eigen_spectrum, load_split
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
 from durp.metric import load_metric, save_metric
+from durp.solver import TraceRow
 from durp.synth import gaussian_blobs
 
 from oracles import serialize_libsvm
@@ -500,9 +501,29 @@ def test_gap_at_large_data_and_lambda_is_finite(lam, tmp_path):
     assert np.isfinite(json.loads(done.stdout)["trials"][0]["final_gap"])
 
 
+# at the other corner, a small lambda puts 1/lambda into the gap's norm term:
+# below about 1e-30 on this data it overflowed into warnings and an inf gap
+@pytest.mark.parametrize("lam, trains", [("1e-30", True), ("1e-35", False), ("1e-152", False)])
+def test_gap_at_large_data_and_small_lambda_is_finite_or_refused(lam, trains, tmp_path):
+    blobs = gaussian_blobs(4, 60, 2, seed=0)
+    done = durp_warnings_as_errors([
+        "train", "--method", "durp", "--triplets", "200", "--m", "2", "--trials", "1",
+        "--lambda", lam,
+        "--train-file", blob_file(tmp_path / "train.svm", 1e70, slice(0, 40), blobs),
+        "--test-file", blob_file(tmp_path / "test.svm", 1e70, slice(40, 60), blobs),
+    ])
+    if trains:
+        assert done.returncode == 0, done.stderr
+        assert np.isfinite(json.loads(done.stdout)["trials"][0]["final_gap"])
+    else:
+        assert done.returncode == 2
+        assert done.stderr == f"error: the duality gap overflows at lambda = {lam}; " \
+                              "the data are too large\n"
+
+
 def fake_trial(config, train, test, seed, map_score=0.5):
     """A ``train_trial`` stand-in: no full-size run."""
-    trace = [(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
+    trace = [TraceRow(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch
     return TrialResult(seed, EvalReport(map_score, 0.5, 1, 0), np.eye(train.d),
                        np.zeros(1), trace, 0.0)
 

@@ -5,6 +5,7 @@ only its ``cli`` module renders output files, only ``data`` and ``cli``
 read LIBSVM text, only ``gram`` picks a Gram route or reads its size cap,
 only ``metric`` imports ``struct`` (it alone knows the metric file layout),
 ``evaluate``'s scorers raise nothing (``evaluate_metric`` is the one gate),
+only ``evaluate.require_scorable`` refuses a train/test split,
 no flag of ``cli`` has a literal default, and the package root binds no
 name.
 
@@ -268,6 +269,44 @@ def test_the_scorers_leave_every_refusal_to_evaluate_metric():
     defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     assert set(SCORERS) <= defined
     assert raises_in(source, SCORERS) == []
+
+
+SPLIT_MESSAGES = ("train and test dimensions differ", "needs at least two test points",
+                  "no query had a same-class candidate", "k must be in [1, ")
+
+
+def split_refusals(source):
+    """(line, top-level name) for each ``raise`` whose string parts hold a split message."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                text = "".join(part.value for part in ast.walk(node)
+                               if isinstance(part, ast.Constant) and isinstance(part.value, str))
+                if any(message in text for message in SPLIT_MESSAGES):
+                    found.append((node.lineno, getattr(top, "name", None)))
+    return sorted(found)
+
+
+def test_split_refusals_detected():
+    source = ("def gate(train, test, k):\n    if test.n < 2:\n"
+              "        raise ValueError('evaluation needs at least two test points')\n"
+              "def run(train, k):\n    if k > train.n:\n"
+              "        raise ValueError(f'k must be in [1, {train.n}]')\n"
+              "    raise ValueError('m must be positive')\n"
+              "class C:\n    def f(self):\n"
+              "        raise ValueError('train and test dimensions differ')\n"
+              "if x:\n    raise ValueError('no query had a same-class candidate')\n")
+    assert split_refusals(source) == [(3, "gate"), (6, "run"), (10, "C"), (12, None)]
+
+
+def test_only_require_scorable_refuses_a_split():
+    found = [
+        (path.name, name)
+        for path in sorted((ROOT / "src" / "durp").glob("*.py"))
+        for _, name in split_refusals(path.read_text())
+    ]
+    assert found == [("evaluate.py", "require_scorable")] * len(SPLIT_MESSAGES)
 
 
 def literal_defaults(source):

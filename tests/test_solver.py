@@ -529,3 +529,7 @@ def test_trace_csv_format(monkeypatch, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,dual_objective,duality_gap,seconds,accumulator_drift"
     assert len(lines) == 3
+    # every cell reads back to the value in the trace, floats to the last bit
+    for line, row in zip(lines[1:], solution.trace):
+        epoch, *floats = line.split(",")
+        assert (int(epoch), *map(float, floats)) == tuple(row)
