@@ -7,9 +7,16 @@ Ties are deterministic: equal computed distances keep index order (stable
 sort), k-NN vote ties go to the smallest class id.  Rounding may give copies
 of one point different computed distances, and so decide their order.
 
+mAP sorts each query row's values, not its indices: in a row whose sorted
+distances strictly increase, a relevant point's rank is the place of its
+distance in that sort (``searchsorted``).  Rows with equal neighbours (a
+tie, NaN, or +0.0 next to -0.0) rank by a stable index sort instead, so
+both routes give the stable order's ranks.
+
 Distances between the embedded points L^T x of a metric's factor L arrive
-in query blocks from :func:`durp.metric.sq_distance_blocks`, each scored with
-whole-block array operations, so memory is bounded by a few blocks.
+in query blocks from :func:`durp.metric.sq_distance_blocks`, each sorted and
+compared with whole-block array operations, so memory is bounded by a few
+blocks.
 """
 
 from __future__ import annotations
@@ -34,19 +41,6 @@ class EvalReport:
         """The report's JSON entries."""
         return {"map": self.map_score, "knn_accuracy": self.knn_accuracy,
                 "n_queries": self.n_queries, "excluded_queries": self.excluded_queries}
-
-
-def _stable_argsort(dist):
-    """Row-wise ``argsort(kind="stable")``, through the faster unstable sort.
-
-    A row whose sorted values strictly increase has one ascending order, so
-    only rows with equal (or NaN) neighbours are sorted again, stably.
-    """
-    order = np.argsort(dist, axis=1)
-    ranked = np.take_along_axis(dist, order, axis=1)
-    for r in np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)):
-        order[r] = np.argsort(dist[r], kind="stable")
-    return order
 
 
 def require_scorable(train, test, k):
@@ -74,20 +68,24 @@ def ranking_map(L, test):
     excluded = 0
     for rows, dist in sq_distance_blocks(L.T @ test.points):
         queries = np.arange(test.n)[rows]
-        # each query sorts first in its own row, ahead of the others' stable order
+        # each query sorts first in its own row, ahead of every other point
         dist[np.arange(queries.size), queries] = -np.inf
-        hits = labels[_stable_argsort(dist)[:, 1:]] == labels[queries, None]
-        row, rank = np.nonzero(hits)
-        counts = np.count_nonzero(hits, axis=1)
-        found = np.arange(row.size) - (np.cumsum(counts) - counts)[row]  # hits before it
-        precisions = ((found + 1) / (rank + 1)).tolist()
-        start = 0
-        for count in counts.tolist():
+        same = labels == labels[queries, None]
+        ranked = np.sort(dist, axis=1)
+        relevant = np.sort(np.where(same, dist, np.inf), axis=1)
+        tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        counts = np.count_nonzero(same, axis=1) - 1  # the query's own entry is not retrieved
+        for r, count in enumerate(counts.tolist()):
             if count == 0:
                 excluded += 1
                 continue
-            ap_values.append(sum(precisions[start:start + count]) / count)
-            start += count
+            if tied[r]:
+                # equal (or NaN) values: rank by the stable order, as index order decides
+                pos = np.flatnonzero(same[r, np.argsort(dist[r], kind="stable")[1:]]) + 1
+            else:
+                # one ascending order: a value's place in the sorted row is its rank
+                pos = ranked[r].searchsorted(relevant[r, 1:count + 1])
+            ap_values.append(sum((np.arange(1, count + 1) / pos).tolist()) / count)
     # builtin sum at both levels, as in the naive oracle, so the two agree bit
     # for bit on any Python (from 3.12 on, sum of floats is compensated and
     # no longer equals a left-to-right loop)

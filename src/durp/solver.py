@@ -204,7 +204,10 @@ def _sweep(state, order, step):
     scale = max(float(np.abs(rebuilt).max()), 1e-30)
     drift = float(np.abs(S - rebuilt).max()) / scale
     if drift > DRIFT_TOL:
-        raise ValueError(f"accumulator drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
+        raise ValueError(f"accumulator drift {drift:.3e} exceeds {DRIFT_TOL:.1e}: large feature "
+                         "values make S tiny next to the rank-one terms summed into it, so "
+                         "rounding swamps it; rescale the features (e.g. to a largest "
+                         "|value| of 1)")
     state.S = rebuilt
     return drift
 

@@ -7,8 +7,9 @@ package itself does not need (single Gram entries, the Kronecker
 embedding, the matrix-free Gram product and dual objective, kappa by power
 iteration, the primal form of the subgradient seed epoch, the array form
 of the loss derivative, the d x d lift of a subspace metric, the
-allocating projected-gradient loop, the accumulator without row bands)
-live here too, with the LIBSVM writer that makes the test files.
+allocating projected-gradient loop, the accumulator without row bands,
+mAP from one index sort per query row) live here too, with the LIBSVM
+writer that makes the test files.
 """
 
 import numpy as np
@@ -182,6 +183,29 @@ def naive_map(L, points, labels):
     return sum(ap_values) / len(ap_values), len(ap_values), excluded
 
 
+def argsort_map(L, test):
+    """``evaluate.ranking_map`` by one stable index sort per query row.
+
+    Scores the same distance blocks as the package, so the two must agree
+    bit for bit at any size; ``naive_map`` computes its own distances and
+    is too slow beyond a few hundred points.
+    """
+    labels = test.labels
+    ap_values = []
+    excluded = 0
+    for rows, dist in metric.sq_distance_blocks(L.T @ test.points):
+        queries = np.arange(test.n)[rows]
+        dist[np.arange(queries.size), queries] = -np.inf  # each query ranks itself first
+        hits = labels[np.argsort(dist, axis=1, kind="stable")[:, 1:]] == labels[queries, None]
+        for row in hits:
+            rank = np.flatnonzero(row) + 1
+            if rank.size == 0:
+                excluded += 1
+                continue
+            ap_values.append(sum((np.arange(1, rank.size + 1) / rank).tolist()) / rank.size)
+    return sum(ap_values) / len(ap_values), len(ap_values), excluded
+
+
 def naive_knn(L, train_points, train_labels, test_points, test_labels, k):
     """k-NN accuracy under the metric L L^T, with explicit loops and documented tie rules.
 
@@ -239,6 +263,28 @@ def lattice_problem(d, n, n_classes, seed):
     B = rng.integers(-1, 2, size=(d, d)).astype(np.float64)
     points = rng.integers(-2, 3, size=(d, n)).astype(np.float64)
     return B, LabeledDataset(points, rng.integers(0, n_classes, size=n))
+
+
+def planted_tie_problem(d, n, n_classes, seed):
+    """Widely spread integer points, with one planted tie across classes; returns (B, data).
+
+    Coordinates in [-1000, 1000] and a factor B in {-1, 0, 1} keep every
+    squared distance an integer below 2**53, computed exactly by any
+    summation order, yet so spread that rows of random points rarely tie.
+    Point 0 sees point 1 = x_0 - v (another class) and point 2 = x_0 + v
+    (its class) at exactly equal distance, so the stable order ranks the
+    relevant point 2 behind point 1.
+    """
+    rng = np.random.default_rng(seed)
+    B = rng.integers(-1, 2, size=(d, d)).astype(np.float64)
+    points = rng.integers(-1000, 1001, size=(d, n)).astype(np.float64)
+    labels = rng.integers(0, n_classes, size=n)
+    v = rng.integers(1, 51, size=d)
+    points[:, 1] = points[:, 0] - v
+    points[:, 2] = points[:, 0] + v
+    labels[1] = (labels[0] + 1) % n_classes
+    labels[2] = labels[0]
+    return B, LabeledDataset(points, labels)
 
 
 def per_kind_loss_value(loss, z):

@@ -521,6 +521,28 @@ def test_gap_at_large_data_and_small_lambda_is_finite_or_refused(lam, trains, tm
                               "the data are too large\n"
 
 
+# the unit margin makes the optimal S tiny next to its rank-one terms as the
+# features grow, so the running S and its rebuild disagree in rounding: the
+# refusal must name the data scale, not only the drift
+@pytest.mark.parametrize("scale, trains", [(10.0, True), (100.0, False), (1e4, False)])
+def test_drift_refusal_names_the_feature_scale(scale, trains, tmp_path):
+    blobs = gaussian_blobs(64, 60, 2, seed=0)
+    done = durp_warnings_as_errors([
+        "train", "--method", "durp", "--triplets", "200", "--m", "2", "--trials", "1",
+        "--train-file", blob_file(tmp_path / "train.svm", scale, slice(0, 40), blobs),
+        "--test-file", blob_file(tmp_path / "test.svm", scale, slice(40, 60), blobs),
+    ])
+    if trains:
+        assert done.returncode == 0, done.stderr
+    else:
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: accumulator drift ")
+        assert "exceeds 1.0e-06: large feature values make S tiny next to the rank-one " \
+               "terms summed into it" in done.stderr
+        assert "rescale the features" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def fake_trial(config, train, test, seed, map_score=0.5):
     """A ``train_trial`` stand-in: no full-size run."""
     trace = [TraceRow(1, 0.0, 0.0, 0.0, 0.0)]  # a real solve always records at least one epoch

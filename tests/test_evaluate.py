@@ -6,17 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from durp import evaluate
 from durp.cli import main
 from durp.data import LabeledDataset
 from durp.evaluate import evaluate_metric, knn_accuracy, ranking_map
-from durp.metric import save_metric
+from durp.metric import save_metric, sq_distance_blocks
 from durp.synth import gaussian_blobs
 
 from oracles import (
+    argsort_map,
     cap_block_rows,
     lattice_problem,
     naive_knn,
     naive_map,
+    planted_tie_problem,
     serialize_libsvm,
     with_copies,
 )
@@ -30,7 +33,11 @@ def random_factor(rng, d):
 
 
 def map_cases():
-    """(B, data, excluded): blobs, blobs with copies and a singleton class, lattices."""
+    """(B, data, excluded): blobs, blobs with copies and a singleton class, lattices.
+
+    In a lattice nearly every row ties; in a planted-tie problem one row
+    ties across classes among rows that strictly increase, in one block.
+    """
     for seed in range(8):
         rng = np.random.default_rng(seed)
         data = gaussian_blobs(5, 30, 3, seed=seed)
@@ -39,6 +46,16 @@ def map_cases():
         yield B, with_copies(data, seed=seed), 1
         B, data = lattice_problem(4, 40, 3, seed=seed)
         yield B, data, None
+        B, data = planted_tie_problem(4, 80, 3, seed=seed)
+        yield B, data, None
+
+
+def neighbour_ties(B, data):
+    """Per query row, the equal neighbours among its sorted distances to the other points."""
+    dist = next(sq_distance_blocks(B.T @ data.points))[1]
+    dist[np.arange(data.n), np.arange(data.n)] = -np.inf
+    ranked = np.sort(dist, axis=1)
+    return np.count_nonzero(ranked[:, 1:] == ranked[:, :-1], axis=1)
 
 
 def test_ranking_map_matches_naive(monkeypatch):
@@ -49,6 +66,50 @@ def test_ranking_map_matches_naive(monkeypatch):
         for rows in BLOCK_ROWS:
             cap_block_rows(monkeypatch, rows, data.n)
             assert ranking_map(B, data) == (ref_score, ref_inc, ref_exc)
+
+
+def test_planted_ties_share_blocks_with_increasing_rows():
+    for seed in range(8):
+        B, data = planted_tie_problem(4, 80, 3, seed=seed)
+        ties = neighbour_ties(B, data)
+        assert ties[0] > 0
+        assert np.count_nonzero(ties) < data.n // 2
+
+
+def test_a_signed_zero_tie_takes_the_stable_order(monkeypatch):
+    # the distance route never computes -0.0 (it subtracts from a sum of
+    # squares), so one is put in: a row with a +0.0 and a -0.0 still ties
+    B, data = planted_tie_problem(4, 80, 3, seed=0)
+    q = 3
+    other = (data.labels[q] + 1) % 3
+    data = LabeledDataset(np.hstack([data.points, data.points[:, [q, q]]]),
+                          np.concatenate([data.labels, [other, data.labels[q]]]))
+    assert neighbour_ties(B, data)[q] == 1  # the copies' zeros are the row's one tie
+    real = evaluate.sq_distance_blocks
+
+    def negative_zero(X):
+        for rows, dist in real(X):
+            if rows.start <= q < rows.start + len(dist):
+                assert dist[q - rows.start, -1] == 0.0
+                dist[q - rows.start, -1] = -0.0
+            yield rows, dist
+
+    ref = naive_map(B, data.points, data.labels)
+    monkeypatch.setattr(evaluate, "sq_distance_blocks", negative_zero)
+    for rows in BLOCK_ROWS:
+        cap_block_rows(monkeypatch, rows, data.n)
+        assert ranking_map(B, data) == ref
+
+
+def test_ranking_map_matches_the_argsort_oracle_at_a_mid_shape():
+    # 600 points, where naive_map would spend seconds per case in Python loops
+    rng = np.random.default_rng(0)
+    data = gaussian_blobs(16, 600, 10, seed=0)
+    L = rng.normal(size=(16, 8))
+    for case in (data, with_copies(data, seed=0)):
+        assert ranking_map(L, case) == argsort_map(L, case)
+    B, lattice = lattice_problem(16, 600, 10, seed=0)
+    assert ranking_map(B[:, :8], lattice) == argsort_map(B[:, :8], lattice)
 
 
 def test_ranking_map_excludes_singleton_classes():
