@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_LIMIT = 4000
-CHUNK = 1024  # triplet columns per reduceat split of the accumulator; the splits set its bits
+CHUNK = 1024  # triplet columns per accumulator split, which sets its bits; cache_margins slices too
 BAND_BYTES = 1 << 20  # bytes of point rows per band of the accumulator; sets locality, never bits
 
 

@@ -20,10 +20,11 @@ block Gram G_B at once, takes the steps in order, each reading its G[t, t]
 from the diagonal of G_B, and after each nonzero change delta_q adds
 delta_q G[q, q'] to the margins of the block's later coordinates q'.
 S then takes the whole block as U_B diag(delta) U_B^T - V_B diag(delta)
-V_B^T, two GEMMs.  Every
-step sees the margin a one-at-a-time visit would see, so the iterates are
-those of sequential coordinate ascent up to rounding (the maintained-``w``
-trick of Hsieh et al., ICML 2008), not those of mini-batch ascent.
+V_B^T, two GEMMs.  Every step sees the margin a one-at-a-time visit would
+see, so the iterates are those of sequential coordinate ascent up to
+rounding (the maintained-``w`` trick of Hsieh et al., ICML 2008), not
+those of mini-batch ascent.  No p x N array is held: blocks and
+:func:`cache_margins` gather from the points.
 
 The first epoch is stochastic subgradient with step 1/(lam s) written in
 dual variables (Shalev-Shwartz & Zhang, JMLR 2013): after s visits its
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import accumulator, dense_gram, margins
+from .gram import CHUNK, accumulator, dense_gram, margins
 from .triplets import differences
 
 FEASIBILITY_TOL = 1e-12
@@ -108,11 +109,9 @@ class LossModel:
 
 @dataclass
 class SolverState:
-    """The problem (cache, its gathered columns U, V, lam) plus alpha and S."""
+    """The problem (cache, lam) plus alpha and S; each sweep block gathers its own columns."""
 
     cache: object
-    U: np.ndarray
-    V: np.ndarray
     lam: float
     alpha: np.ndarray
     S: np.ndarray
@@ -137,12 +136,22 @@ class DualSolution:
 
 
 def init_state(cache, lam):
-    """The zero iterate alpha = 0, S = 0 on ``cache``, whose columns it gathers once."""
+    """The zero iterate alpha = 0, S = 0 on ``cache``; it gathers no columns."""
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
     p = cache.space_dim
-    U, V = differences(cache)
-    return SolverState(cache=cache, U=U, V=V, lam=lam, alpha=np.zeros(cache.n), S=np.zeros((p, p)))
+    return SolverState(cache=cache, lam=lam, alpha=np.zeros(cache.n), S=np.zeros((p, p)))
+
+
+def cache_margins(cache, S):
+    """``margins(*differences(cache), S)`` in column slices that start at multiples of ``CHUNK``.
+
+    The last slice runs to N, so no slice is narrower than CHUNK columns
+    unless N is (README, Determinism: where the slices keep the bits).
+    """
+    edges = [*range(0, max(cache.n - CHUNK, 1), CHUNK), cache.n]
+    return np.concatenate([margins(*differences(cache, slice(a, b)), S)
+                           for a, b in zip(edges, edges[1:])])
 
 
 def certificate(alpha, r, loss, lam):
@@ -185,8 +194,7 @@ def _sweep(state, order, step):
     order = np.asarray(order)
     for b in range(0, len(order), BLOCK):
         block = order[b:b + BLOCK]
-        U_B = state.U.take(block, axis=1)
-        V_B = state.V.take(block, axis=1)
+        U_B, V_B = differences(state.cache, block)
         r = margins(U_B, V_B, S)
         G_B = dense_gram(U_B, V_B)
         deltas = np.zeros(len(block))
@@ -276,7 +284,7 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
     start = time.perf_counter()
 
     def record(epoch, drift):
-        obj, gap = certificate(state.alpha, margins(state.U, state.V, state.S), loss, lam)
+        obj, gap = certificate(state.alpha, cache_margins(cache, state.S), loss, lam)
         trace.append(TraceRow(epoch, obj, gap, time.perf_counter() - start, drift))
         return gap
 

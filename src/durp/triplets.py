@@ -5,7 +5,7 @@ different-class point k.  It is *active* when the unit-margin Euclidean
 hinge is violated, i.e. ``1 + ||x_i - x_j||^2 - ||x_i - x_k||^2 > 0``.
 The cache keeps triplets as indices into the points; the solver gathers
 the difference vectors u = x_i - x_k (across classes) and
-v = x_i - x_j (within class) once, in the space it runs in.
+v = x_i - x_j (within class) block by block, in the space it runs in.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ class TripletCache:
     copy) and ``triplets`` the (N, 3) rows (i, j, k), N >= 1: every layer
     below the cache may assume at least one triplet.  Nothing of size
     p x N is stored: the solver gathers the difference columns of the
-    space it runs in (:func:`differences`), and the accumulator rebuilds
-    sum_t alpha_t A_t from the n points.  ``space_dim`` is the ambient
-    dimension, which changes under projection.
+    space it runs in block by block (:func:`differences`), and the
+    accumulator rebuilds sum_t alpha_t A_t from the n points.
+    ``space_dim`` is the ambient dimension, which changes under projection.
     """
 
     points: np.ndarray
@@ -133,11 +133,13 @@ def project_cache(cache, R):
     return TripletCache(R.T @ cache.points, cache.triplets)
 
 
-def differences(cache):
-    """The gathered difference columns U = x_i - x_k and V = x_i - x_j, p x N each.
+def differences(cache, index=slice(None)):
+    """The difference columns U = x_i - x_k and V = x_i - x_j of ``triplets[index]`` (default all).
 
-    ``take`` gathers into C order, so both come out C-contiguous.
+    ``take`` gathers into C order, so both are C-contiguous; V is the anchors less x_j, in place.
     """
-    X, t = cache.points, cache.triplets
-    anchors = X.take(t[:, 0], axis=1)
-    return anchors - X.take(t[:, 2], axis=1), anchors - X.take(t[:, 1], axis=1)
+    X, t = cache.points, cache.triplets[index]
+    V = X.take(t[:, 0], axis=1)
+    U = V - X.take(t[:, 2], axis=1)
+    V -= X.take(t[:, 1], axis=1)
+    return U, V

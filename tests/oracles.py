@@ -8,15 +8,16 @@ embedding, the matrix-free Gram product and dual objective, kappa by power
 iteration, the primal form of the subgradient seed epoch, the array form
 of the loss derivative, the d x d lift of a subspace metric, the
 allocating projected-gradient loop, the accumulator without row bands,
-mAP from one index sort per query row) live here too, with the LIBSVM
+mAP from one index sort per query row, the block sweep on difference
+columns gathered once for all N triplets) live here too, with the LIBSVM
 writer that makes the test files.
 """
 
 import numpy as np
 
-from durp import gram, metric, reference
+from durp import gram, metric, reference, solver
 from durp.data import LabeledDataset
-from durp.gram import accumulator, dense_gram, gram_factor
+from durp.gram import accumulator, dense_gram, gram_factor, margins
 from durp.solver import DualSolution, certificate
 from durp.triplets import differences
 
@@ -411,9 +412,10 @@ def sequential_sdca_epoch(state, loss, order):
     reproduce.  Updates ``state`` in place (no drift refresh).
     """
     lam_n = state.lam * state.cache.n
+    U, V = differences(state.cache)
     for t in order:
-        u, v = state.U[:, t], state.V[:, t]
-        g_tt = gram_entry(state.U, state.V, t, t)
+        u, v = U[:, t], V[:, t]
+        g_tt = gram_entry(U, V, t, t)
         c_t = float(u @ (state.S @ u) - v @ (state.S @ v)) - state.alpha[t] * g_tt
         if loss.kind == "hinge":
             if g_tt > 0.0:
@@ -428,6 +430,44 @@ def sequential_sdca_epoch(state, loss, order):
             state.S -= delta * np.outer(v, v)
             state.alpha[t] = new
     return state
+
+
+def stored_column_sweep(state, order, step):
+    """``solver._sweep`` on U, V gathered once for all N triplets, each block taking its columns.
+
+    The sweep as it ran while the solver state held both p x N arrays.
+    ``solver.BLOCK``, ``solver.DRIFT_TOL`` and ``solver.accumulator`` are
+    read at call time, so a patched value applies to both sweeps.  The
+    production sweep gathers each block from the points and must give these
+    bytes: alpha, S and the drift.
+    """
+    U, V = differences(state.cache)
+    alpha, S = state.alpha, state.S
+    order = np.asarray(order)
+    for b in range(0, len(order), solver.BLOCK):
+        block = order[b:b + solver.BLOCK]
+        U_B = U.take(block, axis=1)
+        V_B = V.take(block, axis=1)
+        r = margins(U_B, V_B, S)
+        G_B = dense_gram(U_B, V_B)
+        deltas = np.zeros(len(block))
+        current = zip(block.tolist(), alpha[block].tolist(), G_B.diagonal().tolist())
+        for q, (t, a_t, g) in enumerate(current):
+            new = step(b + q, a_t, float(r[q]), g)
+            delta = new - a_t
+            if delta != 0.0:
+                alpha[t] = new
+                deltas[q] = delta
+                r[q + 1:] += delta * G_B[q, q + 1:]
+        S += (U_B * deltas) @ U_B.T
+        S -= (V_B * deltas) @ V_B.T
+    rebuilt = solver.accumulator(state.cache, alpha)
+    scale = max(float(np.abs(rebuilt).max()), 1e-30)
+    drift = float(np.abs(S - rebuilt).max()) / scale
+    if drift > solver.DRIFT_TOL:
+        raise ValueError(f"accumulator drift {drift:.3e} exceeds {solver.DRIFT_TOL:.1e}")
+    state.S = rebuilt
+    return drift
 
 
 def textbook_pga(cache, loss, lam, gap_tol=1e-8):

@@ -1,5 +1,6 @@
 """Loss models, coordinate updates, the seeded first epoch, and the full solver."""
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from durp.projection import gaussian_matrix
 from durp.reference import pga_solve
 from durp.solver import (
     LossModel,
+    cache_margins,
     certificate,
     csdca_solve,
     init_state,
@@ -35,6 +37,7 @@ from oracles import (
     per_kind_loss_value,
     primal_sgd_epoch,
     sequential_sdca_epoch,
+    stored_column_sweep,
     textbook_pga,
 )
 
@@ -294,6 +297,93 @@ def test_block_sdca_epoch_matches_sequential_oracle(monkeypatch, block):
             assert err <= 1e-12
             worst = max(worst, err)
     print(f"block {solver.BLOCK}: worst alpha difference {worst:.1e}")
+
+
+def duori_instance():
+    """duori's shape at desk size: a d = 64 cache solved in its own space.
+
+    N = 2100 leaves a short last sweep block (52 of 64 coordinates) and
+    takes the certificate margins in two slices (1024 and 1076 columns).
+    The optimum mixes coordinates at -1, at 0 and strictly inside.
+    """
+    data = gaussian_blobs(64, 300, 4, seed=0, noise=1.0 / np.sqrt(128))
+    cache = build_cache(data, sample_active_triplets(data, 2100, seed=0))
+    return cache, 1.0 / cache.n
+
+
+def scheduled_epochs(cache, loss, lam, margins_of):
+    """csdca_solve's three epochs run by hand: (state, rows without the seconds column)."""
+    rng = np.random.default_rng(0)
+    state = init_state(cache, lam)
+    rows = []
+    for epoch in (1, 2, 3):
+        drift = (sgd_epoch if epoch == 1 else sdca_epoch)(state, loss, rng.permutation(cache.n))
+        rows.append((epoch, *certificate(state.alpha, margins_of(cache, state.S), loss, lam), drift))
+    return state, rows
+
+
+@pytest.mark.parametrize("loss", [LossModel("hinge"), LossModel("smoothed_hinge", gamma=0.5)],
+                         ids=["hinge", "smoothed_hinge"])
+def test_block_gathers_keep_the_stored_column_bits(monkeypatch, loss):
+    # each block's columns gathered from the points against the sweep on U, V
+    # gathered once, certified on the margins of one call on all N columns
+    cache, lam = duori_instance()
+    assert cache.space_dim >= 64 and cache.n % solver.BLOCK and cache.n > 2 * gram.CHUNK
+    solution = csdca_solve(cache, loss, lam, epochs=3, seed=0)
+    state, rows = scheduled_epochs(cache, loss, lam, cache_margins)
+    monkeypatch.setattr(solver, "_sweep", stored_column_sweep)
+    stored, stored_rows = scheduled_epochs(cache, loss, lam,
+                                           lambda c, S: margins(*differences(c), S))
+    assert solution.alpha.tobytes() == state.alpha.tobytes() == stored.alpha.tobytes()
+    assert state.S.tobytes() == stored.S.tobytes()
+    traced = [(r.epoch, r.dual_objective, r.duality_gap, r.accumulator_drift)
+              for r in solution.trace]
+    assert np.array(traced).tobytes() == np.array(rows).tobytes() == np.array(stored_rows).tobytes()
+    interior = (stored.alpha > -1.0) & (stored.alpha < 0.0)
+    assert 0 < interior.sum() < cache.n
+
+
+@pytest.mark.parametrize("p", [10, 64])
+@pytest.mark.parametrize("n", [2 * gram.CHUNK - 3, 5 * gram.CHUNK + 77])
+def test_cache_margins_are_the_bytes_of_one_call(p, n):
+    # 2 CHUNK - 3 columns are one slice; 5 CHUNK + 77 are five, the last 1101 wide
+    rng = np.random.default_rng(p + n)
+    cache = TripletCache(rng.normal(size=(p, 400)), rng.integers(0, 400, size=(n, 3)))
+    S = rng.normal(size=(p, p))
+    S += S.T
+    assert cache_margins(cache, S).tobytes() == margins(*differences(cache), S).tobytes()
+
+
+def test_cache_margins_round_within_an_ulp_of_one_call_at_mid_p():
+    # at 16 <= p <= 31 OpenBLAS can run a slice of about CHUNK columns on its
+    # small-matrix kernel and all N columns on the large one, which may round
+    # a ragged last few columns differently (README, Determinism)
+    rng = np.random.default_rng(24)
+    p, n = 24, 2100
+    cache = TripletCache(rng.normal(size=(p, 400)), rng.integers(0, 400, size=(n, 3)))
+    S = rng.normal(size=(p, p))
+    S += S.T
+    one_call = margins(*differences(cache), S)
+    err = float(np.abs(cache_margins(cache, S) - one_call).max())
+    print(f"p = {p}, N = {n}: largest margin difference {err:.1e}")
+    assert err <= 4 * np.finfo(float).eps * float(np.abs(one_call).max())
+
+
+def test_solve_holds_less_than_one_p_by_n_array():
+    # N = 40 n at p = 32: the two stored p x N difference arrays of earlier
+    # solvers alone were twice the bound
+    rng = np.random.default_rng(0)
+    p, n_points, n = 32, 300, 12000
+    cache = TripletCache(rng.normal(size=(p, n_points)) / np.sqrt(p),
+                         rng.integers(0, n_points, size=(n, 3)))
+    tracemalloc.start()
+    try:
+        csdca_solve(cache, LossModel("hinge"), 1.0 / n, epochs=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"solver peak {peak / 1e6:.2f} MB against one p x N array of {8 * p * n / 1e6:.2f} MB")
+    assert peak < 8 * p * n
 
 
 def test_drift_stays_below_tolerance_at_100k_triplets():
