@@ -3,20 +3,25 @@
     python3 scripts/answers.py [--tiny] > answers.jsonl
 
 Runs each train workload of ``perfbench/workloads.py`` at seeds 0-2 and
-``verify-t1`` once (its input has no seed), with the BLAS thread count
-that ``perfbench/run.py`` would use (``OPENBLAS_NUM_THREADS``, capped at
-the usable CPUs).  A train line holds the sha256 of alpha and of the
-factor's float64 bytes, ``map``, ``knn_acc`` and ``final_gap``; the
-``verify-t1`` line holds ``recovery_err``, the sha256 of the error array
-(one row per m of the sweep) and ``oracle_gap``.  Every line records
+``verify-t1`` once (its input has no seed), then ``verify_theorem2`` at
+its ``T2_CONFIG``, the one caller that stops the coordinate-ascent solver
+on its certificate, with the BLAS thread count that ``perfbench/run.py``
+would use (``OPENBLAS_NUM_THREADS``, capped at the usable CPUs).  A train
+line holds the sha256 of alpha and of the factor's float64 bytes,
+``map``, ``knn_acc`` and ``final_gap``; the ``verify-t1`` line holds
+``recovery_err``, the sha256 of the error array (one row per m of the
+sweep) and ``oracle_gap``; the ``verify-t2`` line holds the sha256 of the
+``measured`` column and ``oracle_gap``.  Every line records
 ``blas_threads``.  Two commits give the same answers when their outputs
 are equal byte for byte at the same thread count; bits may differ
-between thread counts.  ``--tiny`` runs the workloads at smoke-test size.
+between thread counts.  ``--tiny`` runs the workloads at smoke-test size
+and ``verify_theorem2`` on ``TINY_T2`` at m = ``TINY_T2_M``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -24,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
+TINY_T2 = {"d": 80, "n": 40, "n_triplets": 30, "seeds": (0, 1)}  # fields replaced in T2_CONFIG
+TINY_T2_M = 64
 # numpy is imported inside the functions: the BLAS thread cap must be set before it loads
 
 
@@ -66,6 +73,16 @@ def main(argv=None):
             line = {"workload": name, "seed": seed, "blas_threads": threads,
                     **answers(workload, seed)}
             print(json.dumps(line), flush=True)
+    from durp import harness
+
+    config, m = harness.T2_CONFIG, None
+    if args.tiny:
+        config, m = dataclasses.replace(config, **TINY_T2), TINY_T2_M
+    result = harness.verify_theorem2(config, m)
+    measured = [row["measured"] for row in result["rows"]]
+    line = {"workload": "verify-t2", "seed": None, "blas_threads": threads,
+            "measured_sha256": sha256(measured), "oracle_gap": result["oracle_gap"]}
+    print(json.dumps(line), flush=True)
     return 0
 
 

@@ -72,7 +72,8 @@ def ranking_map(L, test):
         dist[np.arange(queries.size), queries] = -np.inf
         same = labels == labels[queries, None]
         ranked = np.sort(dist, axis=1)
-        relevant = np.sort(np.where(same, dist, np.inf), axis=1)
+        relevant = np.where(same, dist, np.inf)
+        relevant.sort(axis=1)
         tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
         counts = np.count_nonzero(same, axis=1) - 1  # the query's own entry is not retrieved
         for r, count in enumerate(counts.tolist()):

@@ -73,7 +73,9 @@ def sq_distance_blocks(X, Y=None):
         # x + y - 2K in two blocks of the output's size instead of three
         D = x_q[rows, None] + y_q[None, :]
         K *= 2.0
-        yield rows, np.subtract(D, K, out=D)
+        np.subtract(D, K, out=D)
+        del K  # not held while the caller works on D
+        yield rows, D
 
 
 def save_metric(path, L):

@@ -13,11 +13,14 @@ lockstep, one row of K x N arrays each: the product is one stacked
 ``np.matmul``, and the step size and restart state are per-row vectors.
 The momentum coefficient depends only on the steps since a row's last
 restart, so the rows read it from one table of that sequence.  Every
-``CHECK_EVERY`` steps each running row is certified on its own; a row that
-meets the gap keeps its iterate, and the rows still running are
-compacted.  Each step runs in place but in the operation order of the
-allocating textbook loop (``textbook_pga`` in ``tests/oracles.py``), so
-every row's iterates are that loop's bits on its problem alone.
+``CHECK_EVERY`` steps one :func:`durp.solver.certificate` call certifies the
+running rows, each with its one-row bits; a row that meets the gap keeps
+its iterate, the rows still running are compacted, and the coefficients
+of each row's next ``CHECK_EVERY`` steps are read from the table into one
+block, of which each step takes the next entry per row.  Each step runs
+in place but in the operation order of the allocating textbook loop
+(``textbook_pga`` in ``tests/oracles.py``), so every row's iterates are
+that loop's bits on its problem alone.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def pga_solve(caches, loss, lam, gap_tol=1e-8):
 
     alpha = np.zeros((k, n))
     momentum = alpha.copy()
-    since = np.zeros((k, 1), dtype=np.int64)  # step of each row's last restart
+    since = np.zeros(k, dtype=np.int64)  # step of each row's last restart
     coefs, t_end = np.empty(0), 1.0  # the coefficient table and the t after its last entry
     best_obj = np.full(k, -np.inf)
     live = np.arange(k)  # the problem each running row solves
@@ -71,7 +74,7 @@ def pga_solve(caches, loss, lam, gap_tol=1e-8):
     while True:
         if iters_done % CHECK_EVERY == 0:
             r = product(B, alpha)
-            obj, row_gap = np.array([certificate(a, g, loss, lam) for a, g in zip(alpha, r)]).T
+            obj, row_gap = certificate(alpha, r, loss, lam)
             objective[live], gap[live] = obj, row_gap
             if iters_done:
                 # objective went backwards under momentum: restart those rows
@@ -87,6 +90,9 @@ def pga_solve(caches, loss, lam, gap_tol=1e-8):
                 live, B, step, alpha, momentum, since, best_obj = (
                     x[keep] for x in (live, B, step, alpha, momentum, since, best_obj))
             coefs, t_end = _momentum_coefficients(coefs, t_end, iters_done + CHECK_EVERY)
+            # block[q, row] is the row's coefficient q + 1 steps from here
+            block = coefs[np.arange(CHECK_EVERY)[:, None] + (iters_done - since)][:, :, None]
+            columns = iter(block)
         if not live.size or iters_done >= MAX_ITERS:
             break
         iters_done += 1
@@ -101,7 +107,7 @@ def pga_solve(caches, loss, lam, gap_tol=1e-8):
         new.clip(-1.0, 0.0, out=new)
         # momentum = clip(new + (t - 1) / t_next * (new - alpha))
         np.subtract(new, alpha, out=momentum)
-        momentum *= coefs[iters_done - 1 - since]
+        momentum *= next(columns)
         momentum += new
         momentum.clip(-1.0, 0.0, out=momentum)
         alpha = new

@@ -155,29 +155,34 @@ def cache_margins(cache, S):
 
 
 def certificate(alpha, r, loss, lam):
-    """(D(alpha), max(P(M(alpha)) - D(alpha)/N, 0)) from the margins r = G alpha.
+    """(D(alpha), max(P(M(alpha)) - D(alpha)/N, 0)) from the margins r = G alpha, row by row.
 
     r_t = <A_t, S>, so alpha^T G alpha = alpha . r, the margins of
     M = -S / (lam N) are -r / (lam N) and ||M||_F^2 = alpha . r / (lam N)^2.
     The gap is the mean-loss-scale optimality certificate; weak duality
     makes it nonnegative, and the clamp removes rounding below 0.
+
+    alpha and r hold one problem (length N, giving two scalars) or a K x N
+    stack, one problem per row (giving two length-K arrays); every value
+    reads only its row, so each row gets the bits of its one-row call.
     """
     if alpha.min() < -1.0 - FEASIBILITY_TOL or alpha.max() > FEASIBILITY_TOL:
         raise ValueError("alpha leaves the box [-1, 0]")
-    n = len(alpha)
+    n = alpha.shape[-1]
     lam_n = lam * n
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is refused below
-        quad = float(alpha @ r)
-        dual = float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam_n))
+        # per row, 1 x N times N x 1 is the dot that alpha @ r takes on one row
+        quad = np.matmul(alpha[..., None, :], r[..., :, None])[..., 0, 0]
+        dual = -np.sum(loss.conjugate(alpha), axis=-1) - quad / (2.0 * lam_n)
         # 0.5 * lam * quad can overflow where the term does not; applying quad's
         # power of two last keeps the bits of 0.5 * lam * quad / lam_n**2
         mant, exp = np.frexp(quad)
-        norm_term = float(np.ldexp(0.5 * lam * mant / lam_n**2, exp))
-        primal = norm_term + float(np.mean(loss.value(-r / lam_n)))
-    gap = primal - dual / n
-    if not np.isfinite(gap):
+        norm_term = np.ldexp(0.5 * lam * mant / lam_n**2, exp)
+        primal = norm_term + np.mean(loss.value(-r / lam_n), axis=-1)
+        gap = primal - dual / n
+    if not np.isfinite(gap).all():
         raise ValueError(f"the duality gap overflows at lambda = {lam:g}; the data are too large")
-    return dual, max(gap, 0.0)
+    return dual, np.maximum(gap, 0.0)
 
 
 def _sweep(state, order, step):

@@ -311,6 +311,23 @@ def array_loss_derivative(loss, z):
     return np.where(z >= 1.0, 0.0, np.where(z >= 1.0 - g, -(1.0 - z) / g, -1.0))
 
 
+def one_row_certificate(alpha, r, loss, lam):
+    """:func:`durp.solver.certificate` of one problem in Python floats, its box check aside.
+
+    The dot ``alpha @ r``, the sum of the conjugate and the mean of the loss
+    over the whole row, each taken to a Python float before it is combined.
+    """
+    n = len(alpha)
+    lam_n = lam * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(alpha @ r)
+        dual = float(-np.sum(loss.conjugate(alpha)) - quad / (2.0 * lam_n))
+        mant, exp = np.frexp(quad)
+        norm_term = float(np.ldexp(0.5 * lam * mant / lam_n**2, exp))
+        primal = norm_term + float(np.mean(loss.value(-r / lam_n)))
+    return dual, max(primal - dual / n, 0.0)
+
+
 def primal_sgd_epoch(cache, loss, lam, order):
     """The subgradient seed epoch written on the primal iterate M.
 
@@ -476,8 +493,8 @@ def textbook_pga(cache, loss, lam, gap_tol=1e-8):
     Every step allocates its arrays, clips with ``np.clip``, takes ``np.sqrt``
     of the momentum schedule and multiplies with ``@``.  It reads
     ``MAX_ITERS`` and ``CHECK_EVERY`` from the module at call time, so a
-    patched limit applies to both loops.  ``restarts`` counts the checks at
-    which the objective went backwards and momentum was reset.
+    patched limit applies to both loops.  ``restarts`` lists, in order, the
+    steps at whose check the objective went backwards and momentum was reset.
     """
     n = cache.n
     U, V = differences(cache)
@@ -509,7 +526,7 @@ def textbook_pga(cache, loss, lam, gap_tol=1e-8):
     momentum = alpha.copy()
     t_accel = 1.0
     best_obj = -np.inf
-    restarts = 0
+    restarts = []
     obj, gap = certificate(alpha, product(alpha), loss, lam)
     iters_done = 0
     while gap > gap_tol and iters_done < reference.MAX_ITERS:
@@ -524,7 +541,7 @@ def textbook_pga(cache, loss, lam, gap_tol=1e-8):
             if obj < best_obj:
                 momentum = alpha.copy()
                 t_accel = 1.0
-                restarts += 1
+                restarts.append(iters_done)
             best_obj = max(best_obj, obj)
     if gap > gap_tol:
         raise ValueError(f"reference solve stalled at gap {gap:.3e} > {gap_tol:.1e}")

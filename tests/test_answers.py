@@ -15,10 +15,11 @@ def test_answers_repeat_byte_for_byte_at_tiny_size():
     lines = [json.loads(line) for line in runs[0].decode().splitlines()]
     assert [(a["workload"], a["seed"]) for a in lines] == [
         (w, s) for w in ("usps-durp", "wide-durp", "orig-duori") for s in (0, 1, 2)
-    ] + [("verify-t1", None)]
+    ] + [("verify-t1", None), ("verify-t2", None)]
     assert all(isinstance(a["blas_threads"], int) and a["blas_threads"] >= 1 for a in lines)
-    train, theorem = lines[0], lines[-1]
+    train, theorem1, theorem2 = lines[0], lines[-2], lines[-1]
     assert set(train) == {"workload", "seed", "blas_threads", "alpha_sha256", "factor_sha256",
                           "map", "knn_acc", "final_gap"}
-    assert set(theorem) == {"workload", "seed", "blas_threads", "recovery_err", "errors_sha256",
-                            "oracle_gap"}
+    assert set(theorem1) == {"workload", "seed", "blas_threads", "recovery_err", "errors_sha256",
+                             "oracle_gap"}
+    assert set(theorem2) == {"workload", "seed", "blas_threads", "measured_sha256", "oracle_gap"}

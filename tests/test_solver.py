@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from durp import cli, gram, metric, solver
+from durp import cli, gram, metric, reference, solver
 from durp.gram import accumulator, dense_gram, margins
 from durp.projection import gaussian_matrix
 from durp.reference import pga_solve
@@ -34,6 +34,7 @@ from oracles import (
     dual_objective_from_alpha,
     naive_primal,
     naive_recover,
+    one_row_certificate,
     per_kind_loss_value,
     primal_sgd_epoch,
     sequential_sdca_epoch,
@@ -193,6 +194,41 @@ def test_dual_objective_rejects_infeasible_alpha():
     for bad in (0.5, -1.5):
         with pytest.raises(ValueError, match="box"):
             certificate(np.full(5, bad), np.zeros(5), LossModel("hinge"), 0.1)
+
+
+@pytest.mark.parametrize("n", [500, 3500, 25000])
+@pytest.mark.parametrize("kind", ["hinge", "smoothed_hinge"])
+def test_certificate_gives_each_row_of_a_stack_its_one_row_bits(kind, n):
+    # rows mixing entries at -1, at 0 and inside the box, one all at 0 and one
+    # all at -1; margins either side of the loss's kinks, lam N off 1
+    loss = LossModel(kind, gamma=0.7)
+    lam = 0.3 / n
+    rng = np.random.default_rng(n)
+    alpha = -rng.random((4, n))
+    alpha[0, ::3], alpha[0, 1::3] = -1.0, 0.0
+    alpha[2], alpha[3] = 0.0, -1.0
+    r = rng.normal(0.0, 0.4, (4, n))
+    dual, gap = certificate(alpha, r, loss, lam)
+    assert dual.shape == gap.shape == (4,)
+    assert len(set(gap.tolist())) == 4
+    for row in range(4):
+        one = certificate(alpha[row], r[row], loss, lam)
+        assert isinstance(one[0], float) and isinstance(one[1], float)
+        assert np.array(one).tobytes() == np.array([dual[row], gap[row]]).tobytes()
+        # the one-row call keeps the bits of the whole-row float computation
+        assert np.array(one).tobytes() == np.array(
+            one_row_certificate(alpha[row], r[row], loss, lam)).tobytes()
+    # one bad row refuses the whole stack, with the one-row messages
+    for bad in (0.5, -1.5):
+        outside = alpha.copy()
+        outside[1, 7] = bad
+        with pytest.raises(ValueError, match=r"^alpha leaves the box \[-1, 0\]$"):
+            certificate(outside, r, loss, lam)
+    huge = r.copy()
+    huge[1] = 1e300
+    with pytest.raises(ValueError, match=r"^the duality gap overflows at lambda = 1e-10; "
+                                         r"the data are too large$"):
+        certificate(alpha, huge, loss, 1e-10)
 
 
 def test_sdca_update_is_exact_coordinate_maximizer():
@@ -535,7 +571,7 @@ def scaled_batch(cache, scales):
 
 def same_iterates(caches, loss, lam):
     """Assert each row of one pga_solve call ends where the textbook loop ends on its
-    cache alone, bit for bit; return the textbook (iterations, restarts) per cache."""
+    cache alone, bit for bit; return the textbook (iterations, restart steps) per cache."""
     mine = pga_solve(caches, loss, lam)
     runs = [textbook_pga(cache, loss, lam) for cache in caches]
     for row, (oracle, _) in enumerate(runs):
@@ -548,6 +584,20 @@ def same_iterates(caches, loss, lam):
     assert gap.tobytes() == mine.gap.tobytes()
     assert seconds == 0.0
     return [(oracle.trace[0][0], restarts) for oracle, restarts in runs]
+
+
+def restart_offsets_differ(runs):
+    """Whether, at some check, two rows still running last restarted at different steps.
+
+    ``runs`` holds the (iterations, restart steps) of each row.  There the
+    coefficient block of that check holds different per-row offsets.
+    """
+    for check in range(0, max(iters for iters, _ in runs), reference.CHECK_EVERY):
+        last = {max([0] + [s for s in restarts if s <= check])
+                for iters, restarts in runs if check < iters}
+        if len(last) > 1:
+            return True
+    return False
 
 
 @pytest.mark.parametrize("kind", ["hinge", "smoothed_hinge"])
@@ -577,7 +627,7 @@ def test_pga_solve_keeps_the_textbook_iterates(kind):
             counts = same_iterates(caches, loss, scale * lam)
             assert len({iters for iters, _ in counts}) > 1, name  # rows stop at different checks
             if name == "m = 2":
-                assert sum(restarts for _, restarts in counts) >= 1
+                assert restart_offsets_differ(counts)  # one block, different offsets
 
 
 def test_csdca_gap_tol_applies_from_the_seed_epoch():
