@@ -26,9 +26,9 @@ import numpy as np
 from .data import pca_fit
 from .evaluate import evaluate_metric, require_scorable
 from .metric import psd_project, recover_metric
-from .projection import GENERATOR_NAME, gaussian_matrix
 from .solver import LossModel, csdca_solve
-from .triplets import build_cache, project_cache, sample_active_triplets
+from .triplets import (GENERATOR_NAME, build_cache, gaussian_matrix, project_cache,
+                       sample_active_triplets)
 
 METHODS = ("durp", "duori", "srp", "spca")
 

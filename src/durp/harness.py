@@ -32,11 +32,11 @@ import numpy as np
 
 from .gram import kappa
 from .metric import psd_project, recover_metric, span_basis
-from .projection import gaussian_matrix
 from .reference import pga_solve
 from .solver import LossModel, csdca_solve
 from .synth import isotropic_cloud, margin_gapped_blobs
-from .triplets import build_cache, differences, project_cache, sample_active_triplets
+from .triplets import (build_cache, differences, gaussian_matrix, project_cache,
+                       sample_active_triplets)
 
 T1_ORACLE_GAP = 1e-9  # gap of the original-space solve the sweep is measured against
 T1_RUN_GAP = 1e-8  # gap of each projected solve
@@ -79,6 +79,12 @@ class HarnessConfig:
 T2_CONFIG = HarnessConfig(d=500, n=250, n_triplets=200)  # verify_theorem2's experiment
 
 
+def _problem(config, blobs, *args, **kwargs):
+    data = blobs(*args, seed=config.seeds[0], **kwargs)
+    cache = build_cache(data, sample_active_triplets(data, config.n_triplets, config.seeds[0]))
+    return cache, 1.0 / cache.n
+
+
 def _sq_error(M_ref, L):
     return float(np.linalg.norm(M_ref - L @ L.T)) / max(float(np.linalg.norm(M_ref)), 1e-30)
 
@@ -104,11 +110,7 @@ def verify_theorem1(config):
         )
     # margin-gapped data keeps the optimal active set stable under the
     # sketch distortion, so the error curve reflects m rather than noise
-    data = margin_gapped_blobs(config.d, config.r, config.n, seed=config.seeds[0])
-    triplets = sample_active_triplets(data, config.n_triplets, seed=config.seeds[0])
-    cache = build_cache(data, triplets)
-    n = cache.n
-    lam = 1.0 / n
+    cache, lam = _problem(config, margin_gapped_blobs, config.d, config.r, config.n)
     loss = LossModel(kind="hinge")
     # the dual reads the points only through their inner products, and every
     # metric lies in their span (rank r here): each dual is solved, and each
@@ -125,15 +127,13 @@ def verify_theorem1(config):
     sketches = [project_cache(basis, np.linalg.qr(gaussian_matrix(config.d, m, seed).T @ Q,
                                                   mode="r").T)
                 for m in config.m_sweep for seed in config.seeds]
-    # the sketches of one dimension share one lockstep solve
-    alphas = [None] * len(sketches)
+    # the sketches of one dimension share one lockstep solve; errors sit in (m, seed) order
+    errors = np.empty((len(config.m_sweep), len(config.seeds)))
     for dim in dict.fromkeys(sketch.space_dim for sketch in sketches):
         index = [i for i, sketch in enumerate(sketches) if sketch.space_dim == dim]
         run = pga_solve([sketches[i] for i in index], loss, lam, gap_tol=T1_RUN_GAP)
         for i, alpha in zip(index, run.alpha):
-            alphas[i] = alpha
-    errors = np.array([_sq_error(M_star, psd_project(recover_metric(alpha, basis, lam)))
-                       for alpha in alphas]).reshape(len(config.m_sweep), len(config.seeds))
+            errors.flat[i] = _sq_error(M_star, psd_project(recover_metric(alpha, basis, lam)))
 
     rows = []
     for m, errs in zip(config.m_sweep, errors):
@@ -171,13 +171,7 @@ def verify_theorem2(config=T2_CONFIG, m=None):
     with L = 1/gamma the loss-derivative Lipschitz constant and eps taken
     from the sampling condition at the configured delta.
     """
-    data = isotropic_cloud(config.d, config.n, n_classes=4, seed=config.seeds[0])
-    triplets = sample_active_triplets(data, config.n_triplets, seed=config.seeds[0])
-    cache = build_cache(data, triplets)
-    n = cache.n
-    lam = 1.0 / n
-    loss = LossModel(kind="smoothed_hinge", gamma=config.gamma)
-    lipschitz = 1.0 / config.gamma
+    n = config.n_triplets  # the sampler returns exactly this many, so m is refused before it runs
     if m is None:
         m = smooth_recovery_m(n, config.delta)
     if m < 1:
@@ -185,6 +179,9 @@ def verify_theorem2(config=T2_CONFIG, m=None):
     if m > config.d:
         raise ValueError(f"sampling condition needs m = {m} <= d = {config.d}")
     epsilon = np.sqrt(8.0 * np.log(8.0 * n / config.delta) / m)
+    cache, lam = _problem(config, isotropic_cloud, config.d, config.n, n_classes=4)
+    loss = LossModel(kind="smoothed_hinge", gamma=config.gamma)
+    lipschitz = 1.0 / config.gamma
 
     oracle = pga_solve([cache], loss, lam, gap_tol=T2_ORACLE_GAP_SCALE * config.eta / n)
     alpha_star = oracle.alpha[0]

@@ -1,4 +1,4 @@
-"""Active-triplet sampling and the difference-vector cache the solver runs on.
+"""Active-triplet sampling, the difference-vector cache the solver runs on, and the sketch.
 
 A triplet (i, j, k) pairs an anchor i with a same-class neighbor j and a
 different-class point k.  It is *active* when the unit-margin Euclidean
@@ -6,6 +6,11 @@ hinge is violated, i.e. ``1 + ||x_i - x_j||^2 - ||x_i - x_k||^2 > 0``.
 The cache keeps triplets as indices into the points; the solver gathers
 the difference vectors u = x_i - x_k (across classes) and
 v = x_i - x_j (within class) block by block, in the space it runs in.
+
+The sketch is a plain d x m array R; points map as x -> R^T x.  Its
+entries are N(0, 1/m), so the map preserves squared norms in expectation,
+drawn by numpy's PCG64 (``default_rng``); the recorded generator name
+makes a sketch reconstructible from (d, m, seed, generator).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 
 MAX_DRAW_FACTOR = 1000  # sampling gives up after this many draws per requested triplet
 SAMPLE_BYTES = 512 * 1024  # size of one gathered block of point rows; sets the draws per step
+GENERATOR_NAME = "numpy-default-rng-pcg64"
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,14 @@ def sample_active_triplets(data, n_triplets, seed):
 def build_cache(data, triplets):
     """Index-form cache of (N, 3) triplet rows over ``data.points`` (not copied)."""
     return TripletCache(data.points, triplets)
+
+
+def gaussian_matrix(d, m, seed):
+    """Draw a d x m array with i.i.d. N(0, 1/m) entries, deterministic in seed."""
+    if d < 1 or m < 1:
+        raise ValueError("d and m must be positive")
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 1.0 / np.sqrt(m), size=(d, m))
 
 
 def project_cache(cache, R):

@@ -10,7 +10,8 @@ of the loss derivative, the d x d lift of a subspace metric, the
 allocating projected-gradient loop, the accumulator without row bands,
 mAP from one index sort per query row, the block sweep on difference
 columns gathered once for all N triplets) live here too, with the LIBSVM
-writer that makes the test files.
+writer that makes the test files and the nuisance-subspace data on which
+the paper's claim is checked.
 """
 
 import numpy as np
@@ -250,6 +251,25 @@ def with_copies(data, seed, copies=3):
     picked = rng.choice(data.n, size=copies, replace=False)
     points = np.hstack([data.points, data.points[:, picked], rng.normal(size=(data.d, 1))])
     labels = np.concatenate([data.labels, data.labels[picked], [data.labels.max() + 1]])
+    return LabeledDataset(points, labels)
+
+
+def nuisance_blobs(d, n, seed):
+    """Ten classes whose means a 20-dimensional high-variance nuisance subspace swamps.
+
+    Draws, in this order from one generator: class means N(0, 1/d)
+    (d x 10), labels ``arange(n) % 10``, the Q of a thin QR of a d x 20
+    normal draw, isotropic noise of std 0.3/sqrt(d), and 20 nuisance
+    coordinates of std 2.0 that Q maps into the data.  Reducing the
+    dimension first (PCA) keeps the nuisance directions and loses the
+    classes; the paper's claim is that learning in the sketch does not.
+    """
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, 10))
+    labels = np.arange(n) % 10
+    Q = np.linalg.qr(rng.normal(size=(d, 20)))[0]
+    points = means[:, labels] + rng.normal(0.0, 0.3 / np.sqrt(d), size=(d, n))
+    points += Q @ rng.normal(0.0, 2.0, size=(20, n))
     return LabeledDataset(points, labels)
 
 

@@ -8,14 +8,14 @@ import pytest
 
 from durp import experiments
 from durp.data import LabeledDataset, load_split, pca_fit
+from durp.evaluate import evaluate_metric
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
 from durp.metric import recover_metric
-from durp.projection import gaussian_matrix
 from durp.solver import LossModel, csdca_solve
 from durp.synth import gaussian_blobs
-from durp.triplets import build_cache, project_cache, sample_active_triplets
+from durp.triplets import build_cache, gaussian_matrix, project_cache, sample_active_triplets
 
-from oracles import dense_subspace_metric, serialize_libsvm
+from oracles import dense_subspace_metric, nuisance_blobs, serialize_libsvm
 
 
 def split_blobs(d=8, n=80, seed=0):
@@ -70,6 +70,24 @@ def test_each_method_produces_a_usable_metric():
             # subspace methods cannot exceed rank m
             rank = np.linalg.matrix_rank(M, tol=1e-10)
             assert rank <= 4
+
+
+def test_durp_beats_reducing_the_dimension_first():
+    # the paper's claim: where a high-variance nuisance subspace hides the
+    # classes, PCA first (spca) keeps the nuisance and lands at chance, while
+    # durp learns past the Euclidean metric.  knn_acc only: at this size durp's
+    # map (0.13-0.19) barely clears the identity's (0.12), and srp beats durp
+    # at seed 0, so neither is asserted
+    margin = 0.2
+    for seed in (0, 1, 2):
+        data = nuisance_blobs(256, 900, seed)
+        train = LabeledDataset(data.points[:, :600], data.labels[:600])
+        test = LabeledDataset(data.points[:, 600:], data.labels[600:])
+        identity = evaluate_metric(np.eye(256), train, test, k=5).knn_accuracy
+        durp, spca = [train_trial(RunConfig(method=method, m=10, n_triplets=3000, epochs=3),
+                                  train, test, seed).report.knn_accuracy
+                      for method in ("durp", "spca")]
+        assert durp >= max(identity, spca) + margin, (seed, durp, identity, spca)
 
 
 def test_identity_override_reduces_durp_to_duori(monkeypatch):

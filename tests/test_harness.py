@@ -12,10 +12,10 @@ from durp.gram import dense_gram, kappa
 from durp.harness import (T2_CONFIG, HarnessConfig, smooth_recovery_m, verify_theorem1,
                           verify_theorem2)
 from durp.metric import span_basis
-from durp.projection import gaussian_matrix
 from durp.solver import DualSolution
 from durp.synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
-from durp.triplets import build_cache, differences, project_cache, sample_active_triplets
+from durp.triplets import (build_cache, differences, gaussian_matrix, project_cache,
+                           sample_active_triplets)
 
 from oracles import dense_recovery_errors, kappa_power_check, textbook_pga
 
@@ -268,6 +268,22 @@ def test_verify_theorem2_auto_m_respects_dimension():
     # auto m for N=30 exceeds d=80, so the sampling condition is unmeetable
     with pytest.raises(ValueError, match="sampling condition"):
         verify_theorem2(tiny_t2_config())
+
+
+def test_verify_theorem2_refuses_m_before_any_data_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data work ran before m was checked")
+
+    monkeypatch.setattr(harness, "isotropic_cloud", refuse)
+    monkeypatch.setattr(harness, "sample_active_triplets", refuse)
+    config = tiny_t2_config()
+    with pytest.raises(ValueError, match="m must be positive, got m = 0"):
+        verify_theorem2(config, m=0)
+    with pytest.raises(ValueError, match="sampling condition needs m = 81 <= d = 80"):
+        verify_theorem2(config, m=81)
+    auto_m = smooth_recovery_m(config.n_triplets, config.delta)
+    with pytest.raises(ValueError, match=f"sampling condition needs m = {auto_m} <= d = 80"):
+        verify_theorem2(config)
 
 
 def test_theorem2_csv_shape(monkeypatch, tmp_path):

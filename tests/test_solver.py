@@ -9,7 +9,6 @@ import pytest
 
 from durp import cli, gram, metric, reference, solver
 from durp.gram import accumulator, dense_gram, margins
-from durp.projection import gaussian_matrix
 from durp.reference import pga_solve
 from durp.solver import (
     LossModel,
@@ -25,6 +24,7 @@ from durp.triplets import (
     TripletCache,
     build_cache,
     differences,
+    gaussian_matrix,
     project_cache,
     sample_active_triplets,
 )

@@ -1,4 +1,4 @@
-"""Active-triplet sampling, the index-form cache, and the gathered differences."""
+"""Active-triplet sampling, the index-form cache, the gathered differences, and the sketch."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,13 @@ import pytest
 from durp import cli, triplets
 from durp.data import LabeledDataset
 from durp.gram import accumulator, dense_gram
-from durp.projection import gaussian_matrix
 from durp.synth import gaussian_blobs
 from durp.triplets import (
+    GENERATOR_NAME,
     TripletCache,
     build_cache,
     differences,
+    gaussian_matrix,
     project_cache,
     sample_active_triplets,
 )
@@ -133,6 +134,26 @@ def test_cache_arrays_are_c_contiguous():
     projected = project_cache(cache, gaussian_matrix(6, 3, seed=0))
     for U, V in (differences(cache), differences(projected)):
         assert U.flags["C_CONTIGUOUS"] and V.flags["C_CONTIGUOUS"]
+
+
+def test_gaussian_matrix_statistics():
+    R = gaussian_matrix(200, 50, seed=0)
+    assert R.shape == (200, 50)
+    # entries ~ N(0, 1/m): mean near 0, variance near 1/50
+    assert abs(R.mean()) < 3.0 / np.sqrt(200 * 50 * 50)
+    assert abs(R.var() * 50 - 1.0) < 0.05
+
+
+def test_gaussian_matrix_determinism_and_validation():
+    a = gaussian_matrix(10, 3, seed=7)
+    b = gaussian_matrix(10, 3, seed=7)
+    c = gaussian_matrix(10, 3, seed=8)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    for d, m in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            gaussian_matrix(d, m, seed=0)
+    assert GENERATOR_NAME == "numpy-default-rng-pcg64"
 
 
 def test_project_cache_applies_projection():
