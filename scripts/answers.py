@@ -5,17 +5,20 @@
 Runs each train workload of ``perfbench/workloads.py`` at seeds 0-2 and
 ``verify-t1`` once (its input has no seed), then ``verify_theorem2`` at
 its ``T2_CONFIG``, the one caller that stops the coordinate-ascent solver
-on its certificate, with the BLAS thread count that ``perfbench/run.py``
-would use (``OPENBLAS_NUM_THREADS``, capped at the usable CPUs).  A train
-line holds the sha256 of alpha and of the factor's float64 bytes,
-``map``, ``knn_acc`` and ``final_gap``; the ``verify-t1`` line holds
-``recovery_err``, the sha256 of the error array (one row per m of the
-sweep) and ``oracle_gap``; the ``verify-t2`` line holds the sha256 of the
-``measured`` column and ``oracle_gap``.  Every line records
+on its certificate, then ``span-durp`` at seed 0: a durp train unit with
+at most d/2 training points (``SPAN_DURP``), where the metric is
+recovered and factored in the span of the points.  All run with the BLAS
+thread count that ``perfbench/run.py`` would use (``OPENBLAS_NUM_THREADS``,
+capped at the usable CPUs).  A train line holds the sha256 of alpha and of
+the factor's float64 bytes, ``map``, ``knn_acc`` and ``final_gap``; the
+``verify-t1`` line holds ``recovery_err``, the sha256 of the error array
+(one row per m of the sweep) and ``oracle_gap``; the ``verify-t2`` line
+holds the sha256 of the ``measured`` column and ``oracle_gap``.  Every line records
 ``blas_threads``.  Two commits give the same answers when their outputs
 are equal byte for byte at the same thread count; bits may differ
-between thread counts.  ``--tiny`` runs the workloads at smoke-test size
-and ``verify_theorem2`` on ``TINY_T2`` at m = ``TINY_T2_M``.
+between thread counts.  ``--tiny`` runs the workloads at smoke-test size,
+``verify_theorem2`` on ``TINY_T2`` at m = ``TINY_T2_M`` and ``span-durp``
+at ``TINY_SPAN``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
 TINY_T2 = {"d": 80, "n": 40, "n_triplets": 30, "seeds": (0, 1)}  # fields replaced in T2_CONFIG
 TINY_T2_M = 64
+SPAN_DURP = {"name": "span-durp", "method": "durp", "d": 1024, "n_train": 500, "n_test": 500,
+             "n_triplets": 10000, "gap_target": 0.2}  # a TrainWorkload with 2 n_train <= d
+TINY_SPAN = {"d": 80, "n_train": 30, "n_test": 20, "n_triplets": 100}  # fields replaced in it
 # numpy is imported inside the functions: the BLAS thread cap must be set before it loads
 
 
@@ -82,6 +88,11 @@ def main(argv=None):
     measured = [row["measured"] for row in result["rows"]]
     line = {"workload": "verify-t2", "seed": None, "blas_threads": threads,
             "measured_sha256": sha256(measured), "oracle_gap": result["oracle_gap"]}
+    print(json.dumps(line), flush=True)
+    span = workloads.TrainWorkload(**SPAN_DURP)
+    if args.tiny:
+        span = dataclasses.replace(span, **TINY_SPAN)
+    line = {"workload": span.name, "seed": 0, "blas_threads": threads, **answers(span, 0)}
     print(json.dumps(line), flush=True)
     return 0
 

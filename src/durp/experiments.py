@@ -12,6 +12,15 @@ srp   : solve the projected dual, recover the subspace metric M_s from
 spca  : srp with the projection replaced by the top-m PCA basis (fewer
         columns when the data has fewer than m directions of variance).
 
+Every method recovers and factors its metric on one route: ``recover_metric``
+and ``psd_project`` on a cache of coordinates, then the factor is lifted
+back to d rows.  durp and duori with n training points lift nothing when 2n > d.
+When 2n <= d they recover on the coordinates C of the thin QR X = Q C of
+the points and lift by Q: the metric lies in range(X), so this is the
+d x d route up to rounding, with an n x n ``eigh`` instead of a d x d one.
+The rule depends on the shapes alone; at d = 2048 the two routes break
+even near n = 0.8-0.9 d.
+
 Trial t runs with seed ``seed + t`` throughout (triplets, projection,
 solver), so extending the trial count preserves earlier trials.
 """
@@ -27,8 +36,8 @@ from .data import pca_fit
 from .evaluate import evaluate_metric, require_scorable
 from .metric import psd_project, recover_metric
 from .solver import LossModel, csdca_solve
-from .triplets import (GENERATOR_NAME, build_cache, gaussian_matrix, project_cache,
-                       sample_active_triplets)
+from .triplets import (GENERATOR_NAME, TripletCache, build_cache, gaussian_matrix,
+                       project_cache, sample_active_triplets)
 
 METHODS = ("durp", "duori", "srp", "spca")
 
@@ -92,6 +101,7 @@ def train_trial(config, train, test, trial_seed):
     """Run one trial of the configured method on already-loaded datasets.
 
     duori is durp without the projection: it solves on the cache itself.
+    Both recover in the span of the training points when 2n <= d.
     """
     require_scorable(train, test, config.k)
     method = config.method
@@ -113,12 +123,17 @@ def train_trial(config, train, test, trial_seed):
             projection = gaussian_matrix(train.d, config.m, trial_seed)
         space = project_cache(cache, projection)
     solution = csdca_solve(space, loss, lam, config.epochs, trial_seed)
-    if method in ("durp", "duori"):
-        # recovery uses the original-space points
-        factor = psd_project(recover_metric(solution.alpha, cache, lam))
-    else:  # srp / spca: with R = Q T, R M_s R^T = Q (T M_s T^T) Q^T, factored at size m
-        Q, T = np.linalg.qr(projection)
-        factor = Q @ psd_project(recover_metric(solution.alpha, project_cache(space, T.T), lam))
+    # one recovery route: recover and factor on ``coords``, then lift the factor
+    lift, coords = None, cache
+    if method in ("srp", "spca"):  # R = Q T: R M_s R^T = Q (T M_s T^T) Q^T, factored at size m
+        lift, T = np.linalg.qr(projection)
+        coords = project_cache(space, T.T)
+    elif 2 * train.n <= train.d:  # X = Q C: the metric lies in range(Q), factored at size n
+        lift, C = np.linalg.qr(cache.points)
+        coords = TripletCache(C, cache.triplets)
+    factor = psd_project(recover_metric(solution.alpha, coords, lam))
+    if lift is not None:
+        factor = lift @ factor
 
     report = evaluate_metric(factor, train, test, config.k)
     return TrialResult(

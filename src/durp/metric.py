@@ -4,7 +4,9 @@ Recovery rebuilds the full-dimension metric from dual variables, the
 triplet indices and the *original* points, so only one PSD projection is
 ever needed at the end of the pipeline.  That metric lies in the span of
 the points, so it can also be recovered and factored in the coordinates of
-:func:`span_basis`.
+any orthonormal basis whose range holds the points: training uses the
+thin QR of the points when they number at most d/2, and theorem 1 the
+rank-revealing :func:`span_basis`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ def span_basis(points):
     A metric recovered from these points lies in their span, so it can be
     recovered and factored in the q coordinates of this basis.  Its columns
     are the left singular vectors whose singular values exceed numpy's
-    ``matrix_rank`` tolerance max(d, n) * eps * s_max.
+    ``matrix_rank`` tolerance max(d, n) * eps * s_max.  ``verify_theorem1``
+    needs q to be the rank, which sets the dimension its sketched solves
+    share; training needs only a range that holds the points and takes the
+    thin QR, which took 0.06 s against this SVD's 0.17 s at d = 1024, n = 500
+    (2-core x86-64, OpenBLAS 0.3.31).
     """
     d, n = points.shape
     U, s, _ = np.linalg.svd(points, full_matrices=False)

@@ -116,6 +116,15 @@ def dense_subspace_metric(R, M_s):
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
+def dense_factor(alpha, cache, lam):
+    """Factor of the metric recovered and projected at d x d on the cache's own points.
+
+    The reference for the training route, which recovers and factors in the
+    coordinates of the points' thin QR when there are n <= d / 2 of them.
+    """
+    return metric.psd_project(metric.recover_metric(alpha, cache, lam))
+
+
 def dense_recovery_errors(cache, oracle_alpha, alphas, lam):
     """||M* - P(M)||_F / ||M*||_F with every metric recovered and projected at d x d.
 

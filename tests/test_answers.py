@@ -51,11 +51,11 @@ def test_answers_repeat_byte_for_byte_at_tiny_size(tiny_run):
     lines = [json.loads(line) for line in tiny_run.decode().splitlines()]
     assert [(a["workload"], a["seed"]) for a in lines] == [
         (w, s) for w in ("usps-durp", "wide-durp", "orig-duori") for s in (0, 1, 2)
-    ] + [("verify-t1", None), ("verify-t2", None)]
+    ] + [("verify-t1", None), ("verify-t2", None), ("span-durp", 0)]
     assert all(isinstance(a["blas_threads"], int) and a["blas_threads"] >= 1 for a in lines)
-    train, theorem1, theorem2 = lines[0], lines[-2], lines[-1]
-    assert set(train) == {"workload", "seed", "blas_threads", "alpha_sha256", "factor_sha256",
-                          "map", "knn_acc", "final_gap"}
+    train, theorem1, theorem2, span = lines[0], lines[-3], lines[-2], lines[-1]
+    assert set(train) == set(span) == {"workload", "seed", "blas_threads", "alpha_sha256",
+                                       "factor_sha256", "map", "knn_acc", "final_gap"}
     assert set(theorem1) == {"workload", "seed", "blas_threads", "recovery_err", "errors_sha256",
                              "oracle_gap"}
     assert set(theorem2) == {"workload", "seed", "blas_threads", "measured_sha256", "oracle_gap"}

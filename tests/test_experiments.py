@@ -12,10 +12,10 @@ from durp.evaluate import evaluate_metric
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
 from durp.metric import recover_metric
 from durp.solver import LossModel, csdca_solve
-from durp.synth import gaussian_blobs
+from durp.synth import gaussian_blobs, margin_gapped_blobs
 from durp.triplets import build_cache, gaussian_matrix, project_cache, sample_active_triplets
 
-from oracles import dense_subspace_metric, nuisance_blobs, serialize_libsvm
+from oracles import dense_factor, dense_subspace_metric, nuisance_blobs, serialize_libsvm
 
 
 def split_blobs(d=8, n=80, seed=0):
@@ -97,6 +97,78 @@ def test_identity_override_reduces_durp_to_duori(monkeypatch):
     duori = train_trial(small_config("duori"), train, test, 5)
     assert np.array_equal(durp.alpha, duori.alpha)
     assert np.array_equal(durp.metric, duori.metric)
+
+
+def test_identity_override_reduces_durp_to_duori_in_the_span(monkeypatch):
+    # 30 training points at d = 80: both methods recover in the span of the points
+    train, test = split_blobs(d=80, n=45, seed=3)
+    monkeypatch.setattr(experiments, "gaussian_matrix", lambda d, m, seed: np.eye(d))
+    durp = train_trial(small_config("durp"), train, test, 5)
+    duori = train_trial(small_config("duori"), train, test, 5)
+    assert durp.alpha.tobytes() == duori.alpha.tobytes()
+    assert durp.factor.tobytes() == duori.factor.tobytes()
+
+
+def trial_and_dense_factor(method, train, test, seed):
+    """One trial and the factor of its alpha recovered and projected at d x d."""
+    config = small_config(method, trials=1)
+    result = train_trial(config, train, test, seed)
+    cache = build_cache(train, sample_active_triplets(train, config.n_triplets, seed))
+    return result, dense_factor(result.alpha, cache, 1.0 / cache.n)
+
+
+def test_span_recovery_matches_the_dense_route():
+    # with 2n <= d the metric is recovered and factored at size n in the
+    # coordinates of the points' thin QR: the d x d route up to rounding
+    gapped = margin_gapped_blobs(60, 3, 36, seed=0)  # rank 3, 24 training points
+    splits = {
+        "full rank": split_blobs(d=120, n=60, seed=13),
+        "rank 3": (LabeledDataset(gapped.points[:, :24], gapped.labels[:24]),
+                   LabeledDataset(gapped.points[:, 24:], gapped.labels[24:])),
+    }
+    for name, (train, test) in splits.items():
+        assert 2 * train.n <= train.d
+        for method in ("durp", "duori"):
+            result, L = trial_and_dense_factor(method, train, test, 3)
+            M = L @ L.T
+            assert np.linalg.norm(result.metric - M) <= 1e-12 * np.linalg.norm(M), (name, method)
+            assert result.factor.shape == L.shape, (name, method)
+            dense = evaluate_metric(L, train, test, k=3)
+            assert result.report.map_score == dense.map_score, (name, method)
+            assert result.report.knn_accuracy == dense.knn_accuracy, (name, method)
+        if name == "rank 3":
+            assert result.factor.shape[1] <= 3
+
+
+def test_the_route_is_chosen_by_2n_le_d(monkeypatch):
+    # at 2n = d the metric is factored at size n; one point more and the
+    # dense d x d route runs with its bits
+    sizes = []
+    project = experiments.psd_project
+    monkeypatch.setattr(experiments, "psd_project", lambda M: sizes.append(len(M)) or project(M))
+    for n_points, n_train in ((60, 40), (62, 41)):
+        train, test = split_blobs(d=80, n=n_points, seed=14)
+        assert train.n == n_train
+        for method in ("durp", "duori"):
+            result, L = trial_and_dense_factor(method, train, test, 2)
+            if n_train == 41:
+                assert result.factor.tobytes() == L.tobytes(), method
+    assert sizes == [40, 40, 80, 80]  # durp and duori at n = 40, then at n = 41
+
+
+def test_span_route_allocates_nothing_of_size_d_by_d():
+    # d = 1024 with 100 training points: the dense route's d x d metric alone
+    # would be 8 MiB
+    d = 1024
+    train, test = split_blobs(d=d, n=150, seed=15)
+    config = RunConfig(method="durp", m=10, n_triplets=2000, epochs=3, k=5, trials=1)
+    tracemalloc.start()
+    try:
+        train_trial(config, train, test, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_spca_default_projection_is_the_pca_basis(monkeypatch):
