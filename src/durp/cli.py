@@ -25,7 +25,10 @@ from .triplets import sample_active_triplets
 
 
 class ConfigError(ValueError):
-    """Bad flags, bad config file, or bad option values."""
+    """Bad flags or config file, or a value argparse cannot parse (exit 1).
+
+    A parsed value that a config dataclass refuses is a runtime error (exit 2).
+    """
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,7 +1,7 @@
 """Verification harnesses for the two recovery guarantees.
 
 Both harnesses build synthetic data at desk scale, solve the original
-dual to near-exactness with the reference solver, and then compare
+dual to near-exactness with ``solver.pga_solve``, and then compare
 projected runs against it.  The published constants target far larger
 regimes than any desk run, so alongside the measured errors the outputs
 carry the literal bound curves for reference; headers say so explicitly.
@@ -32,8 +32,7 @@ import numpy as np
 
 from .gram import kappa
 from .metric import psd_project, recover_metric, span_basis
-from .reference import pga_solve
-from .solver import LossModel, csdca_solve
+from .solver import LossModel, csdca_solve, pga_solve
 from .synth import isotropic_cloud, margin_gapped_blobs
 from .triplets import (build_cache, differences, gaussian_matrix, project_cache,
                        sample_active_triplets)

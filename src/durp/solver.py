@@ -32,22 +32,30 @@ iterate is -S/(lam s), so visit s sets alpha_t = loss'(-<A_t, S>/(lam s)).
 Exact coordinate-ascent passes in fresh random order follow, starting
 from the same S, so the handoff is exact.  Every epoch ends by rebuilding
 S from alpha and checking, and recording, the drift of the running S.
+
+The oracle :func:`pga_solve`, with which the theorem harnesses solve small
+duals close to exactly, is projected gradient with Nesterov momentum and
+objective restarts on :func:`durp.gram.gram_product`, stepping with 1/L
+where L = lambda_max(G) / (lam N) + width.  It forms neither S nor a metric.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import CHUNK, accumulator, dense_gram, margins
+from .gram import CHUNK, accumulator, dense_gram, gram_product, margins
 from .triplets import differences
 
 FEASIBILITY_TOL = 1e-12
 DRIFT_TOL = 1e-6
 BLOCK = 64  # coordinates per sweep block; measured, see CHANGES.md
+MAX_ITERS = 200000  # pga_solve's step budget, shared by its rows
+CHECK_EVERY = 50  # pga_solve's steps between certificates
 
 LOSS_KINDS = ("hinge", "smoothed_hinge")
 
@@ -122,8 +130,8 @@ class DualSolution:
     """Final iterate plus the trace: one :data:`TraceRow` per epoch, the trace CSV's columns.
 
     ``accumulator_drift`` is the relative max-entry difference between the
-    running S and S rebuilt from alpha at the end of the epoch.  The reference
-    solver's ``pga_solve`` runs no epochs and solves K problems at once:
+    running S and S rebuilt from alpha at the end of the epoch.
+    :func:`pga_solve` runs no epochs and solves K problems at once:
     ``alpha`` is K x N, ``objective`` and ``gap`` have one entry per
     problem, and the trace is the single row (steps summed over the K
     problems, objective, gap, 0.0).
@@ -132,7 +140,7 @@ class DualSolution:
     alpha: np.ndarray
     objective: float
     gap: float
-    trace: list = field(default_factory=list)
+    trace: list
 
 
 def init_state(cache, lam):
@@ -302,3 +310,106 @@ def csdca_solve(cache, loss, lam, epochs, seed, gap_tol=None, max_epochs=None):
         raise ValueError(f"solver stopped at gap {gap:.3e} > tolerance {gap_tol:.1e}")
     return DualSolution(alpha=state.alpha, objective=trace[-1].dual_objective, gap=gap,
                         trace=trace)
+
+
+def pga_solve(caches, loss, lam, gap_tol=1e-8):
+    """Maximize the boxed dual of every cache in ``caches`` by projected gradient.
+
+    The K problems share one shape (one N, one ``space_dim``) and run in
+    lockstep, one row of K x N arrays each: the product is one stacked
+    ``np.matmul``, and the step size and restart state are per-row vectors.
+    Every ``CHECK_EVERY`` steps one :func:`certificate` call checks the
+    running rows; a row whose mean-loss-scale gap is at most ``gap_tol``
+    keeps its iterate, and the rows still running are compacted.  Momentum
+    coefficients depend only on the steps since a row's last restart, so
+    every row reads them from one table.  Each step runs in place but in the
+    operation order of the allocating textbook loop (``textbook_pga`` in
+    ``tests/oracles.py``), so every row's iterates are that loop's bits on
+    its problem alone.  Raises if ``MAX_ITERS`` steps, one budget shared by
+    all rows, run out first.  Returns one :class:`DualSolution` whose fields
+    stack the K problems in the order of ``caches``.
+    """
+    if not caches:
+        raise ValueError("pga_solve needs at least one cache")
+    n, p = caches[0].n, caches[0].space_dim
+    if any(cache.n != n or cache.space_dim != p for cache in caches):
+        raise ValueError("pga_solve needs caches of one shape: one N and one space_dim")
+    k = len(caches)
+    U = np.empty((k, p, n))
+    V = np.empty_like(U)
+    for row, cache in enumerate(caches):
+        U[row], V[row] = differences(cache)
+    B, product, top = gram_product(U, V)
+    del U, V  # only B is needed from here
+    lam_n = lam * n
+    width = loss.width
+    step = (1.0 / np.maximum(top / lam_n + width, 1e-30))[:, None]
+
+    alpha = np.zeros((k, n))
+    momentum = alpha.copy()
+    since = np.zeros(k, dtype=np.int64)  # step of each row's last restart
+    coefs, t_end = np.empty(0), 1.0  # the coefficient table and the t after its last entry
+    best_obj = np.full(k, -np.inf)
+    live = np.arange(k)  # the problem each running row solves
+    solved = np.empty_like(alpha)
+    objective, gap = np.empty(k), np.empty(k)
+    iters_done = steps = 0
+    while True:
+        if iters_done % CHECK_EVERY == 0:
+            r = product(B, alpha)
+            obj, row_gap = certificate(alpha, r, loss, lam)
+            objective[live], gap[live] = obj, row_gap
+            if iters_done:
+                # objective went backwards under momentum: restart those rows
+                back = obj < best_obj
+                momentum[back] = alpha[back]
+                since[back] = iters_done
+                np.maximum(best_obj, obj, out=best_obj)
+            met = row_gap <= gap_tol
+            if met.any():
+                solved[live[met]] = alpha[met]
+                steps += iters_done * int(met.sum())
+                keep = ~met
+                live, B, step, alpha, momentum, since, best_obj = (
+                    x[keep] for x in (live, B, step, alpha, momentum, since, best_obj))
+            coefs, t_end = _momentum_coefficients(coefs, t_end, iters_done + CHECK_EVERY)
+            # block[q, row] is the row's coefficient q + 1 steps from here
+            block = coefs[np.arange(CHECK_EVERY)[:, None] + (iters_done - since)][:, :, None]
+            columns = iter(block)
+        if not live.size or iters_done >= MAX_ITERS:
+            break
+        iters_done += 1
+        # new = clip(momentum + step * (-1 - G momentum / (lam N) - width momentum))
+        new = product(B, momentum)
+        new /= lam_n
+        np.subtract(-1.0, new, out=new)
+        if width:
+            new -= width * momentum
+        new *= step
+        new += momentum
+        new.clip(-1.0, 0.0, out=new)
+        # momentum = clip(new + (t - 1) / t_next * (new - alpha))
+        np.subtract(new, alpha, out=momentum)
+        momentum *= next(columns)
+        momentum += new
+        momentum.clip(-1.0, 0.0, out=momentum)
+        alpha = new
+    if live.size:
+        raise ValueError(f"reference solve stalled at gap {gap[live].max():.3e} > {gap_tol:.1e}")
+    return DualSolution(alpha=solved, objective=objective, gap=gap,
+                        trace=[(steps, objective, gap, 0.0)])
+
+
+def _momentum_coefficients(coefs, t, steps):
+    """The table ``coefs`` extended to ``steps`` entries, and the t after its last entry.
+
+    Entry s is (t_s - 1) / t_(s+1), the momentum coefficient s steps after a
+    (re)start, with t_0 = 1 and t_(s+1) = (1 + sqrt(1 + 4 t_s^2)) / 2 in the
+    textbook loop's float operations; ``t`` is t_(len(coefs)).
+    """
+    more = np.empty(steps - coefs.size)
+    for s in range(more.size):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        more[s] = (t - 1.0) / t_next
+        t = t_next
+    return np.concatenate((coefs, more)), t

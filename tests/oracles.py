@@ -16,7 +16,7 @@ the paper's claim is checked.
 
 import numpy as np
 
-from durp import gram, metric, reference, solver
+from durp import gram, metric, solver
 from durp.data import LabeledDataset
 from durp.gram import accumulator, dense_gram, gram_factor, margins
 from durp.solver import DualSolution, certificate
@@ -517,7 +517,7 @@ def stored_column_sweep(state, order, step):
 
 
 def textbook_pga(cache, loss, lam, gap_tol=1e-8):
-    """:func:`durp.reference.pga_solve` as a textbook loop; returns (solution, restarts).
+    """:func:`durp.solver.pga_solve` as a textbook loop; returns (solution, restarts).
 
     Every step allocates its arrays, clips with ``np.clip``, takes ``np.sqrt``
     of the momentum schedule and multiplies with ``@``.  It reads
@@ -558,14 +558,14 @@ def textbook_pga(cache, loss, lam, gap_tol=1e-8):
     restarts = []
     obj, gap = certificate(alpha, product(alpha), loss, lam)
     iters_done = 0
-    while gap > gap_tol and iters_done < reference.MAX_ITERS:
+    while gap > gap_tol and iters_done < solver.MAX_ITERS:
         iters_done += 1
         new = np.clip(momentum + step * grad(momentum), -1.0, 0.0)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_accel * t_accel))
         momentum = np.clip(new + ((t_accel - 1.0) / t_next) * (new - alpha), -1.0, 0.0)
         t_accel = t_next
         alpha = new
-        if iters_done % reference.CHECK_EVERY == 0:
+        if iters_done % solver.CHECK_EVERY == 0:
             obj, gap = certificate(alpha, product(alpha), loss, lam)
             if obj < best_obj:
                 momentum = alpha.copy()

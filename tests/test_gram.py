@@ -117,8 +117,10 @@ def test_accumulator_matches_naive():
     cache = random_cache(rng, 7, 12, 30)
     alpha = -rng.random(30)
     assert_accumulator_matches_naive(cache, alpha)
-    with pytest.raises(ValueError):
-        accumulator(cache, alpha[:-1])
+    # a longer alpha would index cleanly and silently drop its extra entries
+    for wrong in (alpha[:-1], np.r_[alpha, -0.5], alpha[:, None]):
+        with pytest.raises(ValueError, match="alpha must have one entry per triplet"):
+            accumulator(cache, wrong)
 
 
 def test_accumulator_index_form_edge_cases():

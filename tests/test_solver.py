@@ -7,15 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from durp import cli, gram, metric, reference, solver
+from durp import cli, gram, metric, solver
 from durp.gram import accumulator, dense_gram, margins
-from durp.reference import pga_solve
 from durp.solver import (
     LossModel,
     cache_margins,
     certificate,
     csdca_solve,
     init_state,
+    pga_solve,
     sdca_epoch,
     sgd_epoch,
 )
@@ -546,7 +546,7 @@ def test_pga_solve_refuses_a_stalled_solve(monkeypatch):
     # CHECK_EVERY the gap stays at alpha = 0's, the hinge's mean loss at M = 0,
     # for one cache and for a batch of two
     cache, lam = factor_instance(0)
-    monkeypatch.setattr("durp.reference.MAX_ITERS", 40)
+    monkeypatch.setattr("durp.solver.MAX_ITERS", 40)
     for caches in ([cache], [cache, TripletCache(0.5 * cache.points, cache.triplets)]):
         with pytest.raises(ValueError, match=r"reference solve stalled at gap 1\.000e\+00 > 1\.0e-08"):
             pga_solve(caches, LossModel("hinge"), lam)
@@ -592,7 +592,7 @@ def restart_offsets_differ(runs):
     ``runs`` holds the (iterations, restart steps) of each row.  There the
     coefficient block of that check holds different per-row offsets.
     """
-    for check in range(0, max(iters for iters, _ in runs), reference.CHECK_EVERY):
+    for check in range(0, max(iters for iters, _ in runs), solver.CHECK_EVERY):
         last = {max([0] + [s for s in restarts if s <= check])
                 for iters, restarts in runs if check < iters}
         if len(last) > 1:
