@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import kappa
 from .metric import psd_project, recover_metric, span_basis
 from .solver import LossModel, csdca_solve, pga_solve
 from .synth import isotropic_cloud, margin_gapped_blobs
@@ -41,6 +40,20 @@ T1_ORACLE_GAP = 1e-9  # gap of the original-space solve the sweep is measured ag
 T1_RUN_GAP = 1e-8  # gap of each projected solve
 T2_ORACLE_GAP_SCALE = 0.01  # oracle gap as a fraction of the eta it certifies against
 T2_EPSILON = 0.5  # target epsilon of the smooth-case sampling condition that picks the default m
+
+
+def kappa(U, V):
+    """Largest spectral norm among the four norm-product matrices.
+
+    The matrices pairing squared norms, e.g. K1[a, b] = |u_a|^2 |u_b|^2,
+    are rank one, so their spectral norms collapse to products of vector
+    norms: |p|^2, |q|^2, and |p||q| for the two cross matrices, with
+    p_t = |u_t|^2 and q_t = |v_t|^2.  The cross products never exceed the
+    larger square, so kappa = max(|p|, |q|)^2.
+    """
+    top = max(np.linalg.norm(np.einsum("pt,pt->t", U, U)),
+              np.linalg.norm(np.einsum("pt,pt->t", V, V)))
+    return float(top * top)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .gram import accumulator
+from .solver import accumulator
 
 BLOCK_BYTES = 2 << 20  # cap on one block of squared distances; 2-4 MiB ran fastest of 0.5-8 MiB
 

@@ -16,10 +16,9 @@ the paper's claim is checked.
 
 import numpy as np
 
-from durp import gram, metric, solver
+from durp import metric, solver
 from durp.data import LabeledDataset
-from durp.gram import accumulator, dense_gram, gram_factor, margins
-from durp.solver import DualSolution, certificate
+from durp.solver import DualSolution, accumulator, certificate, dense_gram, gram_factor, margins
 from durp.triplets import differences
 
 
@@ -61,9 +60,9 @@ def naive_accumulator(U, V, alpha):
 
 
 def columnwise_accumulator(cache, alpha):
-    """gram.accumulator's chunk loop run over all point rows at once, without row bands.
+    """solver.accumulator's chunk loop run over all point rows at once, without row bands.
 
-    Each ``gram.CHUNK`` columns of x_j - x_k are gathered from the whole
+    Each ``solver.CHUNK`` columns of x_j - x_k are gathered from the whole
     d x n point matrix and reduced into Z by anchor; the banded production
     loop must give these bytes.
     """
@@ -74,7 +73,7 @@ def columnwise_accumulator(cache, alpha):
     a = alpha[order]
     w = np.bincount(k, a, n_points) - np.bincount(j, a, n_points)
     Z = X * (0.5 * w)
-    chunk = gram.CHUNK
+    chunk = solver.CHUNK
     for s in range(0, cache.n, chunk):
         anchors = i[s:s + chunk]
         D = X.take(j[s:s + chunk], axis=1)
@@ -440,7 +439,7 @@ def dual_objective_from_alpha(cache, alpha, loss, lam):
 def kappa_power_check(U, V, seed=0):
     """Spectral norms of the four dense norm-product matrices by power iteration.
 
-    Independent of the closed form in :func:`durp.gram.kappa`.  Quadratic
+    Independent of the closed form in :func:`durp.harness.kappa`.  Quadratic
     in N, so desk scale only.
     """
     p = np.einsum("pt,pt->t", U, U)

@@ -21,10 +21,9 @@ from durp import experiments
 from durp.data import LabeledDataset, load_split
 from durp.evaluate import knn_accuracy, ranking_map
 from durp.experiments import RunConfig, run_method, train_trial
-from durp.gram import dense_gram, kappa
-from durp.harness import T2_CONFIG, HarnessConfig, verify_theorem1, verify_theorem2
+from durp.harness import T2_CONFIG, HarnessConfig, kappa, verify_theorem1, verify_theorem2
 from durp.metric import psd_project
-from durp.solver import LossModel, csdca_solve, pga_solve
+from durp.solver import LossModel, csdca_solve, dense_gram, pga_solve
 from durp.synth import gaussian_blobs, isotropic_cloud
 from durp.triplets import build_cache, differences, sample_active_triplets
 

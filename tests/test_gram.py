@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from durp import gram
+from durp import solver
 from durp.data import LabeledDataset
-from durp.gram import DENSE_LIMIT, accumulator, dense_gram, gram_factor, kappa
+from durp.harness import kappa
 from durp.metric import span_basis
+from durp.solver import DENSE_LIMIT, accumulator, dense_gram, gram_factor
 from durp.synth import gaussian_blobs
 from durp.triplets import (
     TripletCache,
@@ -106,7 +107,7 @@ def test_kron_oracle_dimension_guard():
 def test_dense_gram_size_guard(monkeypatch):
     rng = np.random.default_rng(4)
     U, V = random_columns(rng, 3, 10)
-    monkeypatch.setattr(gram, "DENSE_LIMIT", 5)
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 5)
     with pytest.raises(ValueError, match="dense Gram limited to 5 triplets"):
         dense_gram(U, V)
     assert DENSE_LIMIT == 4000
@@ -144,7 +145,7 @@ def test_accumulator_anchor_runs_across_chunks(monkeypatch):
     rng = np.random.default_rng(10)
     cache = random_cache(rng, 4, 5, 40)
     alpha = -rng.random(40)
-    monkeypatch.setattr(gram, "CHUNK", 3)
+    monkeypatch.setattr(solver, "CHUNK", 3)
     assert_accumulator_matches_naive(cache, alpha)
 
 
@@ -164,12 +165,12 @@ def banding_caches():
 
 
 @pytest.mark.parametrize("band_rows", [1, 7, None], ids=["one-row", "7-row", "single-band"])
-@pytest.mark.parametrize("chunk", [gram.CHUNK, 3], ids=["CHUNK", "CHUNK=3"])
+@pytest.mark.parametrize("chunk", [solver.CHUNK, 3], ids=["CHUNK", "CHUNK=3"])
 def test_accumulator_bands_keep_the_columnwise_bytes(monkeypatch, band_rows, chunk):
     # a row of 60 float64 points is 480 bytes; 7-row bands leave an uneven
     # last band at p = 24 and p = 10 and make one band at p = 3
-    monkeypatch.setattr(gram, "BAND_BYTES", 8 * 60 * band_rows if band_rows else 1 << 40)
-    monkeypatch.setattr(gram, "CHUNK", chunk)
+    monkeypatch.setattr(solver, "BAND_BYTES", 8 * 60 * band_rows if band_rows else 1 << 40)
+    monkeypatch.setattr(solver, "CHUNK", chunk)
     rng = np.random.default_rng(15)
     for name, cache in banding_caches().items():
         alpha = -rng.random(cache.n)

@@ -8,11 +8,10 @@ import pytest
 
 from durp import harness
 from durp.cli import main
-from durp.gram import dense_gram, kappa
-from durp.harness import (T2_CONFIG, HarnessConfig, smooth_recovery_m, verify_theorem1,
+from durp.harness import (T2_CONFIG, HarnessConfig, kappa, smooth_recovery_m, verify_theorem1,
                           verify_theorem2)
 from durp.metric import span_basis
-from durp.solver import DualSolution
+from durp.solver import DualSolution, dense_gram
 from durp.synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from durp.triplets import (build_cache, differences, gaussian_matrix, project_cache,
                            sample_active_triplets)
@@ -56,6 +55,16 @@ def test_harness_config_validation(monkeypatch):
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 HarnessConfig(**{name: value})
+
+
+def test_generators_refuse_fewer_than_two_classes_of_two_points():
+    for generator in (gaussian_blobs, isotropic_cloud):
+        for n, n_classes in [(10, 1), (5, 3), (0, 2)]:
+            with pytest.raises(ValueError, match="need at least two classes with two points each"):
+                generator(4, n, n_classes, seed=0)
+        assert generator(4, 6, 3, seed=0).n == 6
+    with pytest.raises(ValueError, match="need at least two points per class"):
+        margin_gapped_blobs(4, 2, 7, seed=0)
 
 
 def tiny_t1_config():

@@ -2,7 +2,8 @@
 every top-level function and class src/durp defines is used outside the tests,
 src/durp imports nothing at run time but numpy and the standard library,
 only its ``cli`` module renders output files, only ``data`` and ``cli``
-read LIBSVM text, only ``gram`` picks a Gram route or reads its size cap,
+read LIBSVM text, only ``solver`` picks a Gram route or reads its size cap
+or the accumulator's split and band sizes,
 only ``metric`` imports ``struct`` (it alone knows the metric file layout),
 ``evaluate``'s scorers raise nothing (``evaluate_metric`` is the one gate),
 only ``evaluate.require_scorable`` refuses a train/test split,
@@ -181,8 +182,11 @@ def test_only_data_and_cli_load_files():
     assert found == []
 
 
+GRAM_CONSTANTS = ("DENSE_LIMIT", "CHUNK", "BAND_BYTES")
+
+
 def gram_decisions(source):
-    """(line, name) for each call of ``gram_factor`` and each use of ``DENSE_LIMIT``."""
+    """(line, name) for each call of ``gram_factor`` and each use of a ``GRAM_CONSTANTS`` name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
@@ -191,25 +195,27 @@ def gram_decisions(source):
                 found.append((node.lineno, name))
         elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name == "DENSE_LIMIT"]
-        elif getattr(node, "attr", getattr(node, "id", None)) == "DENSE_LIMIT":
-            found.append((node.lineno, "DENSE_LIMIT"))
+                      if alias.name in GRAM_CONSTANTS]
+        elif (name := getattr(node, "attr", getattr(node, "id", None))) in GRAM_CONSTANTS:
+            found.append((node.lineno, name))
     return sorted(found)
 
 
 def test_gram_decisions_detected():
-    source = ("from .gram import DENSE_LIMIT, gram_product\nfrom . import gram\n"
-              "Phi = gram.gram_factor(U, V)\nif n > gram.DENSE_LIMIT: pass\n"
-              "gram_factor(U, V)\ngram_product(U, V)\n")
+    source = ("from .solver import DENSE_LIMIT, gram_product\nfrom . import solver\n"
+              "Phi = solver.gram_factor(U, V)\nif n > solver.DENSE_LIMIT: pass\n"
+              "gram_factor(U, V)\ngram_product(U, V)\n"
+              "from .solver import BLOCK, CHUNK\nband = solver.BAND_BYTES // 8\n")
     assert gram_decisions(source) == [(1, "DENSE_LIMIT"), (3, "gram_factor"),
-                                      (4, "DENSE_LIMIT"), (5, "gram_factor")]
+                                      (4, "DENSE_LIMIT"), (5, "gram_factor"),
+                                      (7, "CHUNK"), (8, "BAND_BYTES")]
 
 
-def test_only_gram_picks_the_gram_route_and_caps_it():
+def test_only_solver_picks_the_gram_route_caps_and_splits():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
-        if path.name != "gram.py"
+        if path.name != "solver.py"
         for line, name in gram_decisions(path.read_text())
     ]
     assert found == []

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from durp.gram import accumulator
 from durp.metric import (
     load_metric,
     psd_project,
@@ -11,6 +10,7 @@ from durp.metric import (
     save_metric,
     sq_distance_blocks,
 )
+from durp.solver import accumulator
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 

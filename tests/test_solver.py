@@ -7,14 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from durp import cli, gram, metric, solver
-from durp.gram import accumulator, dense_gram, margins
+from durp import cli, metric, solver
 from durp.solver import (
     LossModel,
+    accumulator,
     cache_margins,
     certificate,
     csdca_solve,
+    dense_gram,
     init_state,
+    margins,
     pga_solve,
     sdca_epoch,
     sgd_epoch,
@@ -364,7 +366,7 @@ def test_block_gathers_keep_the_stored_column_bits(monkeypatch, loss):
     # each block's columns gathered from the points against the sweep on U, V
     # gathered once, certified on the margins of one call on all N columns
     cache, lam = duori_instance()
-    assert cache.space_dim >= 64 and cache.n % solver.BLOCK and cache.n > 2 * gram.CHUNK
+    assert cache.space_dim >= 64 and cache.n % solver.BLOCK and cache.n > 2 * solver.CHUNK
     solution = csdca_solve(cache, loss, lam, epochs=3, seed=0)
     state, rows = scheduled_epochs(cache, loss, lam, cache_margins)
     monkeypatch.setattr(solver, "_sweep", stored_column_sweep)
@@ -380,7 +382,7 @@ def test_block_gathers_keep_the_stored_column_bits(monkeypatch, loss):
 
 
 @pytest.mark.parametrize("p", [10, 64])
-@pytest.mark.parametrize("n", [2 * gram.CHUNK - 3, 5 * gram.CHUNK + 77])
+@pytest.mark.parametrize("n", [2 * solver.CHUNK - 3, 5 * solver.CHUNK + 77])
 def test_cache_margins_are_the_bytes_of_one_call(p, n):
     # 2 CHUNK - 3 columns are one slice; 5 CHUNK + 77 are five, the last 1101 wide
     rng = np.random.default_rng(p + n)
@@ -498,7 +500,7 @@ def test_reference_solver_route_follows_the_shape(monkeypatch):
     def refuse(U, V):
         raise AssertionError("pga_solve built the dense Gram")
 
-    monkeypatch.setattr(gram, "dense_gram", refuse)
+    monkeypatch.setattr(solver, "dense_gram", refuse)
     loss = LossModel("hinge")
     cache, lam = sketched_instance(5)  # 5 * 6 <= 500: the factor route
     assert pga_solve([cache], loss, lam).gap[0] <= 1e-8
@@ -508,7 +510,7 @@ def test_reference_solver_route_follows_the_shape(monkeypatch):
 
 
 def test_reference_solver_caps_only_the_dense_route(monkeypatch):
-    monkeypatch.setattr(gram, "DENSE_LIMIT", 5)
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 5)
     rng = np.random.default_rng(12)
     triplets = rng.integers(0, 30, size=(30, 3))
     factor_route = TripletCache(0.1 * rng.normal(size=(3, 30)), triplets)  # 3 * 4 <= 30

@@ -5,7 +5,7 @@ import pytest
 
 from durp import cli, triplets
 from durp.data import LabeledDataset
-from durp.gram import accumulator, dense_gram
+from durp.solver import accumulator, dense_gram
 from durp.synth import gaussian_blobs
 from durp.triplets import (
     GENERATOR_NAME,
