@@ -16,10 +16,9 @@ import json
 import sys
 
 from . import harness as harness_mod
-from .data import eigen_spectrum, load_libsvm, load_split
+from .data import eigen_spectrum, load_libsvm, load_metric, load_split, save_metric
 from .evaluate import evaluate_metric
 from .experiments import METHODS, RunConfig, run_method
-from .metric import load_metric, save_metric
 from .solver import LOSS_KINDS, TraceRow
 from .triplets import sample_active_triplets
 

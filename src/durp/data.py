@@ -1,14 +1,16 @@
-"""Labeled dataset container, LIBSVM text ingestion, PCA, and spectrum diagnostics.
+"""Labeled dataset container, the on-disk layouts, PCA, and spectrum diagnostics.
 
 Points are stored column-wise: ``points[:, i]`` is the i-th example.  Labels are
 contiguous 0-based integer class ids; :func:`parse_libsvm` remaps whatever label
 values appear in the input and returns the mapping it used; :func:`load_split`
-reads a train/test pair that shares the training file's map.
+reads a train/test pair that shares the training file's map.  A learned
+metric is stored as its d x r factor (:func:`save_metric`, :func:`load_metric`).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +167,27 @@ def load_split(train_path, test_path):
     train, label_map = load_libsvm(train_path)
     test, _ = load_libsvm(test_path, d=train.d, label_map=label_map)
     return train, test
+
+
+def save_metric(path, L):
+    """Write the d x r factor L of L L^T: d, r as u64, then d*r f64 row-major, little-endian."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<2Q", *L.shape) + L.astype("<f8", copy=False).tobytes())
+
+
+def load_metric(path):
+    """Read the d x r factor written by :func:`save_metric`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < 16:
+        raise ValueError("truncated metric file (missing d x r header)")
+    d, r = struct.unpack_from("<2Q", raw)
+    if len(raw) - 16 != d * r * 8:
+        raise ValueError(f"metric payload has {len(raw) - 16} bytes, expected {d * r * 8} "
+                         f"for a {d} x {r} factor")
+    if max(d, 1) * max(r, 1) * 8 > np.iinfo(np.intp).max:  # numpy's array size cap
+        raise ValueError(f"metric header {d} x {r} is larger than any array can hold")
+    return np.frombuffer(raw, dtype="<f8", offset=16).reshape(d, r).astype(np.float64)
 
 
 def _covariance_eigh(data):

@@ -14,9 +14,10 @@ tie, NaN, or +0.0 next to -0.0) rank by a stable index sort instead, so
 both routes give the stable order's ranks.
 
 Distances between the embedded points L^T x of a metric's factor L arrive
-in query blocks from :func:`durp.metric.sq_distance_blocks`, each sorted and
-compared with whole-block array operations, so memory is bounded by a few
-blocks.
+in query blocks from :func:`sq_distance_blocks`, each sorted and compared
+with whole-block array operations, so memory is bounded by a few blocks.
+``BLOCK_BYTES`` caps a block; at r+ = 128 a block's row count changes the
+distance bytes, so the cap sets bits too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import sq_distance_blocks
+BLOCK_BYTES = 2 << 20  # cap on one block of squared distances; 2-4 MiB ran fastest of 0.5-8 MiB
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,31 @@ def require_scorable(train, test, k):
         raise ValueError("no query had a same-class candidate")
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in [1, {train.n}]")
+
+
+def sq_distance_blocks(X, Y=None):
+    """Squared Euclidean distances from the columns of X to those of Y, in row blocks.
+
+    The columns are embedded points L^T x, so these are the distances of
+    the metric L L^T.  Yields ``(rows, D)``: ``D[r, t]`` is the distance
+    from column ``rows.start + r`` of X to column t of Y (Y defaults to X).
+    A block holds at most ``BLOCK_BYTES`` (at least one row), so memory
+    stays bounded however many columns X has.
+    """
+    if Y is None:
+        Y = X
+    y_q = np.einsum("pt,pt->t", Y, Y)
+    x_q = y_q if Y is X else np.einsum("pt,pt->t", X, X)
+    step = max(1, BLOCK_BYTES // (8 * Y.shape[1]))
+    for start in range(0, X.shape[1], step):
+        rows = slice(start, start + step)
+        K = X[:, rows].T @ Y
+        # x + y - 2K in two blocks of the output's size instead of three
+        D = x_q[rows, None] + y_q[None, :]
+        K *= 2.0
+        np.subtract(D, K, out=D)
+        del K  # not held while the caller works on D
+        yield rows, D
 
 
 def ranking_map(L, test):

@@ -34,8 +34,7 @@ import numpy as np
 
 from .data import pca_fit
 from .evaluate import evaluate_metric, require_scorable
-from .metric import psd_project, recover_metric
-from .solver import LossModel, csdca_solve
+from .solver import LossModel, csdca_solve, psd_project, recover_metric
 from .triplets import (GENERATOR_NAME, TripletCache, build_cache, gaussian_matrix,
                        project_cache, sample_active_triplets)
 

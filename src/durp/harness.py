@@ -8,10 +8,11 @@ carry the literal bound curves for reference; headers say so explicitly.
 
 Span coordinates: the dual depends on the points only through their
 inner products, so ``verify_theorem1`` solves every dual, the oracle and
-each sketched run, in the coordinates of an orthonormal basis of the
-points' span (a sketch R^T enters as the triangular factor of R^T Q), and
-recovers, factors and compares every metric there too.  The sketches of
-one dimension min(m, r) share one lockstep ``pga_solve`` call.
+each sketched run, in the coordinates of the orthonormal basis
+:func:`span_basis` of the points' span (a sketch R^T enters as the
+triangular factor of R^T Q), and recovers, factors and compares every
+metric there too.  The sketches of one dimension min(m, r) share one
+lockstep ``pga_solve`` call.
 
 Scaled vs mean-loss-scale gaps: the dual objective reported everywhere
 is the N-scaled form, while the gap of ``solver.certificate`` is
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import psd_project, recover_metric, span_basis
-from .solver import LossModel, csdca_solve, pga_solve
+from .solver import LossModel, csdca_solve, pga_solve, psd_project, recover_metric
 from .synth import isotropic_cloud, margin_gapped_blobs
 from .triplets import (build_cache, differences, gaussian_matrix, project_cache,
                        sample_active_triplets)
@@ -54,6 +54,23 @@ def kappa(U, V):
     top = max(np.linalg.norm(np.einsum("pt,pt->t", U, U)),
               np.linalg.norm(np.einsum("pt,pt->t", V, V)))
     return float(top * top)
+
+
+def span_basis(points):
+    """Orthonormal d x q basis of the span of the d x n ``points``, q <= min(d, n).
+
+    A metric recovered from these points lies in their span, so it can be
+    recovered and factored in the q coordinates of this basis.  Its columns
+    are the left singular vectors whose singular values exceed numpy's
+    ``matrix_rank`` tolerance max(d, n) * eps * s_max.  ``verify_theorem1``
+    needs q to be the rank, which sets the dimension its sketched solves
+    share; training needs only a range that holds the points and takes the
+    thin QR, which took 0.06 s against this SVD's 0.17 s at d = 1024, n = 500
+    (2-core x86-64, OpenBLAS 0.3.31).
+    """
+    d, n = points.shape
+    U, s, _ = np.linalg.svd(points, full_matrices=False)
+    return U[:, s > max(d, n) * np.finfo(float).eps * s.max(initial=0.0)]
 
 
 @dataclass(frozen=True)

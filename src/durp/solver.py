@@ -56,6 +56,14 @@ Exact coordinate-ascent passes in fresh random order follow, starting
 from the same S, so the handoff is exact.  Every epoch ends by rebuilding
 S from alpha and checking, and recording, the drift of the running S.
 
+:func:`recover_metric` evaluates M(alpha) on any cache, so a metric rebuilt
+from the *original* points needs one PSD projection, :func:`psd_project`,
+at the end of the pipeline.  That metric lies in the span of the points,
+so it can also be recovered and factored in the coordinates of any
+orthonormal basis whose range holds them: training uses the thin QR of
+the points when they number at most d/2, and theorem 1 the rank-revealing
+:func:`durp.harness.span_basis`.
+
 The oracle :func:`pga_solve`, with which the theorem harnesses solve small
 duals close to exactly, is projected gradient with Nesterov momentum and
 objective restarts on :func:`gram_product`, stepping with 1/L
@@ -131,6 +139,28 @@ def accumulator(cache, alpha):
     P = X @ Z.T
     del Z
     return P + P.T
+
+
+def recover_metric(alpha, cache, lam):
+    """M = -S / (lam N) with S = sum_t alpha_t (u_t u_t^T - v_t v_t^T) over the cache's space."""
+    S = accumulator(cache, alpha)
+    S /= -(lam * cache.n)  # in place, with the bits of -S / (lam N)
+    return S
+
+
+def psd_project(M):
+    """Factor of the nearest positive-semidefinite matrix in Frobenius norm.
+
+    Eigendecomposes the symmetric M (``eigh`` reads its lower triangle) and returns
+    L = V+ sqrt(Lambda+), d x r+ with one column per eigenvalue above numpy's
+    ``matrix_rank`` tolerance d * eps * max(Lambda): the projection is L L^T.
+    """
+    if not np.isfinite(M).all():  # eigh gives NaN eigenvalues, and the cut-off keeps none
+        raise ValueError("metric has non-finite entries")
+    eigvals, eigvecs = np.linalg.eigh(M)
+    tol = len(M) * np.finfo(float).eps * eigvals.max(initial=0.0)
+    first = int(np.searchsorted(eigvals, tol, side="right"))  # eigh sorts ascending
+    return eigvecs[:, first:] * np.sqrt(eigvals[first:])
 
 
 def dense_gram(U, V):

@@ -16,7 +16,7 @@ the paper's claim is checked.
 
 import numpy as np
 
-from durp import metric, solver
+from durp import evaluate, solver
 from durp.data import LabeledDataset
 from durp.solver import DualSolution, accumulator, certificate, dense_gram, gram_factor, margins
 from durp.triplets import differences
@@ -121,7 +121,7 @@ def dense_factor(alpha, cache, lam):
     The reference for the training route, which recovers and factors in the
     coordinates of the points' thin QR when there are n <= d / 2 of them.
     """
-    return metric.psd_project(metric.recover_metric(alpha, cache, lam))
+    return solver.psd_project(solver.recover_metric(alpha, cache, lam))
 
 
 def dense_recovery_errors(cache, oracle_alpha, alphas, lam):
@@ -132,11 +132,11 @@ def dense_recovery_errors(cache, oracle_alpha, alphas, lam):
     the reference for the errors ``verify_theorem1`` computes in the span
     of the points.
     """
-    L_star = metric.psd_project(metric.recover_metric(oracle_alpha, cache, lam))
+    L_star = solver.psd_project(solver.recover_metric(oracle_alpha, cache, lam))
     M_star = L_star @ L_star.T
     errors = []
     for alpha in alphas:
-        L = metric.psd_project(metric.recover_metric(alpha, cache, lam))
+        L = solver.psd_project(solver.recover_metric(alpha, cache, lam))
         errors.append(float(np.linalg.norm(M_star - L @ L.T)) / float(np.linalg.norm(M_star)))
     return errors
 
@@ -203,7 +203,7 @@ def argsort_map(L, test):
     labels = test.labels
     ap_values = []
     excluded = 0
-    for rows, dist in metric.sq_distance_blocks(L.T @ test.points):
+    for rows, dist in evaluate.sq_distance_blocks(L.T @ test.points):
         queries = np.arange(test.n)[rows]
         dist[np.arange(queries.size), queries] = -np.inf  # each query ranks itself first
         hits = labels[np.argsort(dist, axis=1, kind="stable")[:, 1:]] == labels[queries, None]
@@ -240,13 +240,13 @@ def naive_knn(L, train_points, train_labels, test_points, test_labels, k):
     return correct / n_test
 
 
-DEFAULT_BLOCK_BYTES = metric.BLOCK_BYTES
+DEFAULT_BLOCK_BYTES = evaluate.BLOCK_BYTES
 
 
 def cap_block_rows(monkeypatch, rows, n_cols):
     """Make each distance block ``rows`` query rows of ``n_cols`` columns (None: the default cap)."""
     cap = DEFAULT_BLOCK_BYTES if rows is None else 8 * rows * n_cols
-    monkeypatch.setattr(metric, "BLOCK_BYTES", cap)
+    monkeypatch.setattr(evaluate, "BLOCK_BYTES", cap)
 
 
 def with_copies(data, seed, copies=3):

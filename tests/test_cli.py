@@ -13,10 +13,9 @@ import pytest
 
 from durp import cli, experiments, harness
 from durp.cli import ConfigError, build_parser, config_keys, main, parse_args, read_config_file
-from durp.data import LabeledDataset, eigen_spectrum, load_split
+from durp.data import LabeledDataset, eigen_spectrum, load_metric, load_split, save_metric
 from durp.evaluate import EvalReport, evaluate_metric
 from durp.experiments import RunConfig, TrialResult
-from durp.metric import load_metric, save_metric
 from durp.solver import TraceRow
 from durp.synth import gaussian_blobs
 
@@ -618,6 +617,9 @@ def test_eval_metric_size_mismatch_exits_2(datasets, tmp_path, capsys):
     # a dense 6 x 6 metric in the layout before factor files: u64 q, then q * q f64,
     # whose first entry reads as a column count of 2**62 - 2**52
     ("dense", "error: metric payload has 280 bytes, expected "),
+    # a header whose d * r * 8 matches an empty payload, with a side no array can have
+    ("wide", "error: metric header 0 x 9223372036854775808 is larger than any array can hold"),
+    ("tall", "error: metric header 9223372036854775808 x 0 is larger than any array can hold"),
 ])
 def test_eval_refuses_a_malformed_metric_file(case, message, datasets, tmp_path, capsys):
     metric_path = tmp_path / "metric.bin"
@@ -627,6 +629,8 @@ def test_eval_refuses_a_malformed_metric_file(case, message, datasets, tmp_path,
         "header": raw[:12],
         "payload": raw[:-8],
         "dense": struct.pack("<Q", 6) + np.eye(6).astype("<f8").tobytes(),
+        "wide": struct.pack("<2Q", 0, 2**63),
+        "tall": struct.pack("<2Q", 2**63, 0),
     }[case])
     code, err = eval_metric_file(metric_path, datasets, capsys)
     assert code == 2

@@ -8,9 +8,8 @@ import pytest
 
 from durp import evaluate
 from durp.cli import main
-from durp.data import LabeledDataset
-from durp.evaluate import evaluate_metric, knn_accuracy, ranking_map
-from durp.metric import save_metric, sq_distance_blocks
+from durp.data import LabeledDataset, save_metric
+from durp.evaluate import evaluate_metric, knn_accuracy, ranking_map, sq_distance_blocks
 from durp.synth import gaussian_blobs
 
 from oracles import (

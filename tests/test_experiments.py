@@ -10,8 +10,7 @@ from durp import experiments
 from durp.data import LabeledDataset, load_split, pca_fit
 from durp.evaluate import evaluate_metric
 from durp.experiments import METHODS, RunConfig, run_method, train_trial
-from durp.metric import recover_metric
-from durp.solver import LossModel, csdca_solve
+from durp.solver import LossModel, csdca_solve, recover_metric
 from durp.synth import gaussian_blobs, margin_gapped_blobs
 from durp.triplets import build_cache, gaussian_matrix, project_cache, sample_active_triplets
 

@@ -5,8 +5,7 @@ import pytest
 
 from durp import solver
 from durp.data import LabeledDataset
-from durp.harness import kappa
-from durp.metric import span_basis
+from durp.harness import kappa, span_basis
 from durp.solver import DENSE_LIMIT, accumulator, dense_gram, gram_factor
 from durp.synth import gaussian_blobs
 from durp.triplets import (

@@ -8,9 +8,8 @@ import pytest
 
 from durp import harness
 from durp.cli import main
-from durp.harness import (T2_CONFIG, HarnessConfig, kappa, smooth_recovery_m, verify_theorem1,
-                          verify_theorem2)
-from durp.metric import span_basis
+from durp.harness import (T2_CONFIG, HarnessConfig, kappa, smooth_recovery_m, span_basis,
+                          verify_theorem1, verify_theorem2)
 from durp.solver import DualSolution, dense_gram
 from durp.synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from durp.triplets import (build_cache, differences, gaussian_matrix, project_cache,

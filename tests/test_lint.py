@@ -3,8 +3,9 @@ every top-level function and class src/durp defines is used outside the tests,
 src/durp imports nothing at run time but numpy and the standard library,
 only its ``cli`` module renders output files, only ``data`` and ``cli``
 read LIBSVM text, only ``solver`` picks a Gram route or reads its size cap
-or the accumulator's split and band sizes,
-only ``metric`` imports ``struct`` (it alone knows the metric file layout),
+or the accumulator's split and band sizes, only ``evaluate`` reads the
+distance block size,
+only ``data`` imports ``struct`` (it alone knows the metric file layout),
 ``evaluate``'s scorers raise nothing (``evaluate_metric`` is the one gate),
 only ``evaluate.require_scorable`` refuses a train/test split,
 no flag of ``cli`` has a literal default, and the package root binds no
@@ -182,41 +183,41 @@ def test_only_data_and_cli_load_files():
     assert found == []
 
 
-GRAM_CONSTANTS = ("DENSE_LIMIT", "CHUNK", "BAND_BYTES")
+# name -> the one module of src/durp that may use it: the Gram route and its size
+# cap, the accumulator's split and band sizes, the distance block size
+PINNED = {"gram_factor": "solver.py", "DENSE_LIMIT": "solver.py", "CHUNK": "solver.py",
+          "BAND_BYTES": "solver.py", "BLOCK_BYTES": "evaluate.py"}
 
 
-def gram_decisions(source):
-    """(line, name) for each call of ``gram_factor`` and each use of a ``GRAM_CONSTANTS`` name."""
+def pinned_uses(source):
+    """(line, name) for each import, read or call of a ``PINNED`` name."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name == "gram_factor":
-                found.append((node.lineno, name))
-        elif isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name in GRAM_CONSTANTS]
-        elif (name := getattr(node, "attr", getattr(node, "id", None))) in GRAM_CONSTANTS:
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in PINNED]
+        elif (name := getattr(node, "attr", getattr(node, "id", None))) in PINNED:
             found.append((node.lineno, name))
     return sorted(found)
 
 
-def test_gram_decisions_detected():
+def test_pinned_uses_detected():
     source = ("from .solver import DENSE_LIMIT, gram_product\nfrom . import solver\n"
               "Phi = solver.gram_factor(U, V)\nif n > solver.DENSE_LIMIT: pass\n"
               "gram_factor(U, V)\ngram_product(U, V)\n"
-              "from .solver import BLOCK, CHUNK\nband = solver.BAND_BYTES // 8\n")
-    assert gram_decisions(source) == [(1, "DENSE_LIMIT"), (3, "gram_factor"),
-                                      (4, "DENSE_LIMIT"), (5, "gram_factor"),
-                                      (7, "CHUNK"), (8, "BAND_BYTES")]
+              "from .solver import BLOCK, CHUNK\nband = solver.BAND_BYTES // 8\n"
+              "from .evaluate import BLOCK_BYTES\nstep = evaluate.BLOCK_BYTES // 8\n")
+    assert pinned_uses(source) == [(1, "DENSE_LIMIT"), (3, "gram_factor"),
+                                   (4, "DENSE_LIMIT"), (5, "gram_factor"),
+                                   (7, "CHUNK"), (8, "BAND_BYTES"),
+                                   (9, "BLOCK_BYTES"), (10, "BLOCK_BYTES")]
 
 
-def test_only_solver_picks_the_gram_route_caps_and_splits():
+def test_each_pinned_name_stays_in_its_module():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
-        if path.name != "solver.py"
-        for line, name in gram_decisions(path.read_text())
+        for line, name in pinned_uses(path.read_text())
+        if PINNED[name] != path.name
     ]
     assert found == []
 
@@ -239,11 +240,11 @@ def test_struct_imports_detected():
     assert struct_imports(source) == [(1, "struct"), (2, "pack")]
 
 
-def test_only_metric_knows_the_file_layout():
+def test_only_data_knows_the_file_layout():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((ROOT / "src" / "durp").glob("*.py"))
-        if path.name != "metric.py"
+        if path.name != "data.py"
         for line, name in struct_imports(path.read_text())
     ]
     assert found == []

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from durp.metric import (
-    load_metric,
-    psd_project,
-    recover_metric,
-    save_metric,
-    sq_distance_blocks,
-)
-from durp.solver import accumulator
+from durp.data import load_metric, save_metric
+from durp.evaluate import sq_distance_blocks
+from durp.solver import accumulator, psd_project, recover_metric
 from durp.synth import gaussian_blobs
 from durp.triplets import TripletCache, build_cache, differences, sample_active_triplets
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from durp import cli, metric, solver
+from durp import cli, solver
 from durp.solver import (
     LossModel,
     accumulator,
@@ -491,7 +491,7 @@ def test_reference_solver_does_not_rebuild_the_metric(monkeypatch):
     def refuse(cache, alpha):
         raise AssertionError("pga_solve went through the accumulator")
 
-    monkeypatch.setattr(metric, "accumulator", refuse)
+    monkeypatch.setattr(solver, "accumulator", refuse)
     cache, lam = solver_instance(2, "hinge")
     assert pga_solve([cache], LossModel("hinge"), lam).gap[0] <= 1e-8
 
