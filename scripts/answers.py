@@ -1,6 +1,7 @@
 """Print the answers of the benchmark's workloads, one JSON line per unit, to compare two commits.
 
     python3 scripts/answers.py [--tiny] > answers.jsonl
+    python3 scripts/answers.py [--tiny] --against REV
 
 Runs each train workload of ``perfbench/workloads.py`` at seeds 0-2 and
 ``verify-t1`` once (its input has no seed), then ``verify_theorem2`` at
@@ -19,6 +20,12 @@ are equal byte for byte at the same thread count; bits may differ
 between thread counts.  ``--tiny`` runs the workloads at smoke-test size,
 ``verify_theorem2`` on ``TINY_T2`` at m = ``TINY_T2_M`` and ``span-durp``
 at ``TINY_SPAN``.
+
+``--against REV`` makes that comparison: it extracts ``src``,
+``perfbench`` and ``scripts`` of the git revision REV into a temporary
+directory, runs this script there and in the working tree at each of
+``AGAINST_THREADS`` OpenBLAS threads, prints every line that differs and
+exits 1 if any does, 0 if all are byte-identical (2 if a run fails).
 """
 
 from __future__ import annotations
@@ -26,8 +33,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +50,7 @@ TINY_T2_M = 64
 SPAN_DURP = {"name": "span-durp", "method": "durp", "d": 1024, "n_train": 500, "n_test": 500,
              "n_triplets": 10000, "gap_target": 0.2}  # a TrainWorkload with 2 n_train <= d
 TINY_SPAN = {"d": 80, "n_train": 30, "n_test": 20, "n_triplets": 100}  # fields replaced in it
+AGAINST_THREADS = ("1", "2")
 # numpy is imported inside the functions: the BLAS thread cap must be set before it loads
 
 
@@ -60,11 +74,49 @@ def answers(workload, seed):
             **quality}
 
 
+def run_lines(root, flags, threads):
+    """The output lines of ``root``'s copy of this script, or None (after its stderr) if it fails."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    run = subprocess.run([sys.executable, str(Path(root) / "scripts" / "answers.py"), *flags],
+                         env=env, capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.stderr.write(f"error: answers.py in {root} failed:\n{run.stderr}")
+        return None
+    return run.stdout.splitlines()
+
+
+def against(rev, flags):
+    """Compare the answers of ``rev`` with the working tree's; the exit status of ``--against``."""
+    archive = subprocess.run(["git", "archive", rev, "src", "perfbench", "scripts"], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(f"error: git archive {rev} failed:\n{archive.stderr.decode()}")
+        return 2
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="answers-") as copy:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(copy, filter="data")
+        for threads in AGAINST_THREADS:
+            old, new = run_lines(copy, flags, threads), run_lines(ROOT, flags, threads)
+            if old is None or new is None:
+                return 2
+            for before, after in zip_longest(old, new):
+                if before != after:
+                    status = 1
+                    print(f"OPENBLAS_NUM_THREADS={threads} {rev}: {before}")
+                    print(f"OPENBLAS_NUM_THREADS={threads} working tree: {after}")
+    return status
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true",
                         help="run the workloads at smoke-test size")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the answers of git revision REV; exit 1 if any differ")
     args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against, ["--tiny"] if args.tiny else [])
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from run import limit_blas_threads  # before numpy loads
 

@@ -10,8 +10,9 @@ of the loss derivative, the d x d lift of a subspace metric, the
 allocating projected-gradient loop, the accumulator without row bands,
 mAP from one index sort per query row, the block sweep on difference
 columns gathered once for all N triplets) live here too, with the LIBSVM
-writer that makes the test files and the nuisance-subspace data on which
-the paper's claim is checked.
+writer that makes the test files, the random difference columns the Gram
+and kappa tests draw, and the nuisance-subspace data on which the paper's
+claim is checked.
 """
 
 import numpy as np
@@ -396,6 +397,11 @@ def power_iteration_norm(A, iters=200, seed=0):
             return 0.0
         x = y / norm
     return float(np.sqrt(x @ (B @ x)))
+
+
+def random_columns(rng, p, n):
+    """Random difference columns U, V (p x n each), not tied to any points."""
+    return rng.normal(size=(p, n)), rng.normal(size=(p, n))
 
 
 KRON_DIM_LIMIT = 256

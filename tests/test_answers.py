@@ -2,11 +2,13 @@
 
 ``answers_tiny.json`` holds the ``--tiny`` lines of each recorded
 environment.  Bits may depend on numpy, the BLAS and its thread count,
-and the CPU (OpenBLAS picks its kernels by CPU), so a run is compared
-only with the block of its own environment; in an environment with no
-block the comparison is skipped, and the skip reason names the key.  A
-change that moves answers re-records its blocks, once per thread count,
-and says why:
+the CPU (OpenBLAS picks its kernels by CPU) and the C library, so a run
+is compared only with the block of its own environment.  The kernel
+release is left out of the key: no float operation goes through the
+kernel, and a kernel update would otherwise turn the comparison off.  In
+an environment with no block the comparison is skipped, and the skip
+reason names the key.  A change that moves answers re-records its
+blocks, once per thread count, and says why:
 
     OPENBLAS_NUM_THREADS=1 python3 tests/test_answers.py
 """
@@ -38,8 +40,14 @@ def environment(blas_threads):
               for line in (cpuinfo.read_text().splitlines() if cpuinfo.is_file() else [])
               if line.startswith("model name")]
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": blas_threads, "platform": platform.platform(),
-            "machine": platform.machine(), "cpu": models[0] if models else platform.processor()}
+            "blas_threads": blas_threads, "machine": platform.machine(),
+            "cpu": models[0] if models else platform.processor(),
+            "libc": " ".join(platform.libc_ver())}
+
+
+def test_the_environment_key_leaves_out_the_kernel_release():
+    # a kernel update must not switch the recorded-block comparison off
+    assert platform.release() not in json.dumps(environment(1))
 
 
 @pytest.fixture(scope="module")

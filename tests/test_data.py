@@ -1,10 +1,12 @@
-"""Dataset container, LIBSVM round trips, PCA, and the covariance spectrum."""
+"""Dataset container, LIBSVM round trips, the metric factor file, PCA, and the covariance
+spectrum."""
 
 import numpy as np
 import pytest
 
 from durp import cli
-from durp.data import LabeledDataset, ParseError, eigen_spectrum, parse_libsvm, pca_fit
+from durp.data import (LabeledDataset, ParseError, eigen_spectrum, load_metric, parse_libsvm,
+                       pca_fit, save_metric)
 
 from oracles import serialize_libsvm
 
@@ -12,15 +14,15 @@ from oracles import serialize_libsvm
 def test_dataset_validation():
     good = LabeledDataset(np.zeros((3, 4)), np.zeros(4, dtype=np.int64))
     assert good.d == 3 and good.n == 4 and good.n_classes == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points must be a 2-d array"):
         LabeledDataset(np.zeros(3), np.zeros(3, dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels must be 1-d with one entry per point column"):
         LabeledDataset(np.zeros((3, 4)), np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="no features"):
         LabeledDataset(np.zeros((0, 4)), np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points must be finite"):
         LabeledDataset(np.full((2, 2), np.nan), np.zeros(2, dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels must be nonnegative integers"):
         LabeledDataset(np.zeros((2, 2)), np.array([0, -1]))
 
 
@@ -102,6 +104,25 @@ def test_serialize_skips_zeros_and_round_trips():
         assert np.array_equal(back.points, data.points)  # %.17g is lossless
         # labels come back remapped to contiguous ids, rank-order preserved
         assert np.array_equal(back.labels, np.unique(data.labels, return_inverse=True)[1])
+
+
+def test_metric_file_round_trip(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "metric.bin"
+    for L in (rng.normal(size=(6, 3)), np.zeros((6, 0)), np.zeros((0, 0))):
+        save_metric(path, L)
+        back = load_metric(path)
+        assert back.shape == L.shape
+        assert back.tobytes() == L.tobytes()  # the factor file is bit-exact
+    save_metric(path, rng.normal(size=(6, 3)))
+    raw = path.read_bytes()
+    assert len(raw) == 16 + 6 * 3 * 8  # d and r, then the entries
+    path.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match="payload has 136 bytes, expected 144 for a 6 x 3"):
+        load_metric(path)
+    path.write_bytes(raw[:12])
+    with pytest.raises(ValueError, match="truncated"):
+        load_metric(path)
 
 
 def test_pca_primal_and_dual_paths_agree():

@@ -1,4 +1,4 @@
-"""Retrieval and k-NN scoring against loop-based references."""
+"""Squared-distance blocks, retrieval and k-NN scoring against loop-based references."""
 
 import json
 import tracemalloc
@@ -18,12 +18,50 @@ from oracles import (
     lattice_problem,
     naive_knn,
     naive_map,
+    naive_sq_distance,
     planted_tie_problem,
     serialize_libsvm,
+    three_block_sq_distances,
     with_copies,
 )
 
 BLOCK_ROWS = (None, 1, 3)  # None: the default cap; 1 and 3 rows split every query set
+
+
+def assembled(X, Y=None):
+    blocks = list(sq_distance_blocks(X, Y))
+    assert [rows.start for rows, _ in blocks] == list(range(0, X.shape[1], blocks[0][1].shape[0]))
+    return np.vstack([D for _, D in blocks]), len(blocks)
+
+
+def test_metric_distance_and_pairwise(monkeypatch):
+    rng = np.random.default_rng(4)
+    L = rng.normal(size=(5, 3))  # the factor of the metric L L^T
+    X = rng.normal(size=(5, 7))
+    Y = rng.normal(size=(5, 4))
+    for rows in (None, 1, 3):
+        cap_block_rows(monkeypatch, rows, 4)
+        D, _ = assembled(L.T @ X, L.T @ Y)
+        assert D.shape == (7, 4)
+        for i in range(7):
+            for j in range(4):
+                ref = naive_sq_distance(L, X[:, i], Y[:, j])
+                assert abs(D[i, j] - ref) < 1e-9 * (abs(ref) + 1.0)
+        # one-argument form: self-distances vanish
+        cap_block_rows(monkeypatch, rows, 7)
+        D_self, _ = assembled(L.T @ X)
+        assert D_self.shape == (7, 7)
+        assert np.abs(np.diag(D_self)).max() < 1e-9
+
+
+def test_pairwise_distances_bytes_match_three_block_expression():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(16, 90))
+    Y = rng.normal(size=(16, 40))
+    for args in ((X, Y), (X,)):
+        D, n_blocks = assembled(*args)
+        assert n_blocks == 1  # the default cap holds this shape whole
+        assert D.tobytes() == three_block_sq_distances(*args).tobytes()
 
 
 def random_factor(rng, d):

@@ -1,4 +1,5 @@
-"""Verification harnesses: config validation, row shapes, and the CSVs the CLI writes of them."""
+"""Verification harnesses: config validation, row shapes, kappa, and the CSVs the CLI writes
+of them."""
 
 import math
 from dataclasses import replace
@@ -15,7 +16,8 @@ from durp.synth import gaussian_blobs, isotropic_cloud, margin_gapped_blobs
 from durp.triplets import (build_cache, differences, gaussian_matrix, project_cache,
                            sample_active_triplets)
 
-from oracles import dense_recovery_errors, kappa_power_check, textbook_pga
+from oracles import (dense_recovery_errors, kappa_power_check, random_columns, spectral_norm,
+                     textbook_pga)
 
 
 def test_smooth_recovery_m_frozen_and_monotone():
@@ -321,3 +323,24 @@ def test_kappa_power_check_matches_closed_form():
     powered = kappa_power_check(U, V)
     assert len(powered) == 4
     assert abs(closed - max(powered)) <= 1e-8 * max(abs(closed), 1.0)
+
+
+def test_kappa_closed_form_hand_example():
+    # |u| = (sqrt 3, 2) -> p = (3, 4), |p| = 5; q = (0, 0) -> kappa = |p|^2 = 25
+    U = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 0.0]])
+    assert kappa(U, np.zeros((3, 2))) == 25.0
+
+
+def test_kappa_matches_spectral_norm_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        U, V = random_columns(rng, 4, 15)
+        p = np.einsum("pt,pt->t", U, U)
+        q = np.einsum("pt,pt->t", V, V)
+        dense_norms = [
+            spectral_norm(np.outer(p, p)),
+            spectral_norm(np.outer(q, q)),
+            spectral_norm(np.outer(p, q)),
+            spectral_norm(np.outer(q, p)),
+        ]
+        assert np.isclose(kappa(U, V), max(dense_norms), rtol=1e-10)

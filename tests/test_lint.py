@@ -8,8 +8,9 @@ distance block size,
 only ``data`` imports ``struct`` (it alone knows the metric file layout),
 ``evaluate``'s scorers raise nothing (``evaluate_metric`` is the one gate),
 only ``evaluate.require_scorable`` refuses a train/test split,
-no flag of ``cli`` has a literal default, and the package root binds no
-name.
+no flag of ``cli`` has a literal default, the package root binds no
+name, and every ``tests/test_<x>.py`` is the suite of a module
+``src/durp/<x>.py`` or one of the suites that span several modules.
 
 A stdlib ``ast`` stand-in for pyflakes' unused-import check.
 """
@@ -360,3 +361,25 @@ def test_bindings_detected():
 def test_the_package_root_binds_no_name():
     # names are imported from their modules; the root is only its docstring
     assert bindings((ROOT / "src" / "durp" / "__init__.py").read_text()) == []
+
+
+CROSS_MODULE_SUITES = ("acceptance", "answers", "bench_json", "benchmark_contract", "lint")
+
+
+def orphan_suites(names, modules):
+    """The ``test_<x>.py`` among ``names`` whose ``x`` is neither in ``modules`` nor cross-module."""
+    known = set(modules) | set(CROSS_MODULE_SUITES)
+    return [name for name in names
+            if name.startswith("test_") and name.endswith(".py") and name[5:-3] not in known]
+
+
+def test_orphan_suites_detected():
+    names = ["oracles.py", "test_gram.py", "test_solver.py", "test_lint.py", "test_metric.py"]
+    assert orphan_suites(names, ["data", "solver"]) == ["test_gram.py", "test_metric.py"]
+
+
+def test_every_suite_is_named_after_its_module():
+    # a suite named after a folded module hides where its tests now belong
+    modules = [path.stem for path in (ROOT / "src" / "durp").glob("*.py")]
+    names = [path.name for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert orphan_suites(names, modules) == []

@@ -151,7 +151,7 @@ def test_gaussian_matrix_determinism_and_validation():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     for d, m in ((0, 3), (3, 0), (-1, 2)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d and m must be positive"):
             gaussian_matrix(d, m, seed=0)
     assert GENERATOR_NAME == "numpy-default-rng-pcg64"
 
